@@ -16,7 +16,7 @@ import numpy as np
 
 from laplab.discretization import build_grid
 from laplab.geometry import TorusMetric, metric_sq_geodesic
-from laplab.identify import recover_metric
+from laplab.identify import metric_field_from_distance
 from laplab.verify import stencil_order_study
 
 
@@ -41,7 +41,7 @@ def main() -> int:
     ):
         rule = build_grid(metric, 16)
         dist = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
-        g = recover_metric(dist, rule, 0)
+        g = metric_field_from_distance(dist, rule.grid_shape, rule.spacing).tensor_at(0)
         err = float(np.max(np.abs(g - metric.matrix())))
         print(f"  {name:>14}: max error {err:.3e}")
     return 0

@@ -304,10 +304,6 @@ def embed_many(embedding: Embedding, p: np.ndarray) -> np.ndarray:
     return np.column_stack([su * np.cos(v), su * np.sin(v), np.cos(u)])
 
 
-def embed(embedding: Embedding, x: ChartPoint) -> np.ndarray:
-    return embed_many(embedding, x.as_array()[None, :])[0]
-
-
 def ambient_sq_dist(embedding: Embedding, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Pairwise squared chord distance of embedded points, (n, m).
 

@@ -21,19 +21,18 @@ falls out of the mass per chart cell divided by the recovered volume form.
 For kernels built from chord distance of an embedding, the same stencil
 applied to recovered squared chord distance converges to the induced metric
 of the embedding (chords osculate geodesics to second order).  The chord bias
-is O(h^2) with a visible constant at practical grid sizes, so that path uses
-one Richardson step (stencils at spacing h and 2h) to push it to O(h^4).
+is O(h^2) with a visible constant at practical grid sizes, so run_recovery
+adds one Richardson step (stencils at spacing h and 2h) whenever the operator
+is extrinsic, pushing it to O(h^4).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .discretization import QuadratureRule
 from .errors import (
     ConditioningError,
     InconsistencyError,
@@ -110,14 +109,17 @@ class RecoveryReport:
 def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
     """Read W off the off-diagonal entries of a well-formed operator.
 
-    Checks: row sums vanish to 1e-10, off-diagonal entries have the right
-    sign (tiny negatives from rounding are clipped), no row is entirely
-    disconnected.
+    Checks: every entry is finite, row sums vanish to 1e-10, off-diagonal
+    entries have the right sign (tiny negatives from rounding are clipped),
+    no row is entirely disconnected.
     """
     entries = op.entries
     n = entries.shape[0]
     row_sums = entries @ np.ones(n)
     worst = float(np.max(np.abs(row_sums)))
+    # a NaN or infinite entry makes its row sum non-finite
+    if not np.isfinite(worst):
+        raise MalformedOperatorError("operator has non-finite entries")
     if worst > _ROW_SUM_TOL:
         raise MalformedOperatorError(
             f"row sums reach {worst:.3e}; operator does not annihilate constants"
@@ -294,28 +296,6 @@ def metric_field_from_distance(
     return MetricField(indices=idx, tensors=picked)
 
 
-def recover_metric(dist: np.ndarray, rule: QuadratureRule, i: int) -> np.ndarray:
-    """Metric tensor at grid node i from a pairwise distance matrix."""
-    periodic_u = isinstance(rule.metric, TorusMetric)
-    tensors, valid = _stencil_tensors(
-        dist, rule.grid_shape, rule.spacing, periodic_u, steps=1
-    )
-    if not (0 <= i < tensors.shape[0]):
-        raise InsufficientMaskError(f"node index {i} outside the grid")
-    if not valid[i]:
-        raise InsufficientMaskError(
-            f"stencil at node {i} needs distance entries outside the edge mask"
-        )
-    g = tensors[i]
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] <= 0.0:
-        raise ConditioningError(
-            f"recovered tensor at node {i} is not positive definite",
-            eigenvalues=eigs,
-        )
-    return g
-
-
 def recover_density(
     mass: np.ndarray, metric_field: MetricField, cell_area: float
 ) -> np.ndarray:
@@ -324,28 +304,6 @@ def recover_density(
     if np.any(det <= 0.0):
         raise ConditioningError("recovered volume form is not positive")
     return mass[metric_field.indices] / (np.sqrt(det) * cell_area)
-
-
-def recover_induced_metric_from_extrinsic(
-    op: OperatorMatrix, rule: Optional[QuadratureRule] = None
-) -> MetricField:
-    """Induced metric of the embedding behind an extrinsic operator.
-
-    Composes kernel extraction, mass recovery, and distance recovery, then
-    stencils squared chord distance with a Richardson step.  The measure
-    metric of the operator plays no role beyond the masses it contributed,
-    which divide out: the result estimates the embedding's first fundamental
-    form, the only metric an extrinsic operator determines.
-    """
-    wk = extract_weighted_kernel(op)
-    mass = recover_mass(wk)
-    _, dhat = recover_kernel_distance(wk, mass)
-    grid_shape = rule.grid_shape if rule is not None else op.grid_shape
-    spacing = rule.spacing if rule is not None else op.spacing
-    periodic_u = isinstance(op.measure_metric, TorusMetric)
-    return metric_field_from_distance(
-        dhat, grid_shape, spacing, periodic_u=periodic_u, richardson=True
-    )
 
 
 def report_payload(

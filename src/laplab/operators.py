@@ -21,7 +21,6 @@ float64 entries, little-endian throughout); see save_operator for the layout.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -80,7 +79,6 @@ class OperatorMatrix:
     measure_metric: Metric
     grid_shape: tuple[int, int]
     spacing: tuple[float, float]
-    dim: int = 2
     warning: Optional[str] = None
 
     @property
@@ -210,22 +208,6 @@ def evaluate_discrete(
     return float(terms.sum() / (dop.samples.n * dop.t**2))
 
 
-def evaluate_discrete_with_se(
-    dop: DiscreteOperator,
-    f: Callable[[np.ndarray], np.ndarray],
-    x: ChartPoint,
-) -> tuple[float, float]:
-    """Value and its standard error from the empirical term variance."""
-    pts = dop.samples.points
-    p = x.as_array()[None, :]
-    d2 = kernel_sq_dist(dop.mode, p, pts)[0]
-    fx = float(np.asarray(f(p))[0])
-    terms = np.exp(d2 / -dop.t) * (fx - np.asarray(f(pts))) / dop.t**2
-    n = dop.samples.n
-    se = float(terms.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return float(terms.mean()), se
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -317,6 +299,8 @@ def load_operator(path) -> OperatorMatrix:
             raise MalformedOperatorError("not an operator file (bad magic)")
         if version != _VERSION:
             raise MalformedOperatorError(f"unsupported operator format version {version}")
+        if nu * nv != n:
+            raise MalformedOperatorError(f"grid shape {nu}x{nv} does not match node count {n}")
         rest = fh.read(_BAND.size + 2 * _PARAM.size)
         if len(rest) < _BAND.size + 2 * _PARAM.size:
             raise MalformedOperatorError("operator file truncated in header")
@@ -340,13 +324,6 @@ def load_operator(path) -> OperatorMatrix:
         grid_shape=(nu, nv),
         spacing=(du, dv),
     )
-
-
-def operator_to_csv(op: OperatorMatrix, path) -> None:
-    """Plain-text export for small grids: one matrix row per line."""
-    mode_tag = "intrinsic" if isinstance(op.mode, IntrinsicKernel) else "extrinsic"
-    header = f"n={op.n} t={op.t!r} mode={mode_tag}"
-    np.savetxt(path, op.entries, fmt="%.17g", delimiter=",", header=header)
 
 
 _MX_MAGIC = b"LLMX"

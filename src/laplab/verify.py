@@ -38,7 +38,6 @@ import numpy as np
 from . import __version__
 from .discretization import (
     CosineBump,
-    QuadratureRule,
     UniformDensity,
     build_grid,
     density_values,
@@ -60,9 +59,7 @@ from .geometry import (
 from .identify import (
     extract_weighted_kernel,
     metric_field_from_distance,
-    recover_induced_metric_from_extrinsic,
     recover_mass,
-    recover_metric,
     report_payload,
     run_recovery,
 )
@@ -262,7 +259,7 @@ def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
     mass_true = density_values(p, rule.nodes) * rule.weights
     mass_err = float(np.max(np.abs(report.mass - mass_true) / mass_true))
     d_true = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
-    sym = extract_weighted_kernel(op).sym_mask()
+    sym = np.isfinite(report.distance)
     dist_err = float(np.max(np.abs(report.distance[sym] - d_true[sym])))
 
     report.errors = {
@@ -392,6 +389,23 @@ def _s5_reference(rule, density, t, points, cache_dir=None):
     return values
 
 
+def _s5_rms_error(bandwidth, reference_grid, cache_dir=None):
+    """Build the flat-torus reference once; return (n, seed) -> RMS error."""
+    metric = TorusMetric.flat()
+    rule = build_grid(metric, reference_grid)
+    density = normalize_density(UniformDensity(), rule)
+    points = _eval_points()
+    ref = _s5_reference(rule, density, bandwidth, points, cache_dir)
+
+    def rms_error(n: int, seed: int) -> float:
+        samples = sample_points(density, metric, n, seed)
+        dop = DiscreteOperator(samples, bandwidth, IntrinsicKernel(metric))
+        vals = np.array([evaluate_discrete(dop, _f_cos_u, x) for x in points])
+        return float(np.sqrt(np.mean((vals - ref) ** 2)))
+
+    return rms_error
+
+
 def discrete_rms_error(
     n: int,
     seed: int,
@@ -400,15 +414,7 @@ def discrete_rms_error(
     cache_dir=None,
 ) -> float:
     """RMS over evaluation points of (Monte-Carlo - quadrature) values."""
-    metric = TorusMetric.flat()
-    rule = build_grid(metric, reference_grid)
-    density = normalize_density(UniformDensity(), rule)
-    points = _eval_points()
-    ref = _s5_reference(rule, density, bandwidth, points, cache_dir)
-    samples = sample_points(density, metric, n, seed)
-    dop = DiscreteOperator(samples, bandwidth, IntrinsicKernel(metric))
-    vals = np.array([evaluate_discrete(dop, _f_cos_u, x) for x in points])
-    return float(np.sqrt(np.mean((vals - ref) ** 2)))
+    return _s5_rms_error(bandwidth, reference_grid, cache_dir)(n, seed)
 
 
 def convergence_study(
@@ -426,21 +432,11 @@ def convergence_study(
     if n_seeds < 5:
         raise InvalidParameterError("need at least 5 seeds for a stable slope")
 
-    metric = TorusMetric.flat()
-    rule = build_grid(metric, reference_grid)
-    density = normalize_density(UniformDensity(), rule)
-    points = _eval_points()
-    ref = _s5_reference(rule, density, bandwidth, points, cache_dir)
-
-    per_seed = np.empty((n_seeds, len(n_values)))
-    for i in range(n_seeds):
-        for j, n in enumerate(n_values):
-            samples = sample_points(
-                density, metric, n, seed + 1000003 * i + n
-            )
-            dop = DiscreteOperator(samples, bandwidth, IntrinsicKernel(metric))
-            vals = np.array([evaluate_discrete(dop, _f_cos_u, x) for x in points])
-            per_seed[i, j] = np.sqrt(np.mean((vals - ref) ** 2))
+    rms_error = _s5_rms_error(bandwidth, reference_grid, cache_dir)
+    per_seed = np.array(
+        [[rms_error(n, seed + 1000003 * i + n) for n in n_values]
+         for i in range(n_seeds)]
+    )
     errors = per_seed.mean(axis=0)
     slope = float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])
     return ConvergenceResult(n_values, tuple(float(e) for e in errors), per_seed, slope)
@@ -475,12 +471,12 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
 
     op, rule, _ = _extrinsic_torus_operator(flat, CliffordTorus(), UniformDensity(), n, t)
-    fld = recover_induced_metric_from_extrinsic(op, rule)
+    fld = run_recovery(op).metric_field
     clifford_err = float(np.max(np.abs(fld.tensors - np.eye(2)[None])))
 
     donut = DonutTorus(2.0, 1.0)
     op, rule, _ = _extrinsic_torus_operator(flat, donut, UniformDensity(), n, t)
-    fld = recover_induced_metric_from_extrinsic(op, rule)
+    fld = run_recovery(op).metric_field
     tube = np.flatnonzero(rule.nodes[fld.indices, 0] == 0.0)
     if tube.size == 0:
         raise InsufficientMaskError(
@@ -495,7 +491,7 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     rule = build_grid(sphere, n)
     p = normalize_density(UniformDensity(), rule)
     op = assemble_continuous(ExtrinsicKernel(UnitSphere()), p, rule, t)
-    fld = recover_induced_metric_from_extrinsic(op, rule)
+    fld = run_recovery(op).metric_field
     equator = np.flatnonzero(np.abs(rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
     if equator.size == 0:
         raise InsufficientMaskError(
@@ -534,14 +530,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return _BODIES[cfg.scenario](cfg)
 
 
-def run_all(base: ScenarioConfig) -> list[ScenarioResult]:
-    import dataclasses
-
-    return [
-        run_scenario(dataclasses.replace(base, scenario=sid)) for sid in SCENARIO_IDS
-    ]
-
-
 # ---------------------------------------------------------------------------
 # stencil resolution sweep (order check for the metric stencil)
 # ---------------------------------------------------------------------------
@@ -560,7 +548,8 @@ def stencil_order_study(grid_sizes=(16, 32, 64)) -> tuple[list, list, float]:
         rule = build_grid(sphere, n)
         dist = np.sqrt(sphere_sq_geodesic(1.0, rule.nodes, rule.nodes))
         node = (n // 4 - 1) * rule.grid_shape[1]  # u = pi/4, v = 0
-        g = recover_metric(dist, rule, node)
+        fld = metric_field_from_distance(dist, rule.grid_shape, rule.spacing, periodic_u=False)
+        g = fld.tensor_at(node)
         u = rule.nodes[node, 0]
         g_true = np.diag([1.0, math.sin(u) ** 2])
         h_values.append(TWO_PI / n)

@@ -108,6 +108,34 @@ def test_recovery_numerical_failure_exits_three(tmp_path):
     assert rc == 3
 
 
+def _put_nan_entry(path):
+    from laplab.operators import load_operator, save_operator
+
+    op = load_operator(path)
+    op.entries[3, 5] = np.nan
+    save_operator(op, path)
+
+
+def _put_grid_shape_8x9(path):
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = np.array([8, 9], dtype="<u4").tobytes()  # nu, nv: 72 != 64 nodes
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("corrupt", [_put_nan_entry, _put_grid_shape_8x9])
+def test_recover_corrupt_operator_exits_three(tmp_path, capsys, corrupt):
+    op_path = tmp_path / "op.llop"
+    assert main(["assemble", "--metric", "flat", "--density", "uniform",
+                 "--grid", "8", "--bandwidth", "0.5", "--out", str(op_path)]) == 0
+    corrupt(op_path)
+    capsys.readouterr()
+    rc = main(["recover", "--operator", str(op_path),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
 def test_missing_operator_file_exits_two(tmp_path):
     rc = main(["recover", "--operator", str(tmp_path / "nope.llop"),
                "--out", str(tmp_path / "r.json")])

@@ -5,6 +5,7 @@ Forward assembly is the oracle throughout: every recovered quantity is
 compared against the closed-form inputs the operator was built from.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -37,10 +38,8 @@ from laplab.identify import (
     extract_weighted_kernel,
     metric_field_from_distance,
     recover_density,
-    recover_induced_metric_from_extrinsic,
     recover_kernel_distance,
     recover_mass,
-    recover_metric,
     run_recovery,
 )
 from laplab.operators import (
@@ -106,6 +105,21 @@ def test_extract_rejects_positive_off_diagonal():
     )
     with pytest.raises(MalformedOperatorError):
         extract_weighted_kernel(op2)
+
+
+def test_extract_rejects_non_finite_entry():
+    op, _, _ = _op(n=8)
+    bad = op.entries.copy()
+    bad[3, 5] = np.nan
+    op2 = type(op)(
+        entries=bad, nodes=op.nodes, t=op.t, mode=op.mode,
+        measure_metric=op.measure_metric, grid_shape=op.grid_shape,
+        spacing=op.spacing,
+    )
+    with pytest.raises(MalformedOperatorError, match="non-finite"):
+        extract_weighted_kernel(op2)
+    with pytest.raises(MalformedOperatorError, match="non-finite"):
+        run_recovery(op2)
 
 
 def test_extract_rejects_all_zero_row():
@@ -221,14 +235,15 @@ def test_stencil_exact_on_anisotropic_sigma():
     metric = TorusMetric.anisotropic(2.0)
     rule = build_grid(metric, 16)
     dist = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
-    g = recover_metric(dist, rule, 5 * 16 + 3)
+    fld = metric_field_from_distance(dist, rule.grid_shape, rule.spacing)
+    g = fld.tensor_at(5 * 16 + 3)
     assert np.max(np.abs(g - np.diag([4.0, 0.25]))) <= 1e-10
 
 
 def test_stencil_exact_on_flat_sigma():
     rule = build_grid(TorusMetric.flat(), 16)
     dist = np.sqrt(metric_sq_geodesic(TorusMetric.flat(), rule.nodes, rule.nodes))
-    g = recover_metric(dist, rule, 0)
+    g = metric_field_from_distance(dist, rule.grid_shape, rule.spacing).tensor_at(0)
     assert np.max(np.abs(g - np.eye(2))) <= 1e-10
 
 
@@ -298,14 +313,14 @@ def test_recover_density_direct():
 
 def test_induced_metric_clifford():
     op, rule, _ = _op(n=32, kernel=ExtrinsicKernel(CliffordTorus()))
-    fld = recover_induced_metric_from_extrinsic(op, rule)
+    fld = run_recovery(op).metric_field
     assert np.max(np.abs(fld.tensors - np.eye(2)[None])) <= 1e-3
 
 
 def test_induced_metric_donut_outer_circle():
     emb = DonutTorus(2.0, 1.0)
     op, rule, _ = _op(n=32, kernel=ExtrinsicKernel(emb))
-    fld = recover_induced_metric_from_extrinsic(op, rule)
+    fld = run_recovery(op).metric_field
     outer = np.flatnonzero(rule.nodes[fld.indices, 0] == 0.0)
     assert outer.size > 0
     g_true = np.diag([1.0, 9.0])
@@ -317,7 +332,7 @@ def test_induced_metric_sphere_equator():
     rule = build_grid(sphere, 32)
     p = normalize_density(UniformDensity(), rule)
     op = assemble_continuous(ExtrinsicKernel(UnitSphere()), p, rule, 0.5)
-    fld = recover_induced_metric_from_extrinsic(op, rule)
+    fld = run_recovery(op).metric_field
     eq = np.flatnonzero(np.abs(rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
     assert eq.size > 0
     assert np.max(np.abs(fld.tensors[eq] - np.eye(2)[None])) <= 5e-3
@@ -328,7 +343,7 @@ def test_extrinsic_recovery_cannot_see_the_chart_metric():
     # operator; recovery returns the embedding's metric, not either input
     aniso = TorusMetric.anisotropic(2.0)
     op, rule, _ = _op(aniso, n=32, kernel=ExtrinsicKernel(CliffordTorus()))
-    fld = recover_induced_metric_from_extrinsic(op, rule)
+    fld = run_recovery(op).metric_field
     err_identity = np.max(np.abs(fld.tensors - np.eye(2)[None]))
     err_aniso = np.max(np.abs(fld.tensors - np.diag([4.0, 0.25])[None]))
     assert err_identity <= 1e-3
@@ -370,3 +385,22 @@ def test_report_payload_round_trips_to_json(tmp_path):
 
     k = load_matrix(tmp_path / payload2["matrix_files"]["kernel"])
     assert k.shape == (64, 64)
+
+
+# --- one path per job: removed duplicate entry points stay removed -----------------
+
+_REMOVED = [
+    "recover_induced_metric_from_extrinsic",
+    "recover_metric",
+    "run_all",
+    "evaluate_discrete_with_se",
+    "operator_to_csv",
+    "embed",
+]
+
+
+@pytest.mark.parametrize("module", ["identify", "verify", "operators", "geometry"])
+@pytest.mark.parametrize("name", _REMOVED)
+def test_removed_names_stay_removed(module, name):
+    mod = importlib.import_module(f"laplab.{module}")
+    assert not hasattr(mod, name)

@@ -37,7 +37,6 @@ from laplab.operators import (
     assemble_continuous,
     continuous_value,
     evaluate_discrete,
-    evaluate_discrete_with_se,
     kernel_sq_dist,
     load_matrix,
     load_operator,
@@ -253,7 +252,11 @@ def test_discrete_value_near_continuous_value():
 
     s = sample_points(p, metric, 100_000, 1234)
     dop = DiscreteOperator(s, 0.5, IntrinsicKernel(metric))
-    val, se = evaluate_discrete_with_se(dop, f, x)
+    val = evaluate_discrete(dop, f, x)
+    # standard error from the empirical variance of the summed terms
+    d2 = kernel_sq_dist(dop.mode, x.as_array()[None, :], s.points)[0]
+    terms = np.exp(d2 / -dop.t) * (f(x.as_array()[None, :])[0] - f(s.points)) / dop.t**2
+    se = float(terms.std(ddof=1) / math.sqrt(s.n))
     assert abs(val - ref) < 3.0 * se
     assert se < 1e-3
 
@@ -309,6 +312,21 @@ def test_load_rejects_truncated_file(tmp_path):
         load_operator(path)
     path.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(MalformedOperatorError):
+        load_operator(path)
+
+
+@pytest.mark.parametrize("grid_shape", [(8, 9), (16, 8)])
+def test_load_rejects_grid_shape_node_count_mismatch(tmp_path, grid_shape):
+    from laplab.errors import MalformedOperatorError
+
+    op, _, _ = _flat_op(8)
+    path = tmp_path / "op.llop"
+    save_operator(op, path)
+    blob = bytearray(path.read_bytes())
+    # header: magic(4) version(2) mode(1) chart(1) n(4) nu(4) nv(4)
+    blob[12:20] = np.array(grid_shape, dtype="<u4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(MalformedOperatorError, match="node count"):
         load_operator(path)
 
 
