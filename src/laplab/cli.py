@@ -83,21 +83,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill unset flags from the JSON config; explicit flags keep priority."""
+def _merge_config(args: argparse.Namespace, argv: list[str],
+                  parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill unset flags from the JSON config; explicit flags keep priority.
+
+    Only long flags of the top level and of the chosen command are read.
+    Each value goes through its flag's type and choices as the text it would
+    have on the command line; on/off flags take JSON booleans.
+    """
     if not args.config:
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in parser._actions + sub.choices[args.command]._actions
+             if a.option_strings and a.dest not in ("help", "config")}
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
                 for a in argv if a.startswith("--")}
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if attr in explicit or not hasattr(args, attr):
+        action = flags.get(key.replace("-", "_"))
+        if action is None or action.dest in explicit:
             continue
-        setattr(args, attr, value)
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config {key!r} must be true or false")
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            # argparse's own conversion, so errors read as on the command line
+            try:
+                value = parser._get_value(action, str(value))
+                parser._check_value(action, value)
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"config {key!r}: {exc}") from None
+        else:
+            raise ValueError(f"config {key!r} must be a string or a number")
+        setattr(args, action.dest, value)
     return args
 
 
@@ -264,7 +285,7 @@ def main(argv=None) -> int:
     from .errors import NumericalError
 
     try:
-        args = _merge_config(args, argv)
+        args = _merge_config(args, argv, parser)
         if args.threads is not None:
             if args.threads < 1:
                 raise ValueError("--threads must be positive")

@@ -114,7 +114,9 @@ class TorusMetric:
         """
         tr = self.E + self.G
         disc = math.sqrt(max(tr * tr / 4.0 - (self.E * self.G - self.F * self.F), 0.0))
-        return (tr / 2.0 + disc) / (tr / 2.0 - disc)
+        # the small eigenvalue rounds to 0 beyond a ratio of about 1e16
+        low = tr / 2.0 - disc
+        return (tr / 2.0 + disc) / low if low > 0.0 else math.inf
 
     def shift_range(self) -> int:
         # Diagonal metrics split per axis: a parabola in the wrap count k

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,8 @@ class WeightedKernel:
     """Off-diagonal kernel weights W_ij = K_ij m_j with an edge mask.
 
     w has NaN on the diagonal (unknown by construction); mask is True where
-    an entry is usable, always False on the diagonal.
+    an entry is usable, always False on the diagonal; sym is True where both
+    directions are.
     """
 
     w: np.ndarray
@@ -71,7 +73,8 @@ class WeightedKernel:
     def n(self) -> int:
         return self.w.shape[0]
 
-    def sym_mask(self) -> np.ndarray:
+    @cached_property
+    def sym(self) -> np.ndarray:
         return self.mask & self.mask.T
 
 
@@ -113,10 +116,7 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
     entries have the right sign (tiny negatives from rounding are clipped),
     no row is entirely disconnected.
     """
-    entries = op.entries
-    n = entries.shape[0]
-    row_sums = entries @ np.ones(n)
-    worst = float(np.max(np.abs(row_sums)))
+    worst = float(np.max(np.abs(op.entries @ np.ones(len(op.entries)))))
     # a NaN or infinite entry makes its row sum non-finite
     if not np.isfinite(worst):
         raise MalformedOperatorError("operator has non-finite entries")
@@ -124,20 +124,18 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
         raise MalformedOperatorError(
             f"row sums reach {worst:.3e}; operator does not annihilate constants"
         )
-    w = entries * (-op.t**2)
+    w = op.entries * (-op.t**2)
+    # the NaN diagonal fails every comparison below; it needs no mask of its own
     np.fill_diagonal(w, np.nan)
-    off = ~np.eye(n, dtype=bool)
-    low = float(np.min(w[off]))
+    low = float(np.nanmin(w))
     if low < -_NEGATIVE_TOL:
         raise MalformedOperatorError(
             f"positive off-diagonal operator entry (kernel weight {low:.3e} < 0)"
         )
-    w = np.where(off & (w < 0.0), 0.0, w)
-    dead = off & (w > 0.0)
-    if not dead.any(axis=1).all():
+    w[w < 0.0] = 0.0
+    if not (w > 0.0).any(axis=1).all():
         raise MalformedOperatorError("a node has an all-zero kernel row")
-    mask = off & (w > EDGE_THRESHOLD)
-    return WeightedKernel(w=w, mask=mask, t=op.t)
+    return WeightedKernel(w=w, mask=w > EDGE_THRESHOLD, t=op.t)
 
 
 def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
@@ -148,10 +146,7 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     solution is replaced by the least-squares fit over all masked edges
     (normal equations on the edge graph; O(n^3) dense solve).
     """
-    n = wk.n
-    sym = wk.sym_mask()
-    logw = np.where(sym, np.log(np.where(sym, wk.w, 1.0)), 0.0)
-
+    n, w, sym = wk.n, wk.w, wk.sym
     logm = np.full(n, np.nan)
     logm[0] = 0.0
     seen = np.zeros(n, dtype=bool)
@@ -162,7 +157,7 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
         nbrs = np.flatnonzero(sym[i] & ~seen)
         if nbrs.size == 0:
             continue
-        logm[nbrs] = logm[i] + (logw[i, nbrs] - logw[nbrs, i])
+        logm[nbrs] = logm[i] + (np.log(w[i, nbrs]) - np.log(w[nbrs, i]))
         seen[nbrs] = True
         queue.extend(nbrs.tolist())
     if not seen.all():
@@ -172,8 +167,9 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
         )
 
     if refine:
+        # log W on symmetric edges, 0 elsewhere (log 1)
+        logw = np.log(np.where(sym, w, 1.0))
         ratio = logw - logw.T
-        ratio[~sym] = 0.0
         deg = sym.sum(axis=1).astype(np.float64)
         lap = np.diag(deg) - sym.astype(np.float64)
         rhs = ratio.sum(axis=0)
@@ -197,19 +193,20 @@ def recover_kernel_distance(
     operator and raise an inconsistency error.
     """
     khat = wk.w / mass[None, :]
-    masked_vals = khat[wk.mask]
-    high = float(masked_vals.max())
+    high = float(khat.max(where=wk.mask, initial=-np.inf))
     if high > 1.0 + KERNEL_SLACK:
         raise InconsistencyError(
             f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
         )
-    khat = np.where(wk.mask, np.minimum(khat, 1.0), khat)
+    np.minimum(khat, 1.0, out=khat, where=wk.mask)
     np.fill_diagonal(khat, 1.0)
 
-    sym = wk.sym_mask()
-    sigma = np.where(sym, -wk.t * np.log(np.where(sym, khat, 1.0)), np.nan)
-    dhat = np.sqrt(np.maximum(sigma, 0.0))
-    dhat = 0.5 * (dhat + dhat.T)
+    d = np.full_like(khat, np.nan)
+    np.log(khat, out=d, where=wk.sym)
+    d *= -wk.t
+    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+    dhat = d + d.T
+    dhat *= 0.5
     np.fill_diagonal(dhat, 0.0)
     return khat, dhat
 

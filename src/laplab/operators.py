@@ -21,6 +21,8 @@ float64 entries, little-endian throughout); see save_operator for the layout.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -97,8 +99,8 @@ def assemble_continuous(
     The density must be normalized against `rule`.  Bandwidth t must be
     positive.  Refuses grids beyond 64^2 nodes; use continuous_value there.
     """
-    if t <= 0.0:
-        raise InvalidParameterError(f"bandwidth must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise InvalidParameterError(f"bandwidth must be finite and positive, got {t}")
     if rule.n > DENSE_NODE_CAP:
         raise InvalidParameterError(
             f"dense assembly is capped at {DENSE_NODE_CAP} nodes (got {rule.n}); "
@@ -163,8 +165,8 @@ def continuous_value(
 
     x need not be a grid node.  f maps (n, 2) chart coordinates to values.
     """
-    if t <= 0.0:
-        raise InvalidParameterError(f"bandwidth must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise InvalidParameterError(f"bandwidth must be finite and positive, got {t}")
     p = x.as_array()[None, :]
     d2 = kernel_sq_dist(mode, p, rule.nodes)[0]
     k = np.exp(d2 / -t)
@@ -187,8 +189,8 @@ class DiscreteOperator:
     mode: KernelMode
 
     def __post_init__(self):
-        if self.t <= 0.0:
-            raise InvalidParameterError(f"bandwidth must be positive, got {self.t}")
+        if not 0.0 < self.t < math.inf:
+            raise InvalidParameterError(f"bandwidth must be finite and positive, got {self.t}")
 
 
 def evaluate_discrete(
@@ -220,6 +222,8 @@ _HEAD = struct.Struct("<4sHBBIII")
 _BAND = struct.Struct("<ddd")
 # parameter block: one kind byte plus three float parameters
 _PARAM = struct.Struct("<Bddd")
+# everything before the nodes
+_PREAMBLE = _HEAD.size + _BAND.size + 2 * _PARAM.size
 
 _KIND_TORUS_METRIC = 0
 _KIND_SPHERE_METRIC = 1
@@ -284,37 +288,45 @@ def save_operator(op: OperatorMatrix, path) -> None:
         fh.write(_BAND.pack(op.t, op.spacing[0], op.spacing[1]))
         fh.write(_pack_mode(op.mode))
         fh.write(_pack_metric(op.measure_metric))
-        fh.write(np.ascontiguousarray(op.nodes, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(op.entries, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(op.nodes, dtype="<f8"))
+        fh.write(np.ascontiguousarray(op.entries, dtype="<f8"))
 
 
 def load_operator(path) -> OperatorMatrix:
-    """Read an operator written by save_operator."""
+    """Read an operator written by save_operator.
+
+    The file size must be exactly what the header implies, and the bandwidth
+    and spacings must be finite and positive, before any payload is read.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(_HEAD.size)
-        if len(head) < _HEAD.size:
+        head = fh.read(_PREAMBLE)
+        if len(head) < _PREAMBLE:
             raise MalformedOperatorError("operator file truncated in header")
-        magic, version, mode_tag, chart, n, nu, nv = _HEAD.unpack(head)
+        magic, version, mode_tag, chart, n, nu, nv = _HEAD.unpack_from(head)
         if magic != _MAGIC:
             raise MalformedOperatorError("not an operator file (bad magic)")
         if version != _VERSION:
             raise MalformedOperatorError(f"unsupported operator format version {version}")
-        if nu * nv != n:
-            raise MalformedOperatorError(f"grid shape {nu}x{nv} does not match node count {n}")
-        rest = fh.read(_BAND.size + 2 * _PARAM.size)
-        if len(rest) < _BAND.size + 2 * _PARAM.size:
-            raise MalformedOperatorError("operator file truncated in header")
-        t, du, dv = _BAND.unpack(rest[: _BAND.size])
-        mode = _unpack_mode(mode_tag, rest[_BAND.size:_BAND.size + _PARAM.size])
-        measure = _unpack_metric(rest[_BAND.size + _PARAM.size:])
-        node_blob = fh.read(n * 2 * 8)
-        entry_blob = fh.read(n * n * 8)
-        if len(node_blob) < n * 2 * 8 or len(entry_blob) < n * n * 8:
-            raise MalformedOperatorError("operator file truncated in payload")
-        nodes = np.frombuffer(node_blob, dtype="<f8").reshape(n, 2).copy()
-        entries = np.frombuffer(entry_blob, dtype="<f8").reshape(n, n).copy()
-    if (0 if isinstance(measure, TorusMetric) else 1) != chart:
-        raise MalformedOperatorError("chart tag contradicts the measure metric")
+        if n == 0 or nu * nv != n:
+            raise MalformedOperatorError(f"grid shape {nu}x{nv} and node count {n} do not agree")
+        size, expected = os.fstat(fh.fileno()).st_size, _PREAMBLE + 8 * n * (n + 2)
+        if size != expected:
+            raise MalformedOperatorError(
+                f"operator file holds {size} bytes; its header implies {expected}"
+            )
+        t, du, dv = _BAND.unpack_from(head, _HEAD.size)
+        if not all(0.0 < x < math.inf for x in (t, du, dv)):
+            raise MalformedOperatorError(
+                f"bandwidth and spacings must be finite and positive, got {t}, {du}, {dv}"
+            )
+        mode = _unpack_mode(mode_tag, head[-2 * _PARAM.size:-_PARAM.size])
+        measure = _unpack_metric(head[-_PARAM.size:])
+        if (0 if isinstance(measure, TorusMetric) else 1) != chart:
+            raise MalformedOperatorError("chart tag contradicts the measure metric")
+        nodes = np.empty((n, 2), dtype="<f8")
+        entries = np.empty((n, n), dtype="<f8")
+        fh.readinto(nodes)
+        fh.readinto(entries)
     return OperatorMatrix(
         entries=entries,
         nodes=nodes,
@@ -336,7 +348,7 @@ def save_matrix(m: np.ndarray, path) -> None:
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     with open(path, "wb") as fh:
         fh.write(_MX_HEAD.pack(_MX_MAGIC, _VERSION, m.shape[0], m.shape[1]))
-        fh.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(m, dtype="<f8"))
 
 
 def load_matrix(path) -> np.ndarray:

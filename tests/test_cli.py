@@ -1,12 +1,16 @@
 """Command line behavior: each subcommand, exit codes, config merging, and
 byte equality between CLI output and direct library calls."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from laplab.cli import main
 
@@ -122,7 +126,31 @@ def _put_grid_shape_8x9(path):
     path.write_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("corrupt", [_put_nan_entry, _put_grid_shape_8x9])
+def _put_empty_grid(path):
+    blob = bytearray(path.read_bytes()[:94])  # header only, sized for n = 0
+    blob[8:20] = np.array([0, 0, 8], dtype="<u4").tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def _append_bytes(path):
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+
+
+def _put_band(index, value):
+    # header floats t, du, dv start after the 20-byte fixed header
+    def put(path):
+        blob = bytearray(path.read_bytes())
+        blob[20 + 8 * index:28 + 8 * index] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+
+    put.__name__ = f"_put_band_{index}_{value}"
+    return put
+
+
+@pytest.mark.parametrize("corrupt", [
+    _put_nan_entry, _put_grid_shape_8x9, _put_empty_grid, _append_bytes,
+    _put_band(0, np.nan), _put_band(0, -0.5), _put_band(1, np.inf), _put_band(2, 0.0),
+], ids=lambda f: f.__name__)
 def test_recover_corrupt_operator_exits_three(tmp_path, capsys, corrupt):
     op_path = tmp_path / "op.llop"
     assert main(["assemble", "--metric", "flat", "--density", "uniform",
@@ -180,6 +208,32 @@ def test_cli_flag_beats_config(tmp_path):
     assert blob["scenario"] == "S3"
 
 
+@pytest.mark.parametrize("cfg, code", [
+    ({"threads": "2"}, 0),
+    ({"grid": "4"}, 0),
+    ({"command": "converge"}, 0),
+    ({"config": "elsewhere.json"}, 0),
+    ({"scenario": "S99"}, 0),
+    ({"bandwidth": None}, 2),
+    ({"grid": "abc"}, 2),
+    ({"grid": 4.5}, 2),
+    ({"grid": True}, 2),
+    ({"grid": [4]}, 2),
+    ({"mode": "bogus"}, 2),
+    ({"threads": 0}, 2),
+])
+def test_config_values_parse_like_flags(tmp_path, capsys, cfg, code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": 4, **cfg}))
+    rc = main(["--config", str(path), "assemble", "--out", str(tmp_path / "x.llop")])
+    assert rc == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert (tmp_path / "x.llop").exists()
+
+
 def test_config_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1,2,3]")
@@ -217,3 +271,90 @@ def test_threads_flag_validated():
 def test_threads_flag_accepted(tmp_path):
     assert main(["--threads", "1", "verify", "--scenario", "S4",
                  "--grid", "16", "--out", str(tmp_path)]) == 0
+
+
+# --- fuzzing: exit code in {0, 2, 3}, never a traceback -------------------------------
+
+
+_CONFIG_KEYS = ["command", "config", "threads", "mode", "metric", "embedding",
+                "density", "grid", "bandwidth", "out", "operator", "externalize",
+                "refine", "scenario", "seed", "seeds", "n"]
+# small ints and 3-character strings over the digits 0-3 keep every grid the
+# fuzzer can pick at most 32 or past the dense cap, so each example is fast
+_CONFIG_VALUES = st.one_of(
+    st.integers(-2, 8),
+    st.floats(),
+    st.text(alphabet="0123:.-aeflinrsx", max_size=3),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(-2, 8), max_size=2),
+)
+
+
+def _main_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@given(cfg=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES, max_size=4))
+def test_fuzzed_config_never_tracebacks(tmp_path_factory, cfg):
+    work = tmp_path_factory.mktemp("cfg")
+    path = work / "cfg.json"
+    path.write_text(json.dumps({"grid": 4, **cfg}))
+    rc, err = _main_quietly(["--config", str(path), "assemble", "--out", str(work / "x.llop")])
+    assert rc in (0, 2)
+    assert rc == 0 or err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def grid4_operator(tmp_path_factory):
+    path = tmp_path_factory.mktemp("llop") / "op.llop"
+    assert main(["assemble", "--metric", "flat", "--density", "cosine:0.3:u",
+                 "--grid", "4", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+_HEADER_SIZE = 94  # 20-byte fixed part, t/du/dv, two 25-byte parameter blocks
+_PAYLOAD_SIZE = 8 * 16 * 18  # grid 4: 16 nodes x 2, then 16 x 16 entries
+_U32_OFFSETS = (8, 12, 16)  # n, nu, nv
+_F64_OFFSETS = (20, 28, 36, 45, 70)  # t, du, dv, first kernel and metric parameters
+
+
+def _mutate(blob, how):
+    kind, where, what = how
+    blob = bytearray(blob)
+    if kind == "u32":
+        blob[where:where + 4] = np.array([what], dtype="<u4").tobytes()
+    elif kind == "f64":
+        blob[where:where + 8] = np.array([what], dtype="<f8").tobytes()
+    elif kind == "bytes":
+        blob[where:where + len(what)] = what
+    elif kind == "truncate":
+        del blob[where:]
+    else:
+        blob += what
+    return bytes(blob)
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("u32"), st.sampled_from(_U32_OFFSETS), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("f64"), st.sampled_from(_F64_OFFSETS), st.floats()),
+    st.tuples(st.just("bytes"), st.integers(0, _HEADER_SIZE - 1),
+              st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(0, _HEADER_SIZE + _PAYLOAD_SIZE - 1),
+              st.none()),
+    st.tuples(st.just("append"), st.none(), st.binary(min_size=1, max_size=16)),
+)
+
+
+@given(how=_MUTATIONS)
+def test_fuzzed_operator_file_never_tracebacks(tmp_path_factory, grid4_operator, how):
+    work = tmp_path_factory.mktemp("rec")
+    path = work / "op.llop"
+    path.write_bytes(_mutate(grid4_operator, how))
+    rc, err = _main_quietly(["recover", "--operator", str(path),
+                             "--out", str(work / "r.json")])
+    assert rc in (0, 2, 3)
+    assert rc == 0 or err.count("\n") == 1

@@ -83,6 +83,8 @@ def test_torus_metric_validation():
     with pytest.raises(InvalidParameterError):
         TorusMetric.anisotropic(5.0)  # ratio 625 past the admission cutoff
     with pytest.raises(InvalidParameterError):
+        TorusMetric(4.6e16, 0.0, 1.0)  # small eigenvalue rounds to 0: ratio inf
+    with pytest.raises(InvalidParameterError):
         SphereMetric(0.0)
 
 

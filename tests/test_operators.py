@@ -105,8 +105,9 @@ def test_weighted_kernel_symmetric_under_uniform_density():
 def test_bandwidth_validation_and_node_cap():
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
-    with pytest.raises(InvalidParameterError):
-        assemble_continuous(IntrinsicKernel(TorusMetric.flat()), p, rule, 0.0)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            assemble_continuous(IntrinsicKernel(TorusMetric.flat()), p, rule, t)
     big = build_grid(TorusMetric.flat(), 66)  # 4356 nodes > cap
     assert big.n > DENSE_NODE_CAP
     pb = normalize_density(UniformDensity(), big)
