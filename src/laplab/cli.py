@@ -83,6 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 def _merge_config(args: argparse.Namespace, argv: list[str],
                   parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Fill unset flags from the JSON config; explicit flags keep priority.
@@ -97,11 +101,16 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in parser._actions + sub.choices[args.command]._actions
+    command = _subparsers(parser).choices[args.command]
+    flags = {a.dest: a for a in parser._actions + command._actions
              if a.option_strings and a.dest not in ("help", "config")}
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
+    # The flags argparse fired, in any spelling it accepts (--gri 4, --grid=4):
+    # parse again with every default suppressed and see which dests appear.
+    quiet = _build_parser()
+    for p in (quiet, *_subparsers(quiet).choices.values()):
+        for a in p._actions:
+            a.default = argparse.SUPPRESS
+    explicit = set(vars(quiet.parse_args(argv)))
     for key, value in cfg.items():
         action = flags.get(key.replace("-", "_"))
         if action is None or action.dest in explicit:

@@ -119,15 +119,11 @@ class TorusMetric:
         return (tr / 2.0 + disc) / low if low > 0.0 else math.inf
 
     def shift_range(self) -> int:
-        # Diagonal metrics split per axis: a parabola in the wrap count k
-        # has its vertex inside (-1, 1) for any raw chart difference in
-        # (-2 pi, 2 pi), so k in {-1, 0, 1} is exact at any anisotropy.
         # Coupled metrics can route loops diagonally; the reach grows with
         # the condition number.  Ladder validated by brute force against a
-        # +-8 search over random forms up to ratio 256.
+        # +-8 search over random forms up to ratio 256.  torus_sq_geodesic
+        # asks only for coupled metrics; diagonal ones split per axis.
         kappa = self.anisotropy_ratio()
-        if self.F == 0.0:
-            return 2 if max(self.E / self.G, self.G / self.E) > 16.0 else 1
         if kappa <= 4.0:
             return 2
         if kappa <= 16.0:
@@ -182,30 +178,54 @@ def volume_density(metric: Metric, x: ChartPoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _wrap_min(coef: float, d: np.ndarray) -> np.ndarray:
+    """min over a in {-2 pi, 0, 2 pi} of coef * (d + a)^2, elementwise."""
+    best = coef * d * d
+    for a in (-TWO_PI, TWO_PI):
+        x = d + a
+        np.minimum(best, coef * x * x, out=best)
+    return best
+
+
+def _lattice_min(metric: TorusMetric, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Minimum of the coupled form over the square of shifts it can reach."""
+    s = metric.shift_range()
+    shifts = [k * TWO_PI for k in range(-s, s + 1)]
+    best = None
+    for a in shifts:
+        x = du + a
+        for b in shifts:
+            y = dv + b
+            cand = metric.E * x * x + 2.0 * metric.F * x * y + metric.G * y * y
+            best = cand if best is None else np.minimum(best, cand, out=best)
+    return best
+
+
 def torus_sq_geodesic(metric: TorusMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Pairwise squared geodesic distance on the constant-metric torus.
 
     p: (n, 2), q: (m, 2) chart coordinates.  Returns (n, m).  The distance is
     the minimum of the quadratic form over lattice shifts of the coordinate
-    difference; the shift range comes from the metric's anisotropy.
+    difference.  A coupled metric (F != 0) searches a square of shifts whose
+    reach comes from its anisotropy.  A diagonal metric splits per axis:
+    E x^2 + G y^2 is smallest where each term is, and for a chart difference
+    in (-2 pi, 2 pi) each term's minimum lies at a wrap in {-1, 0, 1}.  So
+    it takes the wrap minimum of each axis (6 evaluations of coef * x * x)
+    and adds the two; rounded addition is monotone, so for finite
+    coordinates the result is bit for bit the minimum over the full square
+    of shifts, at any anisotropy.
     """
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    s = metric.shift_range()
-    shifts = [k * TWO_PI for k in range(-s, s + 1)]
     out = np.empty((p.shape[0], q.shape[0]), dtype=np.float64)
     for lo in range(0, p.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, p.shape[0])
         du = p[lo:hi, 0, None] - q[None, :, 0]
         dv = p[lo:hi, 1, None] - q[None, :, 1]
-        best = None
-        for a in shifts:
-            x = du + a
-            for b in shifts:
-                y = dv + b
-                cand = metric.E * x * x + 2.0 * metric.F * x * y + metric.G * y * y
-                best = cand if best is None else np.minimum(best, cand, out=best)
-        out[lo:hi] = best
+        if metric.F == 0.0:
+            out[lo:hi] = _wrap_min(metric.E, du) + _wrap_min(metric.G, dv)
+        else:
+            out[lo:hi] = _lattice_min(metric, du, dv)
     return out
 
 

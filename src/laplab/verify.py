@@ -101,8 +101,8 @@ THRESHOLDS: dict[str, dict[str, Threshold]] = {
         "monotonicity_margin": Threshold(0.0, "gt", "asymptotic"),
     },
     "S2": {
-        "metric_max_error": Threshold(1e-3, "le", "asymptotic"),
-        "density_max_rel_error": Threshold(1e-3, "le", "asymptotic"),
+        "metric_max_error": Threshold(1e-3, "le", "identity-exact"),
+        "density_max_rel_error": Threshold(1e-3, "le", "identity-exact"),
     },
     "S3": {
         "extrinsic_distance": Threshold(1e-14, "le", "identity-exact"),

@@ -208,6 +208,19 @@ def test_cli_flag_beats_config(tmp_path):
     assert blob["scenario"] == "S3"
 
 
+@pytest.mark.parametrize("grid_flag", [["--gri", "4"], ["--grid=4"], ["--gri=4"]])
+def test_abbreviated_and_joined_flags_beat_config(tmp_path, grid_flag):
+    from laplab.operators import load_operator
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 8}))
+    out = tmp_path / "x.llop"
+    assert main(["--config", str(cfg), "assemble", "--mode", "intrinsic",
+                 "--metric", "flat", "--density", "uniform", *grid_flag,
+                 "--bandwidth", "0.5", "--out", str(out)]) == 0
+    assert load_operator(str(out)).n == 16
+
+
 @pytest.mark.parametrize("cfg, code", [
     ({"threads": "2"}, 0),
     ({"grid": "4"}, 0),

@@ -28,6 +28,7 @@ from laplab.geometry import (
     induced_metric,
     metric_at,
     metric_sq_geodesic,
+    torus_sq_geodesic,
     volume_density,
 )
 
@@ -221,6 +222,35 @@ def test_pairwise_distance_matrix_is_bitwise_symmetric():
     d2 = metric_sq_geodesic(m, pts, pts)
     assert np.array_equal(d2, d2.T)
     assert np.all(np.diag(d2) == 0.0)
+
+
+def _lattice_sq_geodesic(metric, p, q, reach=2):
+    """Pairwise minimum of the diagonal form over the full +-reach square."""
+    du = p[:, 0, None] - q[None, :, 0]
+    dv = p[:, 1, None] - q[None, :, 1]
+    best = np.full(du.shape, np.inf)
+    for k in range(-reach, reach + 1):
+        x = du + k * TWO_PI
+        for l in range(-reach, reach + 1):
+            y = dv + l * TWO_PI
+            best = np.minimum(best, metric.E * x * x + metric.G * y * y)
+    return best
+
+
+@pytest.mark.parametrize("ratio", [1.0, 2.9, 16.0, 81.0, 256.0])
+def test_diagonal_torus_distance_is_bitwise_lattice_minimum(ratio):
+    # the per-axis wrap minimum must equal the two-dimensional search bit
+    # for bit, on the grid-64 nodes and on random points
+    nodes = np.arange(64) * (TWO_PI / 64)
+    grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    rand = np.random.default_rng(5).uniform(0.0, TWO_PI, size=(300, 2))
+    p = np.vstack([grid, rand])
+    q = np.vstack([grid[::41], rand[:60]])
+    a = ratio**0.25
+    for metric in (TorusMetric(ratio, 0.0, 1.0), TorusMetric(1.0, 0.0, ratio),
+                   TorusMetric(a * a, 0.0, 1.0 / (a * a))):
+        assert np.array_equal(torus_sq_geodesic(metric, p, q),
+                              _lattice_sq_geodesic(metric, p, q))
 
 
 # --- embeddings -------------------------------------------------------------

@@ -2,6 +2,7 @@
 reimplementation, plus determinism and range properties."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,14 +22,26 @@ def _oracle_seed(seed):
 
 
 def _oracle_stream(seed, count):
-    x = _oracle_seed(seed)
+    return _oracle_steps(_oracle_seed(seed), count)[0]
+
+
+def _oracle_steps(x, count):
+    """`count` outputs (top 53 bits) from state x, and the state after them."""
     out = []
     for _ in range(count):
         x ^= x >> 12
         x = (x ^ (x << 25)) & M64
         x ^= x >> 27
         out.append(((x * 0x2545F4914F6CDD1D) & M64) >> 11)
-    return out
+    return out, x
+
+
+def _as_uniforms(bits):
+    return np.array(bits, dtype=np.float64) * 2.0**-53
+
+
+# lane length of the jump-ahead in Xorshift64Star.uniforms
+C = 128
 
 
 def test_matches_independent_reimplementation():
@@ -61,6 +74,47 @@ def test_uniforms_batch_equals_repeated_scalar():
     assert np.array_equal(batch, singles)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, C - 1, C, C + 1, 3 * 1024, 192_000])
+def test_uniforms_stream_and_state_match_oracle(seed, count):
+    # 192,000 draws is sample_points' first batch at n = 64,000
+    gen = Xorshift64Star(seed)
+    got = gen.uniforms(count)
+    bits, state = _oracle_steps(_oracle_seed(seed), count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert np.array_equal(got, _as_uniforms(bits))
+    assert gen._state == state
+    assert [gen.next_u64() >> 11] == _oracle_steps(state, 1)[0]
+
+
+def test_uniforms_interleaved_with_next_u64():
+    gen = Xorshift64Star(2**64 - 1)
+    x = _oracle_seed(2**64 - 1)
+    for count in (5, C, 1, 3 * C + 7, 0, C - 1, 1000):
+        bit, x = _oracle_steps(x, 1)
+        assert [gen.next_u64() >> 11] == bit
+        bits, x = _oracle_steps(x, count)
+        assert np.array_equal(gen.uniforms(count), _as_uniforms(bits))
+        assert gen._state == x
+
+
+def test_uniforms_zero_leaves_state_unchanged():
+    gen = Xorshift64Star(42)
+    gen.uniforms(3)
+    before = gen._state
+    out = gen.uniforms(0)
+    assert out.shape == (0,) and out.dtype == np.float64
+    assert gen._state == before
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 3 * C + 5))
+def test_uniforms_match_oracle_property(seed, count):
+    gen = Xorshift64Star(seed)
+    bits, state = _oracle_steps(_oracle_seed(seed), count)
+    assert np.array_equal(gen.uniforms(count), _as_uniforms(bits))
+    assert gen._state == state
+
+
 def test_zero_seed_does_not_stall():
     gen = Xorshift64Star(0)
     vals = gen.uniforms(100)
@@ -76,8 +130,6 @@ def test_range_and_determinism(seed):
 
 
 def test_seed_type_checked():
-    import pytest
-
     with pytest.raises(InvalidParameterError):
         Xorshift64Star(1.5)
     with pytest.raises(InvalidParameterError):

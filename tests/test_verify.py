@@ -82,6 +82,10 @@ def test_threshold_buckets_recorded():
     r = run_scenario(_cfg("S3", grid=16))
     assert r.thresholds["extrinsic_distance"]["bucket"] == "identity-exact"
     assert r.thresholds["intrinsic_distance"]["bucket"] == "asymptotic"
+    # the S2 metric is constant, so both errors are exact to rounding
+    r = run_scenario(_cfg("S2", grid=16))
+    for name in ("metric_max_error", "density_max_rel_error"):
+        assert r.thresholds[name] == {"limit": 1e-3, "op": "le", "bucket": "identity-exact"}
 
 
 def test_tolerance_override_can_fail_a_scenario():
