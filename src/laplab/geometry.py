@@ -11,7 +11,8 @@ the chart degenerates.
 Everything here is exact up to rounding: no geometry is discretized in this
 module.  Pairwise helpers (the *_sq_* functions) return squared distances for
 whole arrays of points at once and are the workhorses of operator assembly;
-they process row blocks to bound peak memory.
+they write row blocks straight into the output and sum in a fixed order, so
+bits do not depend on how a numpy build reduces an einsum (ambient_sq_dist).
 """
 
 from __future__ import annotations
@@ -229,6 +230,16 @@ def torus_sq_geodesic(metric: TorusMetric, p: np.ndarray, q: np.ndarray) -> np.n
     return out
 
 
+def torus_grid_sq_geodesic(metric: TorusMetric, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """torus_sq_geodesic of a diagonal metric on the grid u x v (u slowest).
+
+    Entry ((a, c), (b, d)) adds the wrap minima of u_a - u_b and v_c - v_d: same bits.
+    """
+    a = _wrap_min(metric.E, np.subtract.outer(u, u))
+    b = _wrap_min(metric.G, np.subtract.outer(v, v))
+    return (a[:, None, :, None] + b[None, :, None, :]).reshape(len(u) * len(v), -1)
+
+
 def sphere_chart_to_unit(p: np.ndarray) -> np.ndarray:
     """(n, 2) colatitude/longitude -> (n, 3) unit vectors."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
@@ -241,20 +252,24 @@ def sphere_sq_geodesic(radius: float, p: np.ndarray, q: np.ndarray) -> np.ndarra
     """Pairwise squared great-circle distance, (n, m).
 
     Uses atan2(|a x b|, a.b), which stays accurate for nearly equal and
-    nearly antipodal pairs alike.
+    nearly antipodal pairs alike.  |a x b|^2 sums as (cx^2 + cy^2) + cz^2.
     """
     a = sphere_chart_to_unit(p)
     b = sphere_chart_to_unit(q)
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     for lo in range(0, a.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, a.shape[0])
-        blk = a[lo:hi]
-        dot = blk @ b.T
-        cx = np.multiply.outer(blk[:, 1], b[:, 2]) - np.multiply.outer(blk[:, 2], b[:, 1])
-        cy = np.multiply.outer(blk[:, 2], b[:, 0]) - np.multiply.outer(blk[:, 0], b[:, 2])
-        cz = np.multiply.outer(blk[:, 0], b[:, 1]) - np.multiply.outer(blk[:, 1], b[:, 0])
-        theta = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dot)
-        out[lo:hi] = (radius * theta) ** 2
+        blk, o = a[lo:hi], out[lo:hi]
+        o[...] = 0.0
+        for i, j in ((1, 2), (2, 0), (0, 1)):
+            c = np.multiply.outer(blk[:, i], b[:, j])
+            c -= np.multiply.outer(blk[:, j], b[:, i])
+            c *= c
+            o += c
+        np.sqrt(o, out=o)
+        np.arctan2(o, blk @ b.T, out=o)
+        o *= radius
+        o *= o
     return out
 
 
@@ -330,16 +345,27 @@ def ambient_sq_dist(embedding: Embedding, p: np.ndarray, q: np.ndarray) -> np.nd
     """Pairwise squared chord distance of embedded points, (n, m).
 
     Computed from coordinate differences directly (no norm expansion), so
-    nearby pairs lose no precision to cancellation.
+    nearby pairs lose no precision to cancellation.  Squares sum as
+    (d0^2 + d2^2) + (d1^2 + d3^2) in R^4 and (d0^2 + d2^2) + d1^2 in R^3, the
+    order numpy 2.4's einsum took on x86-64, now fixed for any numpy or CPU.
     """
     a = embed_many(embedding, p)
     b = embed_many(embedding, q)
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     for lo in range(0, a.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, a.shape[0])
-        diff = a[lo:hi, None, :] - b[None, :, :]
-        out[lo:hi] = np.einsum("ijk,ijk->ij", diff, diff)
+        blk, o = a[lo:hi], out[lo:hi]
+        np.add(_diff_sq(blk, b, 0), _diff_sq(blk, b, 2), out=o)
+        rest = _diff_sq(blk, b, 1)
+        o += rest if a.shape[1] == 3 else np.add(rest, _diff_sq(blk, b, 3), out=rest)
     return out
+
+
+def _diff_sq(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Squared difference of coordinate k, pairwise."""
+    d = np.subtract.outer(a[:, k], b[:, k])
+    d *= d
+    return d
 
 
 def ambient_distance(embedding: Embedding, x: ChartPoint, y: ChartPoint) -> float:

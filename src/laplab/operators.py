@@ -10,10 +10,13 @@ where dist is geodesic distance in intrinsic mode and ambient chord distance
 of an embedding in extrinsic mode.  Rows sum to zero by construction,
 off-diagonal entries are nonpositive, and L annihilates constants exactly.
 
-Dense assembly is capped at 64^2 nodes.  Above that, and for reference values
-at arbitrary chart points, `continuous_value` evaluates single rows of the
-operator matrix-free.  `evaluate_discrete` is the Monte-Carlo counterpart on
-a sampled point cloud, normalized by 1/(n t^2).
+Dense assembly turns one n x n distance table into L in place, by the same
+operations in the same order as the formula; a diagonal torus metric on a
+tensor grid builds that table from per-axis wrap minima.  It is capped at
+64^2 nodes.  Above that, and for reference values at arbitrary chart points,
+`continuous_value` evaluates single rows of the operator matrix-free.
+`evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
+normalized by 1/(n t^2).
 
 Operators serialize to a small binary format (header + nodes + row-major
 float64 entries, little-endian throughout); see save_operator for the layout.
@@ -42,6 +45,7 @@ from .geometry import (
     UnitSphere,
     ambient_sq_dist,
     metric_sq_geodesic,
+    torus_grid_sq_geodesic,
 )
 
 DENSE_NODE_CAP = 64 * 64
@@ -88,6 +92,16 @@ class OperatorMatrix:
         return self.nodes.shape[0]
 
 
+def _node_sq_dist(mode: KernelMode, rule: QuadratureRule) -> np.ndarray:
+    """kernel_sq_dist between all nodes; per-axis tables on a diagonal torus grid."""
+    m, (nu, nv), x = getattr(mode, "metric", None), rule.grid_shape, rule.nodes
+    if isinstance(m, TorusMetric) and m.F == 0.0 and min(nu, nv) > 0 and nu * nv == rule.n:
+        u, v = x[::nv, 0], x[:nv, 1]
+        if np.array_equal(x[:, 0], np.repeat(u, nv)) and np.array_equal(x[:, 1], np.tile(v, nu)):
+            return torus_grid_sq_geodesic(m, u, v)
+    return kernel_sq_dist(mode, x, x)
+
+
 def assemble_continuous(
     mode: KernelMode,
     density: Density,
@@ -107,25 +121,26 @@ def assemble_continuous(
             "matrix-free evaluation handles larger grids"
         )
     pw = density_values(density, rule.nodes) * rule.weights
-    d2 = kernel_sq_dist(mode, rule.nodes, rule.nodes)
-    w = np.exp(d2 / -t)
-    w *= pw[None, :]
+    w = _node_sq_dist(mode, rule)
+    w /= -t
+    np.exp(w, out=w)
+    w *= pw
     deg = w.sum(axis=1)
-    c = t ** -2.0
     diag_w = np.diagonal(w).copy()
-    entries = -c * w
-    np.fill_diagonal(entries, c * (deg - diag_w))
+    np.fill_diagonal(w, 0.0)
+    dead = int((w.max(axis=1) == 0.0).sum())
+    c = t ** -2.0
+    w *= -c
+    np.fill_diagonal(w, c * (deg - diag_w))
 
-    offdiag_max = np.where(np.eye(rule.n, dtype=bool), 0.0, w).max(axis=1)
     warning = None
-    dead = int((offdiag_max == 0.0).sum())
     if dead:
         warning = (
             f"{dead} rows have fully underflowed off-diagonal kernels; "
             f"bandwidth {t} is too small for the grid spacing"
         )
     return OperatorMatrix(
-        entries=entries,
+        entries=w,
         nodes=rule.nodes,
         t=t,
         mode=mode,
@@ -292,6 +307,13 @@ def save_operator(op: OperatorMatrix, path) -> None:
         fh.write(np.ascontiguousarray(op.entries, dtype="<f8"))
 
 
+def _check_size(fh, expected: int, kind: str) -> None:
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise MalformedOperatorError(
+            f"{kind} file holds {size} bytes; its header implies {expected}")
+
+
 def load_operator(path) -> OperatorMatrix:
     """Read an operator written by save_operator.
 
@@ -309,11 +331,7 @@ def load_operator(path) -> OperatorMatrix:
             raise MalformedOperatorError(f"unsupported operator format version {version}")
         if n == 0 or nu * nv != n:
             raise MalformedOperatorError(f"grid shape {nu}x{nv} and node count {n} do not agree")
-        size, expected = os.fstat(fh.fileno()).st_size, _PREAMBLE + 8 * n * (n + 2)
-        if size != expected:
-            raise MalformedOperatorError(
-                f"operator file holds {size} bytes; its header implies {expected}"
-            )
+        _check_size(fh, _PREAMBLE + 8 * n * (n + 2), "operator")
         t, du, dv = _BAND.unpack_from(head, _HEAD.size)
         if not all(0.0 < x < math.inf for x in (t, du, dv)):
             raise MalformedOperatorError(
@@ -352,6 +370,7 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a matrix written by save_matrix; its size must match its header."""
     with open(path, "rb") as fh:
         head = fh.read(_MX_HEAD.size)
         if len(head) < _MX_HEAD.size:
@@ -359,7 +378,7 @@ def load_matrix(path) -> np.ndarray:
         magic, version, rows, cols = _MX_HEAD.unpack(head)
         if magic != _MX_MAGIC or version != _VERSION:
             raise MalformedOperatorError("not a laplab matrix file")
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        if data.size != rows * cols:
-            raise MalformedOperatorError("matrix file truncated in payload")
-    return data.reshape(rows, cols).copy()
+        _check_size(fh, _MX_HEAD.size + 8 * rows * cols, "matrix")
+        data = np.empty((rows, cols), dtype="<f8")
+        fh.readinto(data)
+    return data

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laplab.discretization import build_grid
 from laplab.errors import InvalidParameterError, PoleChartError
 from laplab.geometry import (
     ChartPoint,
@@ -28,6 +29,9 @@ from laplab.geometry import (
     induced_metric,
     metric_at,
     metric_sq_geodesic,
+    sphere_chart_to_unit,
+    sphere_sq_geodesic,
+    torus_grid_sq_geodesic,
     torus_sq_geodesic,
     volume_density,
 )
@@ -253,6 +257,26 @@ def test_diagonal_torus_distance_is_bitwise_lattice_minimum(ratio):
                               _lattice_sq_geodesic(metric, p, q))
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("ratio", [1.0, 2.25, 16.0, 256.0])
+def test_torus_grid_table_is_bitwise_pairwise(n, ratio):
+    # the per-axis table must equal the pairwise function on the grid nodes
+    a = ratio**0.25
+    metric = TorusMetric(a * a, 0.0, 1.0 / (a * a))
+    nodes = build_grid(metric, n).nodes
+    assert np.array_equal(torus_grid_sq_geodesic(metric, nodes[::n, 0], nodes[:n, 1]),
+                          torus_sq_geodesic(metric, nodes, nodes))
+
+
+def test_torus_grid_table_non_square_grid():
+    metric = TorusMetric(1.0, 0.0, 16.0)
+    u = np.arange(6) * (TWO_PI / 6)
+    v = np.arange(10) * (TWO_PI / 10) + 0.1
+    nodes = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert np.array_equal(torus_grid_sq_geodesic(metric, u, v),
+                          torus_sq_geodesic(metric, nodes, nodes))
+
+
 # --- embeddings -------------------------------------------------------------
 
 
@@ -301,6 +325,58 @@ def test_chord_never_exceeds_arc_on_sphere():
 
     arc2 = sphere_sq_geodesic(1.0, pts, pts)
     assert np.all(chord2 <= arc2 + 1e-12)
+
+
+def _chord_sq_reference(a, b):
+    """Squared chord lengths, (d0^2 + d2^2) + (d1^2 + d3^2), term by term."""
+    d = [a[:, None, k] - b[None, :, k] for k in range(a.shape[1])]
+    s = d[0] * d[0] + d[2] * d[2]
+    if len(d) == 4:
+        return s + (d[1] * d[1] + d[3] * d[3])
+    return s + d[1] * d[1]
+
+
+def _sphere_sq_reference(radius, p, q):
+    """The out-of-place great-circle expression, in blocks of 512 rows."""
+    a, b = sphere_chart_to_unit(p), sphere_chart_to_unit(q)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for lo in range(0, a.shape[0], 512):
+        blk = a[lo:lo + 512]
+        dot = blk @ b.T
+        cx = np.multiply.outer(blk[:, 1], b[:, 2]) - np.multiply.outer(blk[:, 2], b[:, 1])
+        cy = np.multiply.outer(blk[:, 2], b[:, 0]) - np.multiply.outer(blk[:, 0], b[:, 2])
+        cz = np.multiply.outer(blk[:, 0], b[:, 1]) - np.multiply.outer(blk[:, 1], b[:, 0])
+        theta = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dot)
+        out[lo:lo + 512] = (radius * theta) ** 2
+    return out
+
+
+def _grid_and_random(metric, n=32, extra=300):
+    rng = np.random.default_rng(17)
+    lo = 0.01 if isinstance(metric, SphereMetric) else 0.0
+    hi = math.pi - 0.01 if isinstance(metric, SphereMetric) else TWO_PI
+    rand = np.column_stack([rng.uniform(lo, hi, extra), rng.uniform(0.0, TWO_PI, extra)])
+    return np.vstack([build_grid(metric, n).nodes, rand])
+
+
+@pytest.mark.parametrize("emb", [CliffordTorus(), DonutTorus(2.0, 1.0), UnitSphere()],
+                         ids=["clifford", "donut", "sphere"])
+def test_chord_sum_is_bitwise_fixed_order(emb):
+    metric = SphereMetric(1.0) if isinstance(emb, UnitSphere) else TorusMetric.flat()
+    pts = _grid_and_random(metric)
+    x = embed_many(emb, pts)
+    assert np.array_equal(ambient_sq_dist(emb, pts, pts), _chord_sq_reference(x, x))
+    assert np.array_equal(ambient_sq_dist(emb, pts[:7], pts),
+                          _chord_sq_reference(x[:7], x))
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_sphere_distance_is_bitwise_out_of_place_expression(radius):
+    pts = _grid_and_random(SphereMetric(radius))
+    assert np.array_equal(sphere_sq_geodesic(radius, pts, pts),
+                          _sphere_sq_reference(radius, pts, pts))
+    assert np.array_equal(sphere_sq_geodesic(radius, pts[:1], pts),
+                          _sphere_sq_reference(radius, pts[:1], pts))
 
 
 # --- induced metrics --------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from laplab.discretization import (
     CosineBump,
+    QuadratureRule,
     UniformDensity,
     build_grid,
     density_values,
@@ -23,6 +24,7 @@ from laplab.errors import InvalidParameterError, NodeMismatchError
 from laplab.geometry import (
     ChartPoint,
     CliffordTorus,
+    DonutTorus,
     SphereMetric,
     TorusMetric,
     UnitSphere,
@@ -117,7 +119,68 @@ def test_bandwidth_validation_and_node_cap():
 
 def test_underflow_sets_warning():
     op, _, _ = _flat_op(8, 1e-4)
-    assert op.warning is not None
+    assert op.warning.startswith("64 rows have fully underflowed")
+    assert _flat_op(8, 0.5)[0].warning is None
+
+
+def _reference_entries(mode, density, rule, t):
+    """The assembly pipeline written out of place, one step at a time."""
+    pw = density_values(density, rule.nodes) * rule.weights
+    w = np.exp(kernel_sq_dist(mode, rule.nodes, rule.nodes) / -t) * pw[None, :]
+    c = t ** -2.0
+    entries = -c * w
+    np.fill_diagonal(entries, c * (w.sum(axis=1) - np.diagonal(w)))
+    return entries
+
+
+_ASSEMBLY_CASES = {
+    "intrinsic-aniso": (TorusMetric.anisotropic(1.5), None),
+    "intrinsic-flat": (TorusMetric.flat(), None),
+    "intrinsic-scaled": (TorusMetric.scaled_flat(1.7), None),
+    "intrinsic-sphere": (SphereMetric(1.0), None),
+    "intrinsic-coupled": (TorusMetric(2.0, 0.7, 1.0), None),
+    "extrinsic-clifford": (TorusMetric.flat(), CliffordTorus()),
+    "extrinsic-donut": (TorusMetric.flat(), DonutTorus(2.0, 1.0)),
+    "extrinsic-sphere": (SphereMetric(1.0), UnitSphere()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_CASES))
+def test_assembly_is_bitwise_reference_pipeline(case):
+    metric, emb = _ASSEMBLY_CASES[case]
+    mode = IntrinsicKernel(metric) if emb is None else ExtrinsicKernel(emb)
+    rule = build_grid(metric, 16)
+    p = normalize_density(CosineBump(0.4, "u"), rule)
+    for t in (0.5, 0.05):
+        op = assemble_continuous(mode, p, rule, t)
+        assert np.array_equal(op.entries, _reference_entries(mode, p, rule, t))
+
+
+def test_non_grid_nodes_take_the_pairwise_path(monkeypatch):
+    import laplab.operators as operators
+
+    calls = []
+    table = operators.torus_grid_sq_geodesic
+
+    def spy(*args):
+        calls.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(operators, "torus_grid_sq_geodesic", spy)
+    metric = TorusMetric.anisotropic(2.0)
+    mode = IntrinsicKernel(metric)
+    grid = build_grid(metric, 8)
+    nudged = grid.nodes.copy()
+    nudged[9, 1] = np.nextafter(nudged[9, 1], 1.0)
+    perm = np.random.default_rng(3).permutation(grid.n)
+    for nodes, weights in ((grid.nodes, grid.weights),
+                           (grid.nodes[perm], grid.weights[perm]),
+                           (nudged, grid.weights)):
+        rule = QuadratureRule(metric, nodes, weights, grid.grid_shape, grid.spacing)
+        p = normalize_density(CosineBump(0.4, "v"), rule)
+        op = assemble_continuous(mode, p, rule, 0.5)
+        assert np.array_equal(op.entries, _reference_entries(mode, p, rule, 0.5))
+    assert len(calls) == 1
 
 
 # --- kernel distances ---------------------------------------------------------
@@ -329,6 +392,18 @@ def test_load_rejects_grid_shape_node_count_mismatch(tmp_path, grid_shape):
     path.write_bytes(bytes(blob))
     with pytest.raises(MalformedOperatorError, match="node count"):
         load_operator(path)
+
+
+def test_load_matrix_rejects_size_mismatch(tmp_path):
+    from laplab.errors import MalformedOperatorError
+
+    path = tmp_path / "m.llmx"
+    save_matrix(np.ones((3, 4)), path)
+    blob = path.read_bytes()
+    for bad in (blob + b"\0", blob[:-1]):
+        path.write_bytes(bad)
+        with pytest.raises(MalformedOperatorError, match="header implies"):
+            load_matrix(path)
 
 
 def test_matrix_round_trip(tmp_path):
