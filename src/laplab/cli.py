@@ -201,15 +201,12 @@ def _cmd_assemble(args) -> int:
 def _cmd_recover(args) -> int:
     from .identify import report_payload, run_recovery
     from .operators import load_operator
+    from .verify import write_json
 
     op = load_operator(args.operator)
     report = run_recovery(op, refine=args.refine)
     payload = report_payload(report, externalize_dir=args.externalize)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, args.out)
     print(f"wrote {args.out}: {payload['n']} nodes, "
           f"{len(payload['metric']['indices'])} recovered tensors")
     return 0
@@ -249,9 +246,9 @@ def _cmd_converge(args) -> int:
         n_seeds=args.seeds,
         bandwidth=args.bandwidth,
         seed=args.seed,
-        cache_dir=os.path.dirname(os.path.abspath(args.out)) or None,
+        out_dir=os.path.dirname(os.path.abspath(args.out)),
     )
-    study.to_csv(args.out, args.seed, args.bandwidth, 128)
+    study.to_csv(args.out)
     print(f"wrote {args.out}: slope {study.slope:.3f}")
     return 0
 

@@ -28,12 +28,14 @@ is extrinsic, pushing it to O(h^4).
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     ConditioningError,
     InconsistencyError,
@@ -42,7 +44,7 @@ from .errors import (
     UnrecoverableMassError,
 )
 from .geometry import TorusMetric
-from .operators import ExtrinsicKernel, OperatorMatrix
+from .operators import ExtrinsicKernel, OperatorMatrix, save_matrix
 
 # Off-diagonal kernel weights at or below this threshold are treated as
 # absent edges: below it, log-inversion noise swamps the signal.
@@ -239,24 +241,22 @@ def _neighbor_indices(grid_shape, periodic_u: bool, steps: int):
     return up, um, vp, vm, ok
 
 
-def _cross_stencil(sigma, up, um, vp, vm, hu, hv):
-    """-1/2 * mixed second difference of sigma for all nodes at once."""
-    guu = -0.5 * (sigma[up, up] - sigma[up, um] - sigma[um, up] + sigma[um, um]) / (4 * hu * hu)
-    gvv = -0.5 * (sigma[vp, vp] - sigma[vp, vm] - sigma[vm, vp] + sigma[vm, vm]) / (4 * hv * hv)
-    guv = -0.5 * (sigma[up, vp] - sigma[up, vm] - sigma[um, vp] + sigma[um, vm]) / (4 * hu * hv)
-    out = np.empty((sigma.shape[0], 2, 2))
-    out[:, 0, 0] = guu
-    out[:, 1, 1] = gvv
-    out[:, 0, 1] = guv
-    out[:, 1, 0] = guv
-    return out
-
-
 def _stencil_tensors(dist, grid_shape, spacing, periodic_u, steps=1):
-    sigma = dist * dist
+    """-1/2 * mixed second difference of squared distance, from 12 distances per node."""
     hu, hv = spacing[0] * steps, spacing[1] * steps
     up, um, vp, vm, ok = _neighbor_indices(grid_shape, periodic_u, steps)
-    tensors = _cross_stencil(sigma, up, um, vp, vm, hu, hv)
+
+    def sq(i, j):
+        d = dist[i, j]
+        return d * d
+
+    def cross(ap, am, bp, bm, ha, hb):
+        return -0.5 * (sq(ap, bp) - sq(ap, bm) - sq(am, bp) + sq(am, bm)) / (4 * ha * hb)
+
+    tensors = np.empty((dist.shape[0], 2, 2))
+    tensors[:, 0, 0] = cross(up, um, up, um, hu, hu)
+    tensors[:, 1, 1] = cross(vp, vm, vp, vm, hv, hv)
+    tensors[:, 0, 1] = tensors[:, 1, 0] = cross(up, um, vp, vm, hu, hv)
     valid = ok & np.isfinite(tensors).all(axis=(1, 2))
     return tensors, valid
 
@@ -314,9 +314,6 @@ def report_payload(
     and dropped (with a note) beyond that.  NaN entries (pairs outside the
     edge mask) become nulls when embedded.
     """
-    from . import __version__
-    from .operators import save_matrix
-
     payload: dict = {
         "version": __version__,
         "t": report.t,
@@ -335,8 +332,6 @@ def report_payload(
         "errors": dict(sorted(report.errors.items())),
     }
     if externalize_dir is not None:
-        import os
-
         os.makedirs(externalize_dir, exist_ok=True)
         files = {}
         for name, mat in (("kernel", report.kernel), ("distance", report.distance)):
@@ -345,14 +340,10 @@ def report_payload(
             files[name] = fname
         payload["matrix_files"] = files
     elif report.mass.shape[0] <= 256:
-        def _clean(mat):
-            return [
-                [None if not np.isfinite(x) else x for x in row]
-                for row in mat.tolist()
-            ]
-
-        payload["kernel"] = _clean(report.kernel)
-        payload["distance"] = _clean(report.distance)
+        for name, mat in (("kernel", report.kernel), ("distance", report.distance)):
+            obj = mat.astype(object)
+            obj[~np.isfinite(mat)] = None
+            payload[name] = obj.tolist()
     else:
         payload["matrix_note"] = (
             "kernel and distance matrices omitted; pass an externalize "

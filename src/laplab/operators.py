@@ -329,6 +329,8 @@ def load_operator(path) -> OperatorMatrix:
             raise MalformedOperatorError("not an operator file (bad magic)")
         if version != _VERSION:
             raise MalformedOperatorError(f"unsupported operator format version {version}")
+        if mode_tag not in (0, 1):
+            raise MalformedOperatorError(f"unknown mode tag {mode_tag} in operator file")
         if n == 0 or nu * nv != n:
             raise MalformedOperatorError(f"grid shape {nu}x{nv} and node count {n} do not agree")
         _check_size(fh, _PREAMBLE + 8 * n * (n + 2), "operator")

@@ -20,8 +20,10 @@ every thresholded discrepancy is within bounds.
         flat for the Clifford torus, round at the sphere equator,
         diag(r^2, (R+r)^2) on the outer circle of the donut.
 
-Results serialize to JSON with stable key order and no timestamps, so a
-fixed seed reproduces report files byte for byte.
+Scenarios build operators through _operator and S5 runs through
+convergence_study.  Every JSON file goes through write_json: sorted keys, no
+timestamps, so a fixed seed reproduces report files byte for byte.  Nothing
+is read back from an output directory.
 """
 
 from __future__ import annotations
@@ -200,12 +202,17 @@ def _finish(cfg: ScenarioConfig, discrepancies, measurements, artifacts) -> Scen
     return result
 
 
-def write_result_json(result: ScenarioResult, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{result.scenario}.json")
+def write_json(payload, path, indent=2) -> None:
+    """Dump payload with sorted keys and a trailing newline, making its directory."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(result.payload(), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=indent, sort_keys=True)
         fh.write("\n")
+
+
+def write_result_json(result: ScenarioResult, out_dir: str) -> str:
+    path = os.path.join(out_dir, f"{result.scenario}.json")
+    write_json(result.payload(), path)
     return path
 
 
@@ -214,27 +221,22 @@ def write_result_json(result: ScenarioResult, out_dir: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _intrinsic_torus_operator(metric: TorusMetric, density, n: int, t: float):
+def _operator(kernel, metric, density, n: int, t: float):
+    """Quadrature operator of kernel on the n-grid of metric, with its rule and density."""
     rule = build_grid(metric, n)
     p = normalize_density(density, rule)
-    return assemble_continuous(IntrinsicKernel(metric), p, rule, t), rule, p
-
-
-def _extrinsic_torus_operator(metric: TorusMetric, embedding, density, n: int, t: float):
-    rule = build_grid(metric, n)
-    p = normalize_density(density, rule)
-    return assemble_continuous(ExtrinsicKernel(embedding), p, rule, t), rule, p
+    return assemble_continuous(kernel, p, rule, t), rule, p
 
 
 def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
-    base, _, _ = _intrinsic_torus_operator(flat, UniformDensity(), cfg.grid, cfg.bandwidth)
+    n, t = cfg.grid, cfg.bandwidth
+    base, _, _ = _operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
     factors = sorted({1.25, 1.5, cfg.anisotropy})
     gaps = []
     for a in factors:
-        op_a, _, _ = _intrinsic_torus_operator(
-            TorusMetric.anisotropic(a), UniformDensity(), cfg.grid, cfg.bandwidth
-        )
+        aniso = TorusMetric.anisotropic(a)
+        op_a, _, _ = _operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
         gaps.append(operator_distance(base, op_a))
     margin = float(min(b - a for a, b in zip(gaps, gaps[1:])))
     discrepancies = {
@@ -248,7 +250,7 @@ def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
     metric = TorusMetric.anisotropic(cfg.anisotropy)
     density = CosineBump(cfg.bump_alpha, "u")
-    op, rule, p = _intrinsic_torus_operator(metric, density, cfg.grid, cfg.bandwidth)
+    op, rule, p = _operator(IntrinsicKernel(metric), metric, density, cfg.grid, cfg.bandwidth)
     report = run_recovery(op)
 
     g_true = metric.matrix()
@@ -270,12 +272,8 @@ def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
     }
     artifacts = []
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         name = "S2_recovery.json"
-        with open(os.path.join(cfg.out_dir, name), "w") as fh:
-            json.dump(report_payload(report, externalize_dir=None), fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report_payload(report), os.path.join(cfg.out_dir, name))
         artifacts.append(name)
     discrepancies = {
         "metric_max_error": metric_err,
@@ -291,11 +289,12 @@ def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     aniso = TorusMetric.anisotropic(cfg.anisotropy)
-    emb = CliffordTorus()
-    ext1, _, _ = _extrinsic_torus_operator(flat, emb, UniformDensity(), cfg.grid, cfg.bandwidth)
-    ext2, _, _ = _extrinsic_torus_operator(aniso, emb, UniformDensity(), cfg.grid, cfg.bandwidth)
-    int1, _, _ = _intrinsic_torus_operator(flat, UniformDensity(), cfg.grid, cfg.bandwidth)
-    int2, _, _ = _intrinsic_torus_operator(aniso, UniformDensity(), cfg.grid, cfg.bandwidth)
+    ext = ExtrinsicKernel(CliffordTorus())
+    n, t = cfg.grid, cfg.bandwidth
+    ext1, _, _ = _operator(ext, flat, UniformDensity(), n, t)
+    ext2, _, _ = _operator(ext, aniso, UniformDensity(), n, t)
+    int1, _, _ = _operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
+    int2, _, _ = _operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
     discrepancies = {
         "extrinsic_distance": operator_distance(ext1, ext2),
         "intrinsic_distance": operator_distance(int1, int2),
@@ -306,9 +305,9 @@ def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s4(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     scaled = TorusMetric.scaled_flat(cfg.scale)
-    emb = CliffordTorus()
-    op1, _, _ = _extrinsic_torus_operator(flat, emb, UniformDensity(), cfg.grid, cfg.bandwidth)
-    op2, _, _ = _extrinsic_torus_operator(scaled, emb, UniformDensity(), cfg.grid, cfg.bandwidth)
+    ext = ExtrinsicKernel(CliffordTorus())
+    op1, _, _ = _operator(ext, flat, UniformDensity(), cfg.grid, cfg.bandwidth)
+    op2, _, _ = _operator(ext, scaled, UniformDensity(), cfg.grid, cfg.bandwidth)
     m1 = recover_mass(extract_weighted_kernel(op1))
     m2 = recover_mass(extract_weighted_kernel(op2))
     discrepancies = {
@@ -340,12 +339,15 @@ class ConvergenceResult:
     errors: tuple[float, ...]       # mean RMS over seeds, one per n
     per_seed: np.ndarray            # (n_seeds, len(n_values))
     slope: float
+    seed: int
+    bandwidth: float
+    reference_grid: int
 
-    def to_csv(self, path, seed: int, bandwidth: float, reference_grid: int) -> None:
+    def to_csv(self, path) -> None:
         lines = [
             "# laplab convergence study",
-            f"# version={__version__} seed={seed} bandwidth={bandwidth!r} "
-            f"reference_grid={reference_grid} seeds={self.per_seed.shape[0]}",
+            f"# version={__version__} seed={self.seed} bandwidth={self.bandwidth!r} "
+            f"reference_grid={self.reference_grid} seeds={self.per_seed.shape[0]}",
             "n,rms_error",
         ]
         for n, e in zip(self.n_values, self.errors):
@@ -355,8 +357,9 @@ class ConvergenceResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _s5_reference(rule, density, t, points, cache_dir=None):
-    """Continuous operator values at the evaluation points, disk-cached."""
+def _s5_reference(rule, density, t, points, out_dir=None):
+    """Continuous operator values at the evaluation points; with out_dir set,
+    also written (never read) to s5_reference.json under a hash of the inputs."""
     mode = IntrinsicKernel(rule.metric)
     key_src = json.dumps(
         {
@@ -370,51 +373,13 @@ def _s5_reference(rule, density, t, points, cache_dir=None):
         sort_keys=True,
     )
     key = hashlib.sha256(key_src.encode()).hexdigest()
-    cache_path = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, "s5_reference.json")
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                blob = json.load(fh)
-            if blob.get("key") == key:
-                return np.array(blob["values"], dtype=np.float64)
     values = np.array(
         [continuous_value(mode, density, rule, t, _f_cos_u, x) for x in points]
     )
-    if cache_path is not None:
-        with open(cache_path, "w") as fh:
-            json.dump({"key": key, "values": values.tolist()}, fh, sort_keys=True)
-            fh.write("\n")
+    if out_dir is not None:
+        write_json({"key": key, "values": values.tolist()},
+                   os.path.join(out_dir, "s5_reference.json"), indent=None)
     return values
-
-
-def _s5_rms_error(bandwidth, reference_grid, cache_dir=None):
-    """Build the flat-torus reference once; return (n, seed) -> RMS error."""
-    metric = TorusMetric.flat()
-    rule = build_grid(metric, reference_grid)
-    density = normalize_density(UniformDensity(), rule)
-    points = _eval_points()
-    ref = _s5_reference(rule, density, bandwidth, points, cache_dir)
-
-    def rms_error(n: int, seed: int) -> float:
-        samples = sample_points(density, metric, n, seed)
-        dop = DiscreteOperator(samples, bandwidth, IntrinsicKernel(metric))
-        vals = np.array([evaluate_discrete(dop, _f_cos_u, x) for x in points])
-        return float(np.sqrt(np.mean((vals - ref) ** 2)))
-
-    return rms_error
-
-
-def discrete_rms_error(
-    n: int,
-    seed: int,
-    bandwidth: float = 0.5,
-    reference_grid: int = 128,
-    cache_dir=None,
-) -> float:
-    """RMS over evaluation points of (Monte-Carlo - quadrature) values."""
-    return _s5_rms_error(bandwidth, reference_grid, cache_dir)(n, seed)
 
 
 def convergence_study(
@@ -423,23 +388,38 @@ def convergence_study(
     bandwidth: float = 0.5,
     seed: int = 1234,
     reference_grid: int = 128,
-    cache_dir=None,
+    out_dir=None,
 ) -> ConvergenceResult:
-    """Monte-Carlo error vs sample size, with a least-squares log-log slope."""
+    """Monte-Carlo error vs sample size, with a least-squares log-log slope.
+
+    Seed index i at size n samples the flat torus from `seed + 1000003 i + n`;
+    its error is the RMS over eight chart points of the Monte-Carlo minus the
+    quadrature value of cos(u) on a reference_grid grid.
+    """
     n_values = tuple(int(n) for n in n_values)
     if len(n_values) < 3 or list(n_values) != sorted(set(n_values)):
         raise InvalidParameterError("need at least 3 strictly increasing sample sizes")
     if n_seeds < 5:
         raise InvalidParameterError("need at least 5 seeds for a stable slope")
 
-    rms_error = _s5_rms_error(bandwidth, reference_grid, cache_dir)
-    per_seed = np.array(
-        [[rms_error(n, seed + 1000003 * i + n) for n in n_values]
-         for i in range(n_seeds)]
-    )
-    errors = per_seed.mean(axis=0)
+    metric = TorusMetric.flat()
+    kernel = IntrinsicKernel(metric)
+    rule = build_grid(metric, reference_grid)
+    density = normalize_density(UniformDensity(), rule)
+    points = _eval_points()
+    ref = _s5_reference(rule, density, bandwidth, points, out_dir)
+    del rule  # sampling needs only the density; free the reference grid
+    per_seed = np.empty((n_seeds, len(n_values)))
+    for i in range(n_seeds):
+        for j, n in enumerate(n_values):
+            samples = sample_points(density, metric, n, seed + 1000003 * i + n)
+            dop = DiscreteOperator(samples, bandwidth, kernel)
+            vals = np.array([evaluate_discrete(dop, _f_cos_u, x) for x in points])
+            per_seed[i, j] = np.sqrt(np.mean((vals - ref) ** 2))
+            del samples, dop  # free this cloud before the next one is drawn
+    errors = tuple(float(e) for e in per_seed.mean(axis=0))
     slope = float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])
-    return ConvergenceResult(n_values, tuple(float(e) for e in errors), per_seed, slope)
+    return ConvergenceResult(n_values, errors, per_seed, slope, seed, bandwidth, reference_grid)
 
 
 def _scenario_s5(cfg: ScenarioConfig) -> ScenarioResult:
@@ -448,13 +428,12 @@ def _scenario_s5(cfg: ScenarioConfig) -> ScenarioResult:
         n_seeds=cfg.n_seeds,
         bandwidth=cfg.bandwidth,
         seed=cfg.seed,
-        cache_dir=cfg.out_dir,
+        out_dir=cfg.out_dir,
     )
     artifacts = []
     if cfg.out_dir is not None:
-        os.makedirs(cfg.out_dir, exist_ok=True)
         name = "S5_convergence.csv"
-        study.to_csv(os.path.join(cfg.out_dir, name), cfg.seed, cfg.bandwidth, 128)
+        study.to_csv(os.path.join(cfg.out_dir, name))
         artifacts.extend([name, "s5_reference.json"])
     discrepancies = {"slope": study.slope}
     measurements = {
@@ -470,12 +449,12 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     n, t = cfg.grid, cfg.bandwidth
     flat = TorusMetric.flat()
 
-    op, rule, _ = _extrinsic_torus_operator(flat, CliffordTorus(), UniformDensity(), n, t)
+    op, rule, _ = _operator(ExtrinsicKernel(CliffordTorus()), flat, UniformDensity(), n, t)
     fld = run_recovery(op).metric_field
     clifford_err = float(np.max(np.abs(fld.tensors - np.eye(2)[None])))
 
     donut = DonutTorus(2.0, 1.0)
-    op, rule, _ = _extrinsic_torus_operator(flat, donut, UniformDensity(), n, t)
+    op, rule, _ = _operator(ExtrinsicKernel(donut), flat, UniformDensity(), n, t)
     fld = run_recovery(op).metric_field
     tube = np.flatnonzero(rule.nodes[fld.indices, 0] == 0.0)
     if tube.size == 0:
@@ -487,10 +466,9 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     g_true = np.diag([donut.minor**2, (donut.major + donut.minor) ** 2])
     donut_err = float(np.max(np.abs(fld.tensors[tube] - g_true[None])))
 
-    sphere = SphereMetric(1.0)
-    rule = build_grid(sphere, n)
-    p = normalize_density(UniformDensity(), rule)
-    op = assemble_continuous(ExtrinsicKernel(UnitSphere()), p, rule, t)
+    op, rule, _ = _operator(
+        ExtrinsicKernel(UnitSphere()), SphereMetric(1.0), UniformDensity(), n, t
+    )
     fld = run_recovery(op).metric_field
     equator = np.flatnonzero(np.abs(rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
     if equator.size == 0:

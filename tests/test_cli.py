@@ -4,6 +4,7 @@ byte equality between CLI output and direct library calls."""
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -12,14 +13,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import laplab
 from laplab.cli import main
+
+# the child process imports the same laplab as this one, installed or not
+_SRC = os.path.dirname(os.path.dirname(laplab.__file__))
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "laplab", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -265,6 +272,19 @@ def test_converge_writes_csv_with_slope_footer(tmp_path):
     assert lines[-1].startswith("slope,")
     slope = float(lines[-1].split(",")[1])
     assert -0.8 <= slope <= -0.2
+
+
+@pytest.mark.parametrize("stale", ["[]", '{"key": 1}', "not json {"])
+def test_converge_never_reads_its_output_directory(tmp_path, capsys, stale):
+    argv = ["converge", "--n", "500,1000,2000", "--seeds", "5"]
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    dirty.mkdir()
+    (dirty / "s5_reference.json").write_text(stale)
+    for d in (clean, dirty):
+        assert main([*argv, "--out", str(d / "c.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("c.csv", "s5_reference.json"):
+        assert (dirty / name).read_bytes() == (clean / name).read_bytes()
 
 
 def test_converge_rejects_short_n_list(tmp_path):

@@ -437,6 +437,7 @@ _REMOVED = [
     "evaluate_discrete_with_se",
     "operator_to_csv",
     "embed",
+    "discrete_rms_error",
 ]
 
 

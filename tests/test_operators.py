@@ -394,6 +394,23 @@ def test_load_rejects_grid_shape_node_count_mismatch(tmp_path, grid_shape):
         load_operator(path)
 
 
+@pytest.mark.parametrize("tag", [2, 255])
+def test_load_rejects_unknown_mode_tag(tmp_path, tag):
+    from laplab.errors import MalformedOperatorError
+
+    rule = build_grid(TorusMetric.flat(), 8)
+    p = normalize_density(UniformDensity(), rule)
+    op = assemble_continuous(ExtrinsicKernel(CliffordTorus()), p, rule, 0.5)
+    path = tmp_path / "op.llop"
+    save_operator(op, path)
+    blob = bytearray(path.read_bytes())
+    assert blob[6] == 1  # header: magic(4) version(2) mode(1)
+    blob[6] = tag
+    path.write_bytes(bytes(blob))
+    with pytest.raises(MalformedOperatorError, match="mode tag"):
+        load_operator(path)
+
+
 def test_load_matrix_rejects_size_mismatch(tmp_path):
     from laplab.errors import MalformedOperatorError
 

@@ -13,7 +13,6 @@ from laplab.verify import (
     SCENARIO_IDS,
     ScenarioConfig,
     convergence_study,
-    discrete_rms_error,
     run_scenario,
     stencil_order_study,
     write_result_json,
@@ -146,30 +145,37 @@ def test_single_seed_error_within_band_of_mean():
     study = convergence_study(
         n_values=(500, 2000, 8000), n_seeds=8, seed=11, reference_grid=64
     )
-    single = discrete_rms_error(500, seed=11 + 1000003 * 0 + 500, reference_grid=64)
     mean = study.errors[0]
-    assert mean / 5 <= single <= mean * 5
-    assert single == study.per_seed[0, 0]
+    singles = study.per_seed[:, 0]
+    assert np.all((mean / 5 <= singles) & (singles <= mean * 5))
 
 
 def test_doubling_n_changes_the_error():
-    a = discrete_rms_error(1000, seed=3, reference_grid=64)
-    b = discrete_rms_error(2000, seed=3, reference_grid=64)
+    study = convergence_study(
+        n_values=(1000, 2000, 4000), n_seeds=5, seed=3, reference_grid=64
+    )
+    a, b = study.per_seed[0, :2]
     assert a != b
 
 
 def test_reference_cache_reused(tmp_path):
-    a = discrete_rms_error(500, seed=5, reference_grid=64, cache_dir=str(tmp_path))
+    def study():
+        return convergence_study(n_values=(250, 500, 1000), n_seeds=5, seed=5,
+                                 reference_grid=64, out_dir=str(tmp_path))
+
+    a = study()
     cache = tmp_path / "s5_reference.json"
     assert cache.exists()
     stamp = cache.read_bytes()
-    b = discrete_rms_error(500, seed=5, reference_grid=64, cache_dir=str(tmp_path))
-    assert a == b
+    b = study()
+    assert np.array_equal(a.per_seed, b.per_seed)
     assert cache.read_bytes() == stamp
-    # a stale or foreign cache entry is ignored and rewritten
+    # the file is a record, never an input: a stale or foreign entry is
+    # ignored and rewritten
     cache.write_text(json.dumps({"key": "bogus", "values": [0, 0, 0]}))
-    c = discrete_rms_error(500, seed=5, reference_grid=64, cache_dir=str(tmp_path))
-    assert c == a
+    c = study()
+    assert np.array_equal(c.per_seed, a.per_seed)
+    assert cache.read_bytes() == stamp
 
 
 def test_convergence_csv_has_config_echo_and_slope_footer(tmp_path):
@@ -177,10 +183,11 @@ def test_convergence_csv_has_config_echo_and_slope_footer(tmp_path):
         n_values=(500, 2000, 8000), n_seeds=5, seed=7, reference_grid=64
     )
     path = tmp_path / "c.csv"
-    study.to_csv(path, seed=7, bandwidth=0.5, reference_grid=64)
+    study.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("# ")
     assert "seed=7" in lines[1]
+    assert "bandwidth=0.5" in lines[1] and "reference_grid=64" in lines[1]
     assert lines[2] == "n,rms_error"
     assert lines[-1].startswith("slope,")
     parsed = float(lines[-1].split(",")[1])
