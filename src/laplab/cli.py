@@ -173,13 +173,7 @@ def _parse_density(text: str):
 
 
 def _cmd_assemble(args) -> int:
-    from .discretization import build_grid, normalize_density
-    from .operators import (
-        ExtrinsicKernel,
-        IntrinsicKernel,
-        assemble_continuous,
-        save_operator,
-    )
+    from .operators import ExtrinsicKernel, IntrinsicKernel, build_operator, save_operator
 
     metric = _parse_metric(args.metric)
     if args.mode == "extrinsic":
@@ -188,9 +182,8 @@ def _cmd_assemble(args) -> int:
         kernel = ExtrinsicKernel(_parse_embedding(args.embedding))
     else:
         kernel = IntrinsicKernel(metric)
-    rule = build_grid(metric, args.grid)
-    density = normalize_density(_parse_density(args.density), rule)
-    op = assemble_continuous(kernel, density, rule, args.bandwidth)
+    op, _, _ = build_operator(kernel, metric, _parse_density(args.density),
+                              args.grid, args.bandwidth)
     save_operator(op, args.out)
     print(f"wrote {args.out}: {op.n} nodes, t={op.t}, mode={args.mode}")
     if op.warning:

@@ -54,11 +54,6 @@ class QuadratureRule:
     def n(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def cell_area(self) -> float:
-        """Chart area of one grid cell."""
-        return self.spacing[0] * self.spacing[1]
-
 
 def build_grid(metric: Metric, n: int) -> QuadratureRule:
     """Uniform grid quadrature with n nodes per axis.
@@ -182,14 +177,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.points, fmt="%.17g", delimiter=",", header="u,v", comments="")
-
-
-def sample_set_from_csv(path, seed: int, density: Density, metric: Metric) -> SampleSet:
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64)
-    return SampleSet(np.atleast_2d(pts), seed, density, metric)
 
 
 def sample_points(density: Density, metric: Metric, n: int, seed: int) -> SampleSet:

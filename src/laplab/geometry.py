@@ -27,8 +27,8 @@ from .errors import InvalidParameterError, PoleChartError
 
 TWO_PI = 2.0 * math.pi
 
-# Sphere chart guard band, radians.  metric_at and friends refuse colatitudes
-# closer than this to {0, pi}.
+# Sphere chart guard band, radians.  geodesic_distance refuses colatitudes
+# closer than this to {0, pi}, and the sampler never proposes them.
 POLE_GUARD = 1e-6
 
 # Row block size for pairwise kernels: caps temporaries at ~blocksize x n.
@@ -45,9 +45,6 @@ class ChartPoint:
     def __post_init__(self):
         object.__setattr__(self, "u", float(self.u) % TWO_PI)
         object.__setattr__(self, "v", float(self.v) % TWO_PI)
-
-    def offset(self, du: float, dv: float) -> "ChartPoint":
-        return ChartPoint(self.u + du, self.v + dv)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v], dtype=np.float64)
@@ -141,8 +138,12 @@ class SphereMetric:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise InvalidParameterError("sphere radius must be positive")
+        r = self.radius
+        area = 4.0 * math.pi * (r * r)
+        if not (r > 0.0 and 0.0 < area < math.inf and 1.0 / area < math.inf):
+            raise InvalidParameterError(
+                "sphere radius needs the area 4 pi r^2 and its inverse finite and "
+                f"positive (about 2.1e-155 < r < 3.8e153), got {r}")
 
 
 Metric = Union[TorusMetric, SphereMetric]
@@ -154,24 +155,6 @@ def _check_sphere_chart(u: float) -> None:
             f"colatitude {u!r} is outside the usable chart "
             f"({POLE_GUARD}, pi - {POLE_GUARD})"
         )
-
-
-def metric_at(metric: Metric, x: ChartPoint) -> np.ndarray:
-    """2x2 metric tensor at x. Symmetric positive definite."""
-    if isinstance(metric, TorusMetric):
-        return metric.matrix()
-    _check_sphere_chart(x.u)
-    r2 = metric.radius * metric.radius
-    s = math.sin(x.u)
-    return np.array([[r2, 0.0], [0.0, r2 * s * s]], dtype=np.float64)
-
-
-def volume_density(metric: Metric, x: ChartPoint) -> float:
-    """sqrt(det g) at x, the chart density of the Riemannian measure."""
-    if isinstance(metric, TorusMetric):
-        return metric.sqrt_det()
-    _check_sphere_chart(x.u)
-    return metric.radius * metric.radius * math.sin(x.u)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +223,14 @@ def torus_grid_sq_geodesic(metric: TorusMetric, u: np.ndarray, v: np.ndarray) ->
     return (a[:, None, :, None] + b[None, :, None, :]).reshape(len(u) * len(v), -1)
 
 
-def sphere_chart_to_unit(p: np.ndarray) -> np.ndarray:
-    """(n, 2) colatitude/longitude -> (n, 3) unit vectors."""
-    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    su, cu = np.sin(p[:, 0]), np.cos(p[:, 0])
-    sv, cv = np.sin(p[:, 1]), np.cos(p[:, 1])
-    return np.column_stack([su * cv, su * sv, cu])
-
-
 def sphere_sq_geodesic(radius: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Pairwise squared great-circle distance, (n, m).
 
     Uses atan2(|a x b|, a.b), which stays accurate for nearly equal and
     nearly antipodal pairs alike.  |a x b|^2 sums as (cx^2 + cy^2) + cz^2.
     """
-    a = sphere_chart_to_unit(p)
-    b = sphere_chart_to_unit(q)
+    a = embed_many(UnitSphere(), p)
+    b = embed_many(UnitSphere(), q)
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     for lo in range(0, a.shape[0], _BLOCK):
         hi = min(lo + _BLOCK, a.shape[0])

@@ -303,9 +303,7 @@ def recover_density(
     return mass[metric_field.indices] / (np.sqrt(det) * cell_area)
 
 
-def report_payload(
-    report: RecoveryReport, externalize_dir=None, stem: str = "recovery"
-) -> dict:
+def report_payload(report: RecoveryReport, externalize_dir=None) -> dict:
     """JSON-ready dict for a recovery report.
 
     Small vectors (mass, density, metric tensors) are embedded.  The kernel
@@ -335,7 +333,7 @@ def report_payload(
         os.makedirs(externalize_dir, exist_ok=True)
         files = {}
         for name, mat in (("kernel", report.kernel), ("distance", report.distance)):
-            fname = f"{stem}_{name}.llmx"
+            fname = f"recovery_{name}.llmx"
             save_matrix(mat, os.path.join(externalize_dir, fname))
             files[name] = fname
         payload["matrix_files"] = files

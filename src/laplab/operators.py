@@ -9,8 +9,12 @@ assembled matrix is
 where dist is geodesic distance in intrinsic mode and ambient chord distance
 of an embedding in extrinsic mode.  Rows sum to zero by construction,
 off-diagonal entries are nonpositive, and L annihilates constants exactly.
+Every bandwidth, given or read from a file, passes one check: t^2 and 1/t^2
+finite and positive (about 7.5e-155 < t < 1.3e154).
 
-Dense assembly turns one n x n distance table into L in place, by the same
+`build_operator` is the one path from a metric, density, grid size and
+bandwidth to an operator: grid, normalized density, dense assembly.  Dense
+assembly turns one n x n distance table into L in place, by the same
 operations in the same order as the formula; a diagonal torus metric on a
 tensor grid builds that table from per-axis wrap minima.  It is capped at
 64^2 nodes.  Above that, and for reference values at arbitrary chart points,
@@ -32,7 +36,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .discretization import Density, QuadratureRule, SampleSet, density_values
+from .discretization import (Density, QuadratureRule, SampleSet, build_grid,
+                             density_values, normalize_density)
 from .errors import InvalidParameterError, MalformedOperatorError, NodeMismatchError
 from .geometry import (
     ChartPoint,
@@ -66,6 +71,15 @@ class ExtrinsicKernel:
 
 
 KernelMode = Union[IntrinsicKernel, ExtrinsicKernel]
+
+
+def _check_bandwidth(t: float) -> None:
+    """Refuse a bandwidth whose square or inverse square is not finite and positive."""
+    if not (t > 0.0 and 0.0 < t * t < math.inf and 1.0 / (t * t) < math.inf):
+        raise InvalidParameterError(
+            "bandwidth t must be positive with t^2 and 1/t^2 finite and positive "
+            f"(about 7.5e-155 < t < 1.3e154), got {t}"
+        )
 
 
 def kernel_sq_dist(mode: KernelMode, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -110,11 +124,10 @@ def assemble_continuous(
 ) -> OperatorMatrix:
     """Assemble the dense quadrature approximation of the kernel operator.
 
-    The density must be normalized against `rule`.  Bandwidth t must be
-    positive.  Refuses grids beyond 64^2 nodes; use continuous_value there.
+    The density must be normalized against `rule`.  Bandwidth t must pass
+    _check_bandwidth.  Refuses grids beyond 64^2 nodes; use continuous_value there.
     """
-    if not 0.0 < t < math.inf:
-        raise InvalidParameterError(f"bandwidth must be finite and positive, got {t}")
+    _check_bandwidth(t)
     if rule.n > DENSE_NODE_CAP:
         raise InvalidParameterError(
             f"dense assembly is capped at {DENSE_NODE_CAP} nodes (got {rule.n}); "
@@ -151,6 +164,15 @@ def assemble_continuous(
     )
 
 
+def build_operator(
+    kernel: KernelMode, metric: Metric, density: Density, n: int, t: float
+) -> tuple[OperatorMatrix, QuadratureRule, Density]:
+    """Operator of kernel on the n-grid of metric, with its rule and normalized density."""
+    rule = build_grid(metric, n)
+    p = normalize_density(density, rule)
+    return assemble_continuous(kernel, p, rule, t), rule, p
+
+
 def apply_operator(op: OperatorMatrix, f: np.ndarray) -> np.ndarray:
     """Matrix-vector product L f for node values f."""
     f = np.asarray(f, dtype=np.float64)
@@ -180,8 +202,7 @@ def continuous_value(
 
     x need not be a grid node.  f maps (n, 2) chart coordinates to values.
     """
-    if not 0.0 < t < math.inf:
-        raise InvalidParameterError(f"bandwidth must be finite and positive, got {t}")
+    _check_bandwidth(t)
     p = x.as_array()[None, :]
     d2 = kernel_sq_dist(mode, p, rule.nodes)[0]
     k = np.exp(d2 / -t)
@@ -204,8 +225,7 @@ class DiscreteOperator:
     mode: KernelMode
 
     def __post_init__(self):
-        if not 0.0 < self.t < math.inf:
-            raise InvalidParameterError(f"bandwidth must be finite and positive, got {self.t}")
+        _check_bandwidth(self.t)
 
 
 def evaluate_discrete(
@@ -317,8 +337,10 @@ def _check_size(fh, expected: int, kind: str) -> None:
 def load_operator(path) -> OperatorMatrix:
     """Read an operator written by save_operator.
 
-    The file size must be exactly what the header implies, and the bandwidth
-    and spacings must be finite and positive, before any payload is read.
+    The file size must be exactly what the header implies, the spacings must
+    be finite and positive, and the bandwidth and the kernel and measure
+    parameters must pass the checks their constructors make, before any
+    payload is read.
     """
     with open(path, "rb") as fh:
         head = fh.read(_PREAMBLE)
@@ -335,12 +357,14 @@ def load_operator(path) -> OperatorMatrix:
             raise MalformedOperatorError(f"grid shape {nu}x{nv} and node count {n} do not agree")
         _check_size(fh, _PREAMBLE + 8 * n * (n + 2), "operator")
         t, du, dv = _BAND.unpack_from(head, _HEAD.size)
-        if not all(0.0 < x < math.inf for x in (t, du, dv)):
-            raise MalformedOperatorError(
-                f"bandwidth and spacings must be finite and positive, got {t}, {du}, {dv}"
-            )
-        mode = _unpack_mode(mode_tag, head[-2 * _PARAM.size:-_PARAM.size])
-        measure = _unpack_metric(head[-_PARAM.size:])
+        if not (0.0 < du < math.inf and 0.0 < dv < math.inf):
+            raise MalformedOperatorError(f"spacings must be finite and positive, got {du}, {dv}")
+        try:
+            _check_bandwidth(t)
+            mode = _unpack_mode(mode_tag, head[-2 * _PARAM.size:-_PARAM.size])
+            measure = _unpack_metric(head[-_PARAM.size:])
+        except InvalidParameterError as exc:
+            raise MalformedOperatorError(f"operator file: {exc}") from None
         if (0 if isinstance(measure, TorusMetric) else 1) != chart:
             raise MalformedOperatorError("chart tag contradicts the measure metric")
         nodes = np.empty((n, 2), dtype="<f8")

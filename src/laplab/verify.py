@@ -20,10 +20,10 @@ every thresholded discrepancy is within bounds.
         flat for the Clifford torus, round at the sphere equator,
         diag(r^2, (R+r)^2) on the outer circle of the donut.
 
-Scenarios build operators through _operator and S5 runs through
-convergence_study.  Every JSON file goes through write_json: sorted keys, no
-timestamps, so a fixed seed reproduces report files byte for byte.  Nothing
-is read back from an output directory.
+Scenarios build operators through operators.build_operator and S5 runs
+through convergence_study.  Every JSON file goes through write_json: sorted
+keys, no timestamps, so a fixed seed reproduces report files byte for byte.
+Nothing is read back from an output directory.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,13 +69,18 @@ from .operators import (
     DiscreteOperator,
     ExtrinsicKernel,
     IntrinsicKernel,
-    assemble_continuous,
+    build_operator,
     continuous_value,
     evaluate_discrete,
     operator_distance,
 )
 
 SCENARIO_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
+
+# Fixed scenario parameters, echoed in every report's config.
+ANISOTROPY = 2.0
+BUMP_ALPHA = 0.5
+SCALE = 1.5
 
 
 @dataclass(frozen=True)
@@ -131,29 +136,22 @@ class ScenarioConfig:
     grid: int = 32
     bandwidth: float = 0.5
     seed: int = 1234
-    anisotropy: float = 2.0
-    bump_alpha: float = 0.5
-    scale: float = 1.5
     n_values: tuple[int, ...] = (1000, 4000, 16000, 64000)
     n_seeds: int = 20
     out_dir: Optional[str] = None
-    tolerances: dict = dc_field(default_factory=dict)
 
     def echo(self) -> dict:
-        out = {
+        return {
             "scenario": self.scenario,
             "grid": self.grid,
             "bandwidth": self.bandwidth,
             "seed": self.seed,
-            "anisotropy": self.anisotropy,
-            "bump_alpha": self.bump_alpha,
-            "scale": self.scale,
+            "anisotropy": ANISOTROPY,
+            "bump_alpha": BUMP_ALPHA,
+            "scale": SCALE,
             "n_values": list(self.n_values),
             "n_seeds": self.n_seeds,
         }
-        if self.tolerances:
-            out["tolerance_overrides"] = dict(sorted(self.tolerances.items()))
-        return out
 
 
 @dataclass
@@ -184,8 +182,6 @@ def _finish(cfg: ScenarioConfig, discrepancies, measurements, artifacts) -> Scen
     passed = True
     for name, value in discrepancies.items():
         th = THRESHOLDS[cfg.scenario][name]
-        if name in cfg.tolerances:
-            th = Threshold(cfg.tolerances[name], th.op, th.bucket)
         table[name] = th.payload()
         passed = passed and th.check(value)
     result = ScenarioResult(
@@ -198,7 +194,7 @@ def _finish(cfg: ScenarioConfig, discrepancies, measurements, artifacts) -> Scen
         artifacts=artifacts,
     )
     if cfg.out_dir is not None:
-        write_result_json(result, cfg.out_dir)
+        write_json(result.payload(), os.path.join(cfg.out_dir, f"{cfg.scenario}.json"))
     return result
 
 
@@ -210,33 +206,20 @@ def write_json(payload, path, indent=2) -> None:
         fh.write("\n")
 
 
-def write_result_json(result: ScenarioResult, out_dir: str) -> str:
-    path = os.path.join(out_dir, f"{result.scenario}.json")
-    write_json(result.payload(), path)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # scenario bodies
 # ---------------------------------------------------------------------------
 
 
-def _operator(kernel, metric, density, n: int, t: float):
-    """Quadrature operator of kernel on the n-grid of metric, with its rule and density."""
-    rule = build_grid(metric, n)
-    p = normalize_density(density, rule)
-    return assemble_continuous(kernel, p, rule, t), rule, p
-
-
 def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     n, t = cfg.grid, cfg.bandwidth
-    base, _, _ = _operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
-    factors = sorted({1.25, 1.5, cfg.anisotropy})
+    base, _, _ = build_operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
+    factors = sorted({1.25, 1.5, ANISOTROPY})
     gaps = []
     for a in factors:
         aniso = TorusMetric.anisotropic(a)
-        op_a, _, _ = _operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
+        op_a, _, _ = build_operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
         gaps.append(operator_distance(base, op_a))
     margin = float(min(b - a for a, b in zip(gaps, gaps[1:])))
     discrepancies = {
@@ -248,9 +231,9 @@ def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
-    metric = TorusMetric.anisotropic(cfg.anisotropy)
-    density = CosineBump(cfg.bump_alpha, "u")
-    op, rule, p = _operator(IntrinsicKernel(metric), metric, density, cfg.grid, cfg.bandwidth)
+    metric = TorusMetric.anisotropic(ANISOTROPY)
+    density = CosineBump(BUMP_ALPHA, "u")
+    op, rule, p = build_operator(IntrinsicKernel(metric), metric, density, cfg.grid, cfg.bandwidth)
     report = run_recovery(op)
 
     g_true = metric.matrix()
@@ -288,13 +271,13 @@ def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
-    aniso = TorusMetric.anisotropic(cfg.anisotropy)
+    aniso = TorusMetric.anisotropic(ANISOTROPY)
     ext = ExtrinsicKernel(CliffordTorus())
     n, t = cfg.grid, cfg.bandwidth
-    ext1, _, _ = _operator(ext, flat, UniformDensity(), n, t)
-    ext2, _, _ = _operator(ext, aniso, UniformDensity(), n, t)
-    int1, _, _ = _operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
-    int2, _, _ = _operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
+    ext1, _, _ = build_operator(ext, flat, UniformDensity(), n, t)
+    ext2, _, _ = build_operator(ext, aniso, UniformDensity(), n, t)
+    int1, _, _ = build_operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
+    int2, _, _ = build_operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
     discrepancies = {
         "extrinsic_distance": operator_distance(ext1, ext2),
         "intrinsic_distance": operator_distance(int1, int2),
@@ -304,10 +287,10 @@ def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _scenario_s4(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
-    scaled = TorusMetric.scaled_flat(cfg.scale)
+    scaled = TorusMetric.scaled_flat(SCALE)
     ext = ExtrinsicKernel(CliffordTorus())
-    op1, _, _ = _operator(ext, flat, UniformDensity(), cfg.grid, cfg.bandwidth)
-    op2, _, _ = _operator(ext, scaled, UniformDensity(), cfg.grid, cfg.bandwidth)
+    op1, _, _ = build_operator(ext, flat, UniformDensity(), cfg.grid, cfg.bandwidth)
+    op2, _, _ = build_operator(ext, scaled, UniformDensity(), cfg.grid, cfg.bandwidth)
     m1 = recover_mass(extract_weighted_kernel(op1))
     m2 = recover_mass(extract_weighted_kernel(op2))
     discrepancies = {
@@ -449,12 +432,12 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     n, t = cfg.grid, cfg.bandwidth
     flat = TorusMetric.flat()
 
-    op, rule, _ = _operator(ExtrinsicKernel(CliffordTorus()), flat, UniformDensity(), n, t)
+    op, rule, _ = build_operator(ExtrinsicKernel(CliffordTorus()), flat, UniformDensity(), n, t)
     fld = run_recovery(op).metric_field
     clifford_err = float(np.max(np.abs(fld.tensors - np.eye(2)[None])))
 
     donut = DonutTorus(2.0, 1.0)
-    op, rule, _ = _operator(ExtrinsicKernel(donut), flat, UniformDensity(), n, t)
+    op, rule, _ = build_operator(ExtrinsicKernel(donut), flat, UniformDensity(), n, t)
     fld = run_recovery(op).metric_field
     tube = np.flatnonzero(rule.nodes[fld.indices, 0] == 0.0)
     if tube.size == 0:
@@ -466,7 +449,7 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     g_true = np.diag([donut.minor**2, (donut.major + donut.minor) ** 2])
     donut_err = float(np.max(np.abs(fld.tensors[tube] - g_true[None])))
 
-    op, rule, _ = _operator(
+    op, rule, _ = build_operator(
         ExtrinsicKernel(UnitSphere()), SphereMetric(1.0), UniformDensity(), n, t
     )
     fld = run_recovery(op).metric_field

@@ -6,8 +6,6 @@ The lines are printed after the run by a hook in conftest.py, so the
 verdict of every criterion is visible even in quiet pytest output.
 """
 
-import dataclasses
-import math
 import time
 
 import numpy as np

@@ -143,6 +143,13 @@ def _append_bytes(path):
     path.write_bytes(path.read_bytes() + b"\0" * 8)
 
 
+def _put_negative_kernel_e(path):
+    # the kernel block follows the 44-byte header: one kind byte, then E, F, G
+    blob = bytearray(path.read_bytes())
+    blob[45:53] = np.array([-1.0], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+
+
 def _put_band(index, value):
     # header floats t, du, dv start after the 20-byte fixed header
     def put(path):
@@ -157,6 +164,7 @@ def _put_band(index, value):
 @pytest.mark.parametrize("corrupt", [
     _put_nan_entry, _put_grid_shape_8x9, _put_empty_grid, _append_bytes,
     _put_band(0, np.nan), _put_band(0, -0.5), _put_band(1, np.inf), _put_band(2, 0.0),
+    _put_band(0, 1e160), _put_negative_kernel_e,
 ], ids=lambda f: f.__name__)
 def test_recover_corrupt_operator_exits_three(tmp_path, capsys, corrupt):
     op_path = tmp_path / "op.llop"
@@ -188,6 +196,21 @@ def test_bad_metric_selector_exits_two(tmp_path):
                "--grid", "4", "--bandwidth", "0.5",
                "--out", str(tmp_path / "x.llop")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["assemble", "--grid", "4", "--bandwidth", "1e-200"],
+    ["assemble", "--grid", "4", "--bandwidth", "1e160"],
+    ["assemble", "--grid", "4", "--metric", "sphere:1e-160"],
+    ["assemble", "--grid", "4", "--metric", "sphere:1e160"],
+    ["converge", "--n", "500,1000,2000", "--seeds", "5", "--bandwidth", "1e300"],
+], ids=lambda argv: argv[-1])
+def test_unrepresentable_scale_exits_two_with_one_line(tmp_path, argv):
+    # t^2 or r^2 overflows or underflows: no traceback, no warning, no file
+    proc = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 # --- config file ------------------------------------------------------------------

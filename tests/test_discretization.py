@@ -13,7 +13,6 @@ from laplab.discretization import (
     density_values,
     normalize_density,
     sample_points,
-    sample_set_from_csv,
 )
 from laplab.errors import InvalidDensityError, InvalidParameterError
 from laplab.geometry import SphereMetric, TorusMetric
@@ -221,12 +220,3 @@ def test_sample_validation():
         sample_points(p, TorusMetric.flat(), 0, 1)
     with pytest.raises(InvalidDensityError):
         sample_points(UniformDensity(), TorusMetric.flat(), 10, 1)  # not normalized
-
-
-def test_sample_csv_round_trip(tmp_path):
-    p = _normalized(CosineBump(0.25, "v"))
-    s = sample_points(p, TorusMetric.flat(), 200, 8)
-    path = tmp_path / "samples.csv"
-    s.to_csv(path)
-    back = sample_set_from_csv(path, seed=8, density=p, metric=TorusMetric.flat())
-    assert np.array_equal(s.points, back.points)

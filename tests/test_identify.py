@@ -46,7 +46,6 @@ from laplab.operators import (
     ExtrinsicKernel,
     IntrinsicKernel,
     assemble_continuous,
-    kernel_sq_dist,
 )
 
 FOUR_PI_SQ = 4 * math.pi**2
@@ -345,7 +344,7 @@ def test_recover_density_direct():
     from laplab.identify import MetricField
 
     fld = MetricField(indices=field_idx, tensors=np.array(tensors))
-    dens = recover_density(mass, fld, rule.cell_area)
+    dens = recover_density(mass, fld, rule.spacing[0] * rule.spacing[1])
     assert np.allclose(dens, 1.0 / FOUR_PI_SQ, rtol=1e-12)
 
 
@@ -438,11 +437,35 @@ _REMOVED = [
     "operator_to_csv",
     "embed",
     "discrete_rms_error",
+    "metric_at",
+    "volume_density",
+    "sphere_chart_to_unit",
+    "sample_set_from_csv",
+    "write_result_json",
+    "_operator",
 ]
 
 
-@pytest.mark.parametrize("module", ["identify", "verify", "operators", "geometry"])
+@pytest.mark.parametrize(
+    "module", ["identify", "verify", "operators", "geometry", "discretization"])
 @pytest.mark.parametrize("name", _REMOVED)
 def test_removed_names_stay_removed(module, name):
     mod = importlib.import_module(f"laplab.{module}")
     assert not hasattr(mod, name)
+
+
+def test_removed_members_and_knobs_stay_removed():
+    import dataclasses
+    import inspect
+
+    from laplab.discretization import QuadratureRule, SampleSet
+    from laplab.geometry import ChartPoint
+    from laplab.identify import report_payload
+    from laplab.verify import ScenarioConfig
+
+    assert not hasattr(ChartPoint, "offset")
+    assert not hasattr(QuadratureRule, "cell_area")
+    assert not hasattr(SampleSet, "to_csv")
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert fields.isdisjoint({"anisotropy", "bump_alpha", "scale", "tolerances"})
+    assert "stem" not in inspect.signature(report_payload).parameters

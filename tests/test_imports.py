@@ -1,0 +1,60 @@
+"""Every module-level import in the package, the tests and the scripts is used.
+
+No linter ships with the test dependencies, so this walks each module's
+syntax tree: a name bound by a top-level import must be referenced somewhere
+in the module, or be listed in its __all__.  `from __future__` imports are
+compiler directives and are skipped.
+"""
+
+import ast
+import os
+
+import pytest
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_DIRS = ("src/laplab", "tests", "scripts")
+
+
+def _modules():
+    for d in _DIRS:
+        for name in sorted(os.listdir(os.path.join(_ROOT, d))):
+            if name.endswith(".py"):
+                yield f"{d}/{name}"
+
+
+def _exported(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by module-level imports of `source` that it never references."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`, where every attribute chain starts
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_checker_flags_an_unused_import():
+    src = "from __future__ import annotations\nimport os, sys\nfrom a import b as c\nsys.exit()\n"
+    assert unused_imports(src) == [(2, "os"), (3, "c")]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", list(_modules()))
+def test_no_unused_module_imports(path):
+    with open(os.path.join(_ROOT, path)) as fh:
+        assert unused_imports(fh.read()) == []

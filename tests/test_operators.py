@@ -28,7 +28,6 @@ from laplab.geometry import (
     SphereMetric,
     TorusMetric,
     UnitSphere,
-    metric_sq_geodesic,
 )
 from laplab.operators import (
     DENSE_NODE_CAP,
@@ -107,7 +106,8 @@ def test_weighted_kernel_symmetric_under_uniform_density():
 def test_bandwidth_validation_and_node_cap():
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
-    for t in (0.0, math.nan, math.inf):
+    # 1e-200 and 1e160 are positive and finite, but t^2 underflows or overflows
+    for t in (0.0, math.nan, math.inf, 1e-200, 1e160):
         with pytest.raises(InvalidParameterError):
             assemble_continuous(IntrinsicKernel(TorusMetric.flat()), p, rule, t)
     big = build_grid(TorusMetric.flat(), 66)  # 4356 nodes > cap
