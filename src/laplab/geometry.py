@@ -60,7 +60,8 @@ class TorusMetric:
     """Constant-coefficient metric E du^2 + 2F du dv + G dv^2 on the torus.
 
     E, F, G are the classical first-fundamental-form coefficients.  Requires
-    E > 0 and EG - F^2 > 0 (positive definiteness).
+    E > 0 and EG - F^2 > 0 (positive definiteness), EG - F^2 and its inverse
+    finite in float64, and an eigenvalue ratio of at most 256.
     """
 
     E: float
@@ -68,10 +69,20 @@ class TorusMetric:
     G: float
 
     def __post_init__(self):
-        if not (self.E > 0.0 and self.E * self.G - self.F * self.F > 0.0):
+        e, f, g = self._unit_coefficients()
+        det = self.E * self.G - self.F * self.F
+        # the unit form's determinant may underflow where the ratio is huge;
+        # an infinite or NaN determinant is a scale fault, whatever the signs
+        definite = self.E > 0.0 and self.G > 0.0 and (f == 0.0 or e * g - f * f > 0.0)
+        if det < math.inf and not definite:
             raise InvalidParameterError(
                 f"metric coefficients not positive definite: "
                 f"E={self.E}, F={self.F}, G={self.G}"
+            )
+        if not (0.0 < det < math.inf and 1.0 / det < math.inf):
+            raise InvalidParameterError(
+                "metric scale out of float64 range: EG - F^2 and its inverse "
+                f"must be finite, got E={self.E}, F={self.F}, G={self.G}"
             )
         if self.anisotropy_ratio() > 256.0:
             raise InvalidParameterError(
@@ -103,6 +114,11 @@ class TorusMetric:
     def sqrt_det(self) -> float:
         return math.sqrt(self.E * self.G - self.F * self.F)
 
+    def _unit_coefficients(self) -> tuple[float, float, float]:
+        """E, F, G divided by max(E, G), so that EG - F^2 neither over- nor underflows."""
+        s = max(self.E, self.G) if self.E > 0.0 else 1.0
+        return self.E / s, self.F / s, self.G / s
+
     def anisotropy_ratio(self) -> float:
         """Condition number of the coefficient matrix.
 
@@ -110,8 +126,9 @@ class TorusMetric:
         ratio is the quantity that actually controls how far the lattice
         search for closed-loop distances has to reach.
         """
-        tr = self.E + self.G
-        disc = math.sqrt(max(tr * tr / 4.0 - (self.E * self.G - self.F * self.F), 0.0))
+        e, f, g = self._unit_coefficients()
+        tr = e + g
+        disc = math.sqrt(max(tr * tr / 4.0 - (e * g - f * f), 0.0))
         # the small eigenvalue rounds to 0 beyond a ratio of about 1e16
         low = tr / 2.0 - disc
         return (tr / 2.0 + disc) / low if low > 0.0 else math.inf

@@ -24,6 +24,11 @@ of the embedding (chords osculate geodesics to second order).  The chord bias
 is O(h^2) with a visible constant at practical grid sizes, so run_recovery
 adds one Richardson step (stencils at spacing h and 2h) whenever the operator
 is extrinsic, pushing it to O(h^4).
+
+The stencil reads distances only at O(n) neighbor pairs, so run_recovery
+computes them only there; the dense n x n kernel and distance matrices of a
+RecoveryReport are built on first read (an embedded or externalized report,
+or library use), by the same operations, with the same bits.
 """
 
 from __future__ import annotations
@@ -57,6 +62,14 @@ KERNEL_SLACK = 1e-8
 _ROW_SUM_TOL = 1e-10
 _NEGATIVE_TOL = 1e-14
 
+# Edge of the square tiles that the transposed passes (sym, symmetrization)
+# walk, so that a tile and its mirror stay in cache together.
+_TILE = 64
+
+
+def _tiles(n: int) -> list[slice]:
+    return [slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedKernel:
@@ -77,7 +90,12 @@ class WeightedKernel:
 
     @cached_property
     def sym(self) -> np.ndarray:
-        return self.mask & self.mask.T
+        mask, tiles = self.mask, _tiles(self.n)
+        sym = np.empty_like(mask)
+        for a in tiles:
+            for b in tiles:
+                np.logical_and(mask[a, b], mask[b, a].T, out=sym[a, b])
+        return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,17 +116,33 @@ class MetricField:
 
 @dataclass(eq=False)
 class RecoveryReport:
-    """Everything the inverse pipeline can say about one operator."""
+    """Everything the inverse pipeline can say about one operator.
+
+    The dense n x n kernel and distance matrices are not stored: `kernel` and
+    `distance` build both through recover_kernel_distance(wk, mass) on first
+    read and cache them, so a report that never reads them never pays for them.
+    """
 
     mass: np.ndarray
-    kernel: np.ndarray
-    distance: np.ndarray
+    wk: WeightedKernel
     metric_field: MetricField
     density: np.ndarray
     t: float
     grid_shape: tuple[int, int]
     spacing: tuple[float, float]
     errors: dict = field(default_factory=dict)
+
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        return recover_kernel_distance(self.wk, self.mass)
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return self._matrices[0]
+
+    @property
+    def distance(self) -> np.ndarray:
+        return self._matrices[1]
 
 
 def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
@@ -195,11 +229,7 @@ def recover_kernel_distance(
     operator and raise an inconsistency error.
     """
     khat = wk.w / mass[None, :]
-    high = float(khat.max(where=wk.mask, initial=-np.inf))
-    if high > 1.0 + KERNEL_SLACK:
-        raise InconsistencyError(
-            f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
-        )
+    _check_kernel_bound(float(khat.max(where=wk.mask, initial=-np.inf)))
     np.minimum(khat, 1.0, out=khat, where=wk.mask)
     np.fill_diagonal(khat, 1.0)
 
@@ -207,10 +237,52 @@ def recover_kernel_distance(
     np.log(khat, out=d, where=wk.sym)
     d *= -wk.t
     np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-    dhat = d + d.T
-    dhat *= 0.5
-    np.fill_diagonal(dhat, 0.0)
-    return khat, dhat
+    # d <- (d + d.T) / 2 in place, tile by tile: the same sums in either order
+    tiles = _tiles(wk.n)
+    for k, a in enumerate(tiles):
+        for b in tiles[k:]:
+            s = d[a, b] + d[b, a].T
+            s *= 0.5
+            d[a, b] = s
+            d[b, a] = s.T
+    np.fill_diagonal(d, 0.0)
+    return khat, d
+
+
+def _check_kernel_bound(high: float) -> None:
+    """Masked kernel values above 1 + KERNEL_SLACK: not a kernel operator."""
+    if high > 1.0 + KERNEL_SLACK:
+        raise InconsistencyError(
+            f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
+        )
+
+
+class _PairDistances:
+    """The distance matrix of recover_kernel_distance, read only at index pairs.
+
+    view[i, j] with index arrays runs the same elementwise operations in the
+    same order on just those pairs, so it returns the same bits; no n x n
+    array is built.
+    """
+
+    def __init__(self, wk: WeightedKernel, mass: np.ndarray):
+        self.wk, self.mass, self.shape = wk, mass, wk.w.shape
+
+    def _one_way(self, i, j):
+        ok = self.wk.sym[i, j]
+        d = np.full(ok.shape, np.nan)
+        np.divide(self.wk.w[i, j], self.mass[j], out=d, where=ok)
+        np.minimum(d, 1.0, out=d, where=ok)
+        np.log(d, out=d, where=ok)
+        d *= -self.wk.t
+        return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+
+    def __getitem__(self, pairs):
+        i, j = np.broadcast_arrays(*pairs)
+        d = self._one_way(i, j) + self._one_way(j, i)
+        d *= 0.5
+        d[i == j] = 0.0
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +341,10 @@ def metric_field_from_distance(
     richardson: bool = False,
 ) -> MetricField:
     """Run the cross stencil at every node where the distances exist.
+
+    dist is the n x n distance matrix, or any object with .shape == (n, n)
+    whose dist[i, j] on index arrays returns the distances at those pairs;
+    the stencil reads 12 pairs per node (24 with richardson).
 
     richardson=True combines stencils at spacing h and 2h as (4 g_h - g_2h)/3,
     canceling the O(h^2) term; used when dist is chord distance of an
@@ -354,18 +430,22 @@ def run_recovery(op: OperatorMatrix, refine: bool = False) -> RecoveryReport:
     """Full inverse pipeline on one operator."""
     wk = extract_weighted_kernel(op)
     mass = recover_mass(wk, refine=refine)
-    khat, dhat = recover_kernel_distance(wk, mass)
+    # the kernel-value check of recover_kernel_distance, in row blocks
+    _check_kernel_bound(max(
+        float((wk.w[r] / mass).max(where=wk.mask[r], initial=-np.inf))
+        for r in _tiles(wk.n)
+    ))
     periodic_u = isinstance(op.measure_metric, TorusMetric)
     richardson = isinstance(op.mode, ExtrinsicKernel)
     metric_field = metric_field_from_distance(
-        dhat, op.grid_shape, op.spacing, periodic_u=periodic_u, richardson=richardson
+        _PairDistances(wk, mass), op.grid_shape, op.spacing,
+        periodic_u=periodic_u, richardson=richardson,
     )
     cell = op.spacing[0] * op.spacing[1]
     density = recover_density(mass, metric_field, cell)
     return RecoveryReport(
         mass=mass,
-        kernel=khat,
-        distance=dhat,
+        wk=wk,
         metric_field=metric_field,
         density=density,
         t=op.t,

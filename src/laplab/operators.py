@@ -135,7 +135,9 @@ def assemble_continuous(
         )
     pw = density_values(density, rule.nodes) * rule.weights
     w = _node_sq_dist(mode, rule)
-    w /= -t
+    # a quotient that overflows is -inf, whose exp is the 0 it would round to anyway
+    with np.errstate(over="ignore"):
+        w /= -t
     np.exp(w, out=w)
     w *= pw
     deg = w.sum(axis=1)

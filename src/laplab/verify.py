@@ -199,11 +199,45 @@ def _finish(cfg: ScenarioConfig, discrepancies, measurements, artifacts) -> Scen
 
 
 def write_json(payload, path, indent=2) -> None:
-    """Dump payload with sorted keys and a trailing newline, making its directory."""
+    """Dump payload with sorted keys and a trailing newline, making its directory.
+
+    The bytes are those of json.dump(payload, fh, indent=indent, sort_keys=True).
+    json.dump with an indent always runs the pure-Python encoder, so with one
+    set, every flat list of numbers and nulls (a matrix row, a mass vector)
+    goes through the C encoder of json.dumps and is re-indented: no float,
+    NaN or Infinity text holds ", " or a bracket.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=indent, sort_keys=True)
+        if indent is None:
+            json.dump(payload, fh, sort_keys=True)
+        else:
+            fh.write(_indented(payload, " " * indent, "\n"))
         fh.write("\n")
+
+
+def _indented(obj, step: str, nl: str) -> str:
+    """json.dumps(obj, indent=len(step), sort_keys=True) with obj's opening
+    line ending in nl (a newline plus the indentation of that line)."""
+    inner = nl + step
+    if isinstance(obj, dict) and obj:
+        items = (json.dumps(_key(k)) + ": " + _indented(v, step, inner)
+                 for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if not (isinstance(obj, (list, tuple)) and obj):
+        return json.dumps(obj)
+    if all(x is None or isinstance(x, (int, float)) for x in obj):
+        return "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + nl + "]"
+    return "[" + inner + ("," + inner).join(_indented(x, step, inner) for x in obj) + nl + "]"
+
+
+def _key(k) -> str:
+    """A dict key as json turns it into a string."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +278,9 @@ def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
     mass_true = density_values(p, rule.nodes) * rule.weights
     mass_err = float(np.max(np.abs(report.mass - mass_true) / mass_true))
     d_true = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
-    sym = np.isfinite(report.distance)
-    dist_err = float(np.max(np.abs(report.distance[sym] - d_true[sym])))
+    dist = report.distance
+    sym = np.isfinite(dist)
+    dist_err = float(np.max(np.abs(dist[sym] - d_true[sym])))
 
     report.errors = {
         "metric_max_error": metric_err,

@@ -213,6 +213,26 @@ def test_unrepresentable_scale_exits_two_with_one_line(tmp_path, argv):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("scale", ["1e154", "1e-160"])
+def test_unrepresentable_torus_scale_names_the_scale(tmp_path, scale):
+    # E G overflows or underflows while the form is round (ratio 1) and definite
+    proc = run_cli("assemble", "--grid", "4", "--metric", f"scaled:{scale}",
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "scale" in proc.stderr
+    assert "ratio" not in proc.stderr and "definite" not in proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_overflowing_kernel_exponent_prints_only_the_underflow_warning(tmp_path):
+    # squared distance / t overflows at this radius; exp of it is 0 either way
+    proc = run_cli("assemble", "--grid", "4", "--metric", "sphere:3.7e153",
+                   "--out", str(tmp_path / "x.llop"))
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("warning: 12 rows") and proc.stderr.count("\n") == 1
+
+
 # --- config file ------------------------------------------------------------------
 
 

@@ -75,6 +75,21 @@ def test_torus_metric_validation():
         SphereMetric(0.0)
 
 
+def test_torus_metric_rejections_name_their_cause():
+    # the ratio and the definiteness test run on E, F, G over max(E, G), so
+    # an unrepresentable E G - F^2 is reported as a scale fault
+    assert TorusMetric.anisotropic(4.0).anisotropy_ratio() == 256.0
+    for c in (1e154, 1e-160):
+        with pytest.raises(InvalidParameterError, match="scale") as err:
+            TorusMetric.scaled_flat(c)
+        assert "ratio" not in str(err.value) and "definite" not in str(err.value)
+    for coefficients in ((4.6e16, 0.0, 1.0), (1e-200, 0.0, 1e200)):
+        with pytest.raises(InvalidParameterError, match="ratio"):
+            TorusMetric(*coefficients)
+    with pytest.raises(InvalidParameterError, match="definite"):
+        TorusMetric(1.0, 1.1, 1.0)
+
+
 def test_anisotropic_has_unit_volume_form():
     m = TorusMetric.anisotropic(2.0)
     assert m.sqrt_det() == pytest.approx(1.0, abs=1e-15)

@@ -427,6 +427,138 @@ def test_report_payload_round_trips_to_json(tmp_path):
     assert k.shape == (64, 64)
 
 
+# --- lazy matrices: dense only on read, the same bits as the dense pipeline -------
+
+
+def _dense_kernel_distance(wk, mass):
+    """Reference: kernel and distance built out of place over whole n x n arrays."""
+    khat = wk.w / mass[None, :]
+    np.minimum(khat, 1.0, out=khat, where=wk.mask)
+    np.fill_diagonal(khat, 1.0)
+    sym = wk.mask & wk.mask.T
+    d = np.full_like(khat, np.nan)
+    np.log(khat, out=d, where=sym)
+    d *= -wk.t
+    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+    dhat = d + d.T
+    dhat *= 0.5
+    np.fill_diagonal(dhat, 0.0)
+    return khat, dhat
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_SPHERE = SphereMetric(1.0)
+# (kernel, measure metric); grids 16 and 32 give n = 256, 1024 on the torus
+# and 240, 992 on the sphere, so tiles need not divide n
+_RECOVERY_CASES = {
+    "intrinsic-torus": (IntrinsicKernel(TorusMetric.anisotropic(1.5)), TorusMetric.anisotropic(1.5)),
+    "intrinsic-sphere": (IntrinsicKernel(_SPHERE), _SPHERE),
+    "extrinsic-donut": (ExtrinsicKernel(DonutTorus(2.0, 1.0)), TorusMetric.flat()),
+    "extrinsic-sphere": (ExtrinsicKernel(UnitSphere()), _SPHERE),
+}
+
+
+def _case_op(case, grid):
+    kernel, metric = _RECOVERY_CASES[case]
+    rule = build_grid(metric, grid)
+    p = normalize_density(CosineBump(0.4, "v"), rule)
+    return assemble_continuous(kernel, p, rule, 0.5)
+
+
+@pytest.mark.parametrize("grid", [16, 32])
+@pytest.mark.parametrize("case", sorted(_RECOVERY_CASES))
+def test_lazy_matrices_match_dense_pipeline_bitwise(case, grid):
+    report = run_recovery(_case_op(case, grid))
+    wk = report.wk
+    assert _same_bits(wk.sym, wk.mask & wk.mask.T)
+    khat, dhat = _dense_kernel_distance(wk, report.mass)
+    # raw bytes: NaN-aware equality, and NaN payloads and signed zeros too
+    assert _same_bits(report.kernel, khat) and _same_bits(report.distance, dhat)
+
+
+@pytest.mark.parametrize("grid", [16, 32])
+@pytest.mark.parametrize("case", sorted(_RECOVERY_CASES))
+def test_pair_view_stencil_matches_dense_stencil_bitwise(case, grid):
+    from laplab.identify import _PairDistances
+
+    op = _case_op(case, grid)
+    wk = extract_weighted_kernel(op)
+    mass = recover_mass(wk)
+    view = _PairDistances(wk, mass)
+    dhat = _dense_kernel_distance(wk, mass)[1]
+    assert view.shape == dhat.shape
+    rng = np.random.default_rng(grid)
+    i, j = rng.integers(0, wk.n, size=(2, 4000))
+    i[:50] = j[:50]  # some diagonal pairs
+    assert _same_bits(view[i, j], dhat[i, j])
+    periodic = isinstance(op.measure_metric, TorusMetric)
+    for richardson in (False, True):
+        dense = metric_field_from_distance(dhat, op.grid_shape, op.spacing, periodic, richardson)
+        lazy = metric_field_from_distance(view, op.grid_shape, op.spacing, periodic, richardson)
+        assert _same_bits(lazy.indices, dense.indices)
+        assert _same_bits(lazy.tensors, dense.tensors)
+
+
+def test_kernel_overshoot_fails_slim_recovery():
+    # doubling one row of W doubles K on that row and its column: > 1 near i
+    op, _, _ = _op(n=32)
+    assert op.n > 256
+    entries = op.entries.copy()
+    i = 100
+    entries[i] *= 2.0
+    entries[i, i] = 0.0
+    entries[i, i] = -entries[i].sum()
+    bad = type(op)(entries, op.nodes, op.t, op.mode, op.measure_metric,
+                   op.grid_shape, op.spacing)
+    with pytest.raises(InconsistencyError, match="exceeds 1; not a Gaussian kernel"):
+        run_recovery(bad)
+
+
+def test_slim_recovery_builds_no_dense_matrix(monkeypatch):
+    import laplab.identify as identify
+
+    op, rule, _ = _op(n=32)
+    calls, shapes = [], []
+    real_kd, real_field = identify.recover_kernel_distance, identify.metric_field_from_distance
+
+    def spy_kd(*args):
+        calls.append(1)
+        return real_kd(*args)
+
+    def spy_field(dist, *args, **kwargs):
+        shapes.append(dist.shape)
+        assert not callable(dist) and not isinstance(dist, np.ndarray)
+        return real_field(dist, *args, **kwargs)
+
+    monkeypatch.setattr(identify, "recover_kernel_distance", spy_kd)
+    monkeypatch.setattr(identify, "metric_field_from_distance", spy_field)
+    report = run_recovery(op)
+    payload = identify.report_payload(report)
+    assert "matrix_note" in payload and calls == []
+    assert shapes == [(rule.n, rule.n)]
+    kernel, distance = report.kernel, report.distance
+    assert report.kernel is kernel and report.distance is distance
+    assert calls == [1]
+
+
+def test_slim_recovery_peak_memory_is_a_few_matrices():
+    import tracemalloc
+
+    from laplab.identify import report_payload
+
+    op, rule, _ = _op(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), n=32)
+    tracemalloc.start()
+    try:
+        report_payload(run_recovery(op))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * rule.n**2
+
+
 # --- one path per job: removed duplicate entry points stay removed -----------------
 
 _REMOVED = [

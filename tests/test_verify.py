@@ -1,10 +1,13 @@
 """Scenario harness behavior: pass/fail wiring, report files, determinism,
 and the convergence study's statistics."""
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from laplab.errors import InvalidParameterError
 from laplab.verify import (
@@ -12,6 +15,7 @@ from laplab.verify import (
     convergence_study,
     run_scenario,
     stencil_order_study,
+    write_json,
 )
 
 
@@ -193,3 +197,29 @@ def test_stencil_order_is_two_on_sphere_distances():
     assert len(h) == len(errors) == 3
     assert errors[0] > errors[1] > errors[2]
     assert 1.8 <= slope <= 2.2
+
+
+# --- report writer ----------------------------------------------------------------
+
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["a, b", "[x, y]", "ü, é", "1.5, NaN"]))
+_NUMBERS = st.one_of(st.floats(), st.none(), st.integers(), st.booleans())
+_PAYLOADS = st.recursive(
+    _NUMBERS | _TEXT,
+    lambda inner: st.lists(inner, max_size=6) | st.lists(_NUMBERS, max_size=6) | st.one_of(
+        # one key type per dict: json sorts keys before it turns them into text
+        st.dictionaries(keys, inner, max_size=6)
+        for keys in (_TEXT, _TEXT, st.integers(), st.floats(), st.booleans())
+    ),
+    max_leaves=40,
+)
+
+
+@given(_PAYLOADS)
+def test_write_json_bytes_equal_json_dump(tmp_path_factory, payload):
+    # flat number lists go through the C encoder; the bytes must not notice
+    path = tmp_path_factory.getbasetemp() / "write_json.json"
+    for indent in (2, None):
+        ref = io.StringIO()
+        json.dump(payload, ref, indent=indent, sort_keys=True)
+        write_json(payload, path, indent=indent)
+        assert path.read_text() == ref.getvalue() + "\n"
