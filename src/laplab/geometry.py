@@ -9,10 +9,10 @@ chart; evaluation is refused inside a small guard band around the poles where
 the chart degenerates.
 
 Everything here is exact up to rounding: no geometry is discretized in this
-module.  Pairwise helpers (the *_sq_* functions) return squared distances for
-whole arrays of points at once and are the workhorses of operator assembly;
-they write row blocks straight into the output and sum in a fixed order, so
-bits do not depend on how a numpy build reduces an einsum (ambient_sq_dist).
+module.  Each squared distance has one row-block kernel, which sq_dist_rows
+and torus_grid_rows hand to operator assembly 16 rows at a time and the
+pairwise *_sq_* functions run over a whole table.  Kernels sum in a fixed
+order, so bits depend neither on the block size nor on numpy's reductions.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ TWO_PI = 2.0 * math.pi
 # closer than this to {0, pi}, and the sampler never proposes them.
 POLE_GUARD = 1e-6
 
-# Row block size for pairwise kernels: caps temporaries at ~blocksize x n.
-_BLOCK = 512
+# Rows per block: 16 rows of 4096 float64 are 0.5 MiB, so a caller can
+# finish each block while it sits in L2.  BLAS rounding depends on a call's
+# shape, so the sphere's a . b stays one 512-row product, sliced into blocks.
+_ROWS, _DOT_ROWS = 16, 512
 
 
 @dataclass(frozen=True)
@@ -179,27 +181,96 @@ def _check_sphere_chart(u: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _wrap_min(coef: float, d: np.ndarray) -> np.ndarray:
-    """min over a in {-2 pi, 0, 2 pi} of coef * (d + a)^2, elementwise."""
-    best = coef * d * d
+def _blocks(n: int, m: int, k: int):
+    """(lo, hi, scratch) per _ROWS-row block of n rows; scratch is k (hi - lo, m) arrays."""
+    buf = np.empty((k, min(_ROWS, n), m))
+    for lo in range(0, n, _ROWS):
+        yield lo, min(lo + _ROWS, n), buf[:, :n - lo]
+
+
+def _wrap_min(coef: float, d: np.ndarray, out, x, y) -> np.ndarray:
+    """out = min over a in {-2 pi, 0, 2 pi} of coef * (d + a)^2; x, y are scratch."""
+    np.multiply(np.multiply(d, coef, out=out), d, out=out)
     for a in (-TWO_PI, TWO_PI):
-        x = d + a
-        np.minimum(best, coef * x * x, out=best)
-    return best
+        np.add(d, a, out=x)
+        np.multiply(x, coef, out=y)
+        y *= x
+        np.minimum(out, y, out=out)
+    return out
 
 
-def _lattice_min(metric: TorusMetric, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Minimum of the coupled form over the square of shifts it can reach."""
+def _torus_rows(metric: TorusMetric, p: np.ndarray, q: np.ndarray, out: np.ndarray):
+    qu, qv = q[:, 0].copy(), q[:, 1].copy()
     s = metric.shift_range()
-    shifts = [k * TWO_PI for k in range(-s, s + 1)]
-    best = None
-    for a in shifts:
-        x = du + a
-        for b in shifts:
-            y = dv + b
-            cand = metric.E * x * x + 2.0 * metric.F * x * y + metric.G * y * y
-            best = cand if best is None else np.minimum(best, cand, out=best)
-    return best
+    for lo, hi, (du, dv, x, y) in _blocks(len(p), len(q), 4):
+        o = out[lo:hi]
+        np.subtract(p[lo:hi, 0, None], qu, out=du)
+        np.subtract(p[lo:hi, 1, None], qv, out=dv)
+        if metric.F == 0.0:
+            _wrap_min(metric.E, du, o, x, y)
+            o += _wrap_min(metric.G, dv, du, x, y)
+        else:  # the coupled form's minimum over the square of shifts it can reach
+            o[...] = np.inf
+            for a in range(-s, s + 1):
+                np.add(du, a * TWO_PI, out=x)
+                for b in range(-s, s + 1):
+                    np.add(dv, b * TWO_PI, out=y)
+                    np.minimum(o, metric.E * x * x + 2.0 * metric.F * x * y + metric.G * y * y,
+                               out=o)
+        yield lo, hi
+
+
+def torus_grid_rows(metric: TorusMetric, u: np.ndarray, v: np.ndarray, out: np.ndarray):
+    """sq_dist_rows of a diagonal metric on the grid u x v (u slowest): entry
+    ((a, c), (b, d)) adds the wrap minima of u_a - u_b and v_c - v_d, same bits."""
+    nu, nv = len(u), len(v)
+    a = _wrap_min(metric.E, np.subtract.outer(u, u), *np.empty((3, nu, nu)))
+    b = _wrap_min(metric.G, np.subtract.outer(v, v), *np.empty((3, nv, nv)))
+    for lo, hi, _ in _blocks(nu * nv, 0, 0):
+        r = np.arange(lo, hi)
+        np.add(a[r // nv, :, None], b[r % nv, None, :], out=out[lo:hi].reshape(-1, nu, nv))
+        yield lo, hi
+
+
+def _sphere_rows(radius: float, p: np.ndarray, q: np.ndarray, out: np.ndarray):
+    # two embeddings even where q is p: a @ a.T takes BLAS's symmetric path,
+    # whose bits differ from those of a @ b.T
+    a, b = embed_many(UnitSphere(), p), embed_many(UnitSphere(), q)
+    cols = b.T.copy()
+    for lo, hi, (c, x) in _blocks(len(a), len(b), 2):
+        if lo % _DOT_ROWS == 0:
+            dot = None  # free the last products before making the next
+            dot = a[lo:lo + _DOT_ROWS] @ b.T
+        blk, o = a[lo:hi], out[lo:hi]
+        o[...] = 0.0
+        for i, j in ((1, 2), (2, 0), (0, 1)):
+            np.multiply(blk[:, i, None], cols[j], out=c)
+            c -= np.multiply(blk[:, j, None], cols[i], out=x)
+            o += np.square(c, out=c)
+        np.sqrt(o, out=o)
+        np.arctan2(o, dot[lo % _DOT_ROWS:][:hi - lo], out=o)
+        o *= radius
+        o *= o
+        yield lo, hi
+
+
+def sq_dist_rows(space: Union[Metric, Embedding], p: np.ndarray, q: np.ndarray, out):
+    """Squared geodesic (metric) or chord (embedding) distances of float64 p, q into
+    out, _ROWS rows at a time: yields (lo, hi) once out[lo:hi] holds them."""
+    if isinstance(space, TorusMetric):
+        return _torus_rows(space, p, q, out)
+    if isinstance(space, SphereMetric):
+        return _sphere_rows(space.radius, p, q, out)
+    return _ambient_rows(space, p, q, out)
+
+
+def _table(rows, space, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The whole (n, m) table of a row-block generator."""
+    p, q = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (p, q))
+    out = np.empty((len(p), len(q)))
+    for _ in rows(space, p, q, out):
+        pass
+    return out
 
 
 def torus_sq_geodesic(metric: TorusMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -216,28 +287,7 @@ def torus_sq_geodesic(metric: TorusMetric, p: np.ndarray, q: np.ndarray) -> np.n
     coordinates the result is bit for bit the minimum over the full square
     of shifts, at any anisotropy.
     """
-    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-    out = np.empty((p.shape[0], q.shape[0]), dtype=np.float64)
-    for lo in range(0, p.shape[0], _BLOCK):
-        hi = min(lo + _BLOCK, p.shape[0])
-        du = p[lo:hi, 0, None] - q[None, :, 0]
-        dv = p[lo:hi, 1, None] - q[None, :, 1]
-        if metric.F == 0.0:
-            out[lo:hi] = _wrap_min(metric.E, du) + _wrap_min(metric.G, dv)
-        else:
-            out[lo:hi] = _lattice_min(metric, du, dv)
-    return out
-
-
-def torus_grid_sq_geodesic(metric: TorusMetric, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """torus_sq_geodesic of a diagonal metric on the grid u x v (u slowest).
-
-    Entry ((a, c), (b, d)) adds the wrap minima of u_a - u_b and v_c - v_d: same bits.
-    """
-    a = _wrap_min(metric.E, np.subtract.outer(u, u))
-    b = _wrap_min(metric.G, np.subtract.outer(v, v))
-    return (a[:, None, :, None] + b[None, :, None, :]).reshape(len(u) * len(v), -1)
+    return _table(_torus_rows, metric, p, q)
 
 
 def sphere_sq_geodesic(radius: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -246,23 +296,7 @@ def sphere_sq_geodesic(radius: float, p: np.ndarray, q: np.ndarray) -> np.ndarra
     Uses atan2(|a x b|, a.b), which stays accurate for nearly equal and
     nearly antipodal pairs alike.  |a x b|^2 sums as (cx^2 + cy^2) + cz^2.
     """
-    a = embed_many(UnitSphere(), p)
-    b = embed_many(UnitSphere(), q)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for lo in range(0, a.shape[0], _BLOCK):
-        hi = min(lo + _BLOCK, a.shape[0])
-        blk, o = a[lo:hi], out[lo:hi]
-        o[...] = 0.0
-        for i, j in ((1, 2), (2, 0), (0, 1)):
-            c = np.multiply.outer(blk[:, i], b[:, j])
-            c -= np.multiply.outer(blk[:, j], b[:, i])
-            c *= c
-            o += c
-        np.sqrt(o, out=o)
-        np.arctan2(o, blk @ b.T, out=o)
-        o *= radius
-        o *= o
-    return out
+    return _table(_sphere_rows, radius, p, q)
 
 
 def metric_sq_geodesic(metric: Metric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -333,6 +367,22 @@ def embed_many(embedding: Embedding, p: np.ndarray) -> np.ndarray:
     return np.column_stack([su * np.cos(v), su * np.sin(v), np.cos(u)])
 
 
+def _ambient_rows(embedding: Embedding, p: np.ndarray, q: np.ndarray, out: np.ndarray):
+    a = embed_many(embedding, p)
+    cols = embed_many(embedding, q).T.copy()
+    for lo, hi, (x, y) in _blocks(len(a), cols.shape[1], 2):
+        blk, o = a[lo:hi], out[lo:hi]
+        np.add(_diff_sq(blk, cols, 0, o), _diff_sq(blk, cols, 2, x), out=o)
+        rest = _diff_sq(blk, cols, 1, x)
+        o += rest if len(cols) == 3 else np.add(rest, _diff_sq(blk, cols, 3, y), out=rest)
+        yield lo, hi
+
+
+def _diff_sq(a: np.ndarray, cols: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Squared difference of coordinate k, pairwise, into out."""
+    return np.square(np.subtract(a[:, k, None], cols[k], out=out), out=out)
+
+
 def ambient_sq_dist(embedding: Embedding, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Pairwise squared chord distance of embedded points, (n, m).
 
@@ -341,23 +391,7 @@ def ambient_sq_dist(embedding: Embedding, p: np.ndarray, q: np.ndarray) -> np.nd
     (d0^2 + d2^2) + (d1^2 + d3^2) in R^4 and (d0^2 + d2^2) + d1^2 in R^3, the
     order numpy 2.4's einsum took on x86-64, now fixed for any numpy or CPU.
     """
-    a = embed_many(embedding, p)
-    b = embed_many(embedding, q)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for lo in range(0, a.shape[0], _BLOCK):
-        hi = min(lo + _BLOCK, a.shape[0])
-        blk, o = a[lo:hi], out[lo:hi]
-        np.add(_diff_sq(blk, b, 0), _diff_sq(blk, b, 2), out=o)
-        rest = _diff_sq(blk, b, 1)
-        o += rest if a.shape[1] == 3 else np.add(rest, _diff_sq(blk, b, 3), out=rest)
-    return out
-
-
-def _diff_sq(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Squared difference of coordinate k, pairwise."""
-    d = np.subtract.outer(a[:, k], b[:, k])
-    d *= d
-    return d
+    return _table(_ambient_rows, embedding, p, q)
 
 
 def ambient_distance(embedding: Embedding, x: ChartPoint, y: ChartPoint) -> float:

@@ -14,11 +14,11 @@ finite and positive (about 7.5e-155 < t < 1.3e154).
 
 `build_operator` is the one path from a metric, density, grid size and
 bandwidth to an operator: grid, normalized density, dense assembly.  Dense
-assembly turns one n x n distance table into L in place, by the same
-operations in the same order as the formula; a diagonal torus metric on a
-tensor grid builds that table from per-axis wrap minima.  It is capped at
-64^2 nodes.  Above that, and for reference values at arbitrary chart points,
-`continuous_value` evaluates single rows of the operator matrix-free.
+assembly takes each block of rows from squared distances (per-axis tables
+for a diagonal torus metric on a tensor grid) to entries of L while it sits
+in cache, in the order of the formula.  It is capped at 64^2 nodes.  Above
+that, and for reference values at arbitrary chart points, `continuous_value`
+evaluates single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
 normalized by 1/(n t^2).
 
@@ -50,7 +50,8 @@ from .geometry import (
     UnitSphere,
     ambient_sq_dist,
     metric_sq_geodesic,
-    torus_grid_sq_geodesic,
+    sq_dist_rows,
+    torus_grid_rows,
 )
 
 DENSE_NODE_CAP = 64 * 64
@@ -106,14 +107,14 @@ class OperatorMatrix:
         return self.nodes.shape[0]
 
 
-def _node_sq_dist(mode: KernelMode, rule: QuadratureRule) -> np.ndarray:
-    """kernel_sq_dist between all nodes; per-axis tables on a diagonal torus grid."""
+def _node_sq_dist(mode: KernelMode, rule: QuadratureRule, out: np.ndarray):
+    """sq_dist_rows between all nodes into out; per-axis tables on a diagonal torus grid."""
     m, (nu, nv), x = getattr(mode, "metric", None), rule.grid_shape, rule.nodes
     if isinstance(m, TorusMetric) and m.F == 0.0 and min(nu, nv) > 0 and nu * nv == rule.n:
         u, v = x[::nv, 0], x[:nv, 1]
         if np.array_equal(x[:, 0], np.repeat(u, nv)) and np.array_equal(x[:, 1], np.tile(v, nu)):
-            return torus_grid_sq_geodesic(m, u, v)
-    return kernel_sq_dist(mode, x, x)
+            return torus_grid_rows(m, u, v, out)
+    return sq_dist_rows(mode.embedding if m is None else m, x, x, out)
 
 
 def assemble_continuous(
@@ -134,19 +135,21 @@ def assemble_continuous(
             "matrix-free evaluation handles larger grids"
         )
     pw = density_values(density, rule.nodes) * rule.weights
-    w = _node_sq_dist(mode, rule)
-    # a quotient that overflows is -inf, whose exp is the 0 it would round to anyway
-    with np.errstate(over="ignore"):
-        w /= -t
-    np.exp(w, out=w)
-    w *= pw
-    deg = w.sum(axis=1)
-    diag_w = np.diagonal(w).copy()
-    np.fill_diagonal(w, 0.0)
-    dead = int((w.max(axis=1) == 0.0).sum())
-    c = t ** -2.0
-    w *= -c
-    np.fill_diagonal(w, c * (deg - diag_w))
+    n, c, dead = rule.n, t ** -2.0, 0
+    w = np.empty((n, n))
+    for lo, hi in _node_sq_dist(mode, rule, w):
+        blk = w[lo:hi]
+        diag = blk.reshape(-1)[lo::n + 1]  # entries (i, i) of these rows
+        # a quotient that overflows is -inf, whose exp is the 0 it would round to anyway
+        with np.errstate(over="ignore"):
+            blk /= -t
+        np.exp(blk, out=blk)
+        blk *= pw
+        deg, diag_w = blk.sum(axis=1), diag.copy()
+        diag[...] = 0.0
+        dead += int((blk.max(axis=1) == 0.0).sum())
+        blk *= -c
+        diag[...] = c * (deg - diag_w)
 
     warning = None
     if dead:

@@ -46,7 +46,7 @@ from .discretization import (
     normalize_density,
     sample_points,
 )
-from .errors import InsufficientMaskError, InvalidParameterError
+from .errors import InsufficientMaskError, InvalidParameterError, NumericalError
 from .geometry import (
     TWO_PI,
     ChartPoint,
@@ -436,6 +436,9 @@ def convergence_study(
             per_seed[i, j] = np.sqrt(np.mean((vals - ref) ** 2))
             del samples, dop  # free this cloud before the next one is drawn
     errors = tuple(float(e) for e in per_seed.mean(axis=0))
+    if not all(0.0 < e < math.inf for e in errors):
+        raise NumericalError(f"mean Monte-Carlo errors {errors} have no log-log slope; "
+                             f"bandwidth {bandwidth} is out of usable range")
     slope = float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])
     return ConvergenceResult(n_values, errors, per_seed, slope, seed, bandwidth, reference_grid)
 

@@ -330,6 +330,21 @@ def test_converge_never_reads_its_output_directory(tmp_path, capsys, stale):
         assert (dirty / name).read_bytes() == (clean / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("converge", "--n", "100,200,400", "--seeds", "5", "--bandwidth", "1e-100"),
+    ("converge", "--n", "100,200,400", "--seeds", "5", "--bandwidth", "1e100"),
+    ("verify", "--scenario", "S5", "--bandwidth", "1e-100"),
+])
+def test_degenerate_convergence_errors_exit_three(tmp_path, argv):
+    # every mean error is exactly 0, so the log-log slope does not exist
+    out = tmp_path / ("c.csv" if argv[0] == "converge" else "s5")
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure: mean Monte-Carlo errors (0.0, ")
+    assert proc.stderr.count("\n") == 1 and f"bandwidth {float(argv[-1])}" in proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_converge_rejects_short_n_list(tmp_path):
     rc = main(["converge", "--n", "500,2000", "--seeds", "5",
                "--out", str(tmp_path / "c.csv")])

@@ -28,6 +28,9 @@ from laplab.geometry import (
     SphereMetric,
     TorusMetric,
     UnitSphere,
+    ambient_sq_dist,
+    sphere_sq_geodesic,
+    torus_sq_geodesic,
 )
 from laplab.operators import (
     DENSE_NODE_CAP,
@@ -36,6 +39,7 @@ from laplab.operators import (
     IntrinsicKernel,
     apply_operator,
     assemble_continuous,
+    build_operator,
     continuous_value,
     evaluate_discrete,
     kernel_sq_dist,
@@ -160,13 +164,13 @@ def test_non_grid_nodes_take_the_pairwise_path(monkeypatch):
     import laplab.operators as operators
 
     calls = []
-    table = operators.torus_grid_sq_geodesic
+    table = operators.torus_grid_rows
 
     def spy(*args):
         calls.append(args)
         return table(*args)
 
-    monkeypatch.setattr(operators, "torus_grid_sq_geodesic", spy)
+    monkeypatch.setattr(operators, "torus_grid_rows", spy)
     metric = TorusMetric.anisotropic(2.0)
     mode = IntrinsicKernel(metric)
     grid = build_grid(metric, 8)
@@ -181,6 +185,167 @@ def test_non_grid_nodes_take_the_pairwise_path(monkeypatch):
         op = assemble_continuous(mode, p, rule, 0.5)
         assert np.array_equal(op.entries, _reference_entries(mode, p, rule, 0.5))
     assert len(calls) == 1
+
+
+# --- bits of the row-block assembly ---------------------------------------------
+
+
+def _embed(emb, x):
+    u, v = x[:, 0], x[:, 1]
+    if isinstance(emb, CliffordTorus):
+        return np.column_stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)])
+    if isinstance(emb, DonutTorus):
+        ring = emb.major + emb.minor * np.cos(u)
+        return np.column_stack([ring * np.cos(v), ring * np.sin(v), emb.minor * np.sin(u)])
+    su = np.sin(u)
+    return np.column_stack([su * np.cos(v), su * np.sin(v), np.cos(u)])
+
+
+def _wrap(coef, d):
+    best = coef * d * d
+    for a in (-2 * math.pi, 2 * math.pi):
+        best = np.minimum(best, coef * (d + a) * (d + a))
+    return best
+
+
+def _whole_table_sq_dist(space, p, q):
+    """Squared distances as 512-row table builders compute them, without laplab.geometry.
+
+    Torus: wrap minima per axis, or the coupled form over the lattice square.
+    Sphere: separate embeddings of p and q, |a x b|^2 as (cx^2 + cy^2) + cz^2
+    and one a . b^T product per 512 rows.  Chords: (d0^2 + d2^2) + d1^2 [+ d3^2].
+    """
+    out = np.empty((len(p), len(q)))
+    for lo in range(0, len(p), 512):
+        out[lo:lo + 512] = _table_block(space, p[lo:lo + 512], q)
+    return out
+
+
+def _table_block(space, p, q):
+    if isinstance(space, TorusMetric):
+        du = p[:, 0, None] - q[None, :, 0]
+        dv = p[:, 1, None] - q[None, :, 1]
+        if space.F == 0.0:
+            return _wrap(space.E, du) + _wrap(space.G, dv)
+        s = space.shift_range()
+        shifts = [k * 2 * math.pi for k in range(-s, s + 1)]
+        best = np.inf
+        for a in shifts:
+            for b in shifts:
+                x, y = du + a, dv + b
+                best = np.minimum(best, space.E * x * x + 2.0 * space.F * x * y + space.G * y * y)
+        return best
+    if isinstance(space, SphereMetric):
+        a, b = _embed(UnitSphere(), p), _embed(UnitSphere(), q)
+        cross = [np.multiply.outer(a[:, i], b[:, j]) - np.multiply.outer(a[:, j], b[:, i])
+                 for i, j in ((1, 2), (2, 0), (0, 1))]
+        norm = np.sqrt((cross[0] ** 2 + cross[1] ** 2) + cross[2] ** 2)
+        return (np.arctan2(norm, a @ b.T) * space.radius) ** 2
+    a, b = _embed(space, p), _embed(space, q)
+    sq = [np.subtract.outer(a[:, k], b[:, k]) ** 2 for k in range(a.shape[1])]
+    return (sq[0] + sq[2]) + (sq[1] if len(sq) == 3 else sq[1] + sq[3])
+
+
+def _whole_table_assembly(d2, pw, t):
+    """Entries and dead-row count of the in-place passes over one n x n table."""
+    w = d2.copy()
+    with np.errstate(over="ignore"):
+        w /= -t
+    np.exp(w, out=w)
+    w *= pw
+    deg = w.sum(axis=1)
+    diag_w = np.diagonal(w).copy()
+    np.fill_diagonal(w, 0.0)
+    dead = int((w.max(axis=1) == 0.0).sum())
+    c = t ** -2.0
+    w *= -c
+    np.fill_diagonal(w, c * (deg - diag_w))
+    return w, dead
+
+
+def _underflow_warning(dead, t):
+    if not dead:
+        return None
+    return (f"{dead} rows have fully underflowed off-diagonal kernels; "
+            f"bandwidth {t} is too small for the grid spacing")
+
+
+_BIT_CASES = [(case, g, (0.5, 0.05)) for case in sorted(_ASSEMBLY_CASES) for g in (20, 46)]
+_BIT_CASES.append(("intrinsic-sphere-r2", 20, (2.0, 1e-3)))
+
+
+def _bit_case(case):
+    if case == "intrinsic-sphere-r2":
+        return SphereMetric(2.0), None
+    return _ASSEMBLY_CASES[case]
+
+
+@pytest.mark.parametrize("case, grid, ts", _BIT_CASES)
+def test_row_blocks_match_whole_table_builds_bitwise(case, grid, ts):
+    # grid 46 leaves block tails (n = 2116 and 2070 are multiples of neither
+    # 16 nor 512); 16-row dot products or a @ a.T change the sphere's bits
+    metric, emb = _bit_case(case)
+    mode = IntrinsicKernel(metric) if emb is None else ExtrinsicKernel(emb)
+    rule = build_grid(metric, grid)
+    p = normalize_density(CosineBump(0.4, "u"), rule)
+    pw = density_values(p, rule.nodes) * rule.weights
+    d2 = _whole_table_sq_dist(metric if emb is None else emb, rule.nodes, rule.nodes)
+    for t in ts:
+        op = assemble_continuous(mode, p, rule, t)
+        entries, dead = _whole_table_assembly(d2, pw, t)
+        assert op.entries.tobytes() == entries.tobytes()
+        assert op.warning == _underflow_warning(dead, t)
+
+
+@pytest.mark.parametrize("case, grid, ts", _BIT_CASES)
+def test_pairwise_tables_match_whole_table_builds_bitwise(case, grid, ts):
+    metric, emb = _bit_case(case)
+    x = build_grid(metric, grid).nodes
+    if emb is not None:
+        got = ambient_sq_dist(emb, x, x)
+    elif isinstance(metric, SphereMetric):
+        got = sphere_sq_geodesic(metric.radius, x, x)
+    else:
+        got = torus_sq_geodesic(metric, x, x)
+    want = _whole_table_sq_dist(metric if emb is None else emb, x, x)
+    assert got.tobytes() == want.tobytes()
+    # a single row and a 17-row block against every node
+    mode = IntrinsicKernel(metric) if emb is None else ExtrinsicKernel(emb)
+    for lo, hi in ((7, 8), (3, 20)):
+        want = _whole_table_sq_dist(metric if emb is None else emb, x[lo:hi], x)
+        assert kernel_sq_dist(mode, x[lo:hi], x).tobytes() == want.tobytes()
+
+
+def test_underflowing_build_names_its_dead_rows():
+    metric = SphereMetric(2.0)
+    rule = build_grid(metric, 20)
+    p = normalize_density(CosineBump(0.4, "u"), rule)
+    pw = density_values(p, rule.nodes) * rule.weights
+    d2 = _whole_table_sq_dist(metric, rule.nodes, rule.nodes)
+    for t in (1e-4, 3e-5):  # 300 and 340 of the 380 rows underflow
+        op = assemble_continuous(IntrinsicKernel(metric), p, rule, t)
+        entries, dead = _whole_table_assembly(d2, pw, t)
+        assert 0 < dead and op.warning == _underflow_warning(dead, t)
+        assert op.entries.tobytes() == entries.tobytes()
+
+
+def test_build_peak_memory_is_about_one_table():
+    import tracemalloc
+
+    cases = [(ExtrinsicKernel(CliffordTorus()), TorusMetric.flat(), 1.15),
+             (ExtrinsicKernel(DonutTorus(2.0, 1.0)), TorusMetric.flat(), 1.15),
+             (ExtrinsicKernel(UnitSphere()), SphereMetric(1.0), 1.15),
+             (IntrinsicKernel(TorusMetric.anisotropic(1.5)), TorusMetric.anisotropic(1.5), 1.15),
+             # one 512-row block of a . b is half a table at n = 992
+             (IntrinsicKernel(SphereMetric(1.0)), SphereMetric(1.0), 1.6)]
+    for mode, metric, bound in cases:
+        tracemalloc.start()
+        try:
+            op, rule, _ = build_operator(mode, metric, CosineBump(0.4, "u"), 32, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * rule.n**2, (mode, peak / (8 * rule.n**2))
 
 
 # --- kernel distances ---------------------------------------------------------
