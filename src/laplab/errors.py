@@ -18,10 +18,6 @@ class InvalidDensityError(LapLabError, ValueError):
     """A density is non-positive somewhere or not normalized when required."""
 
 
-class PoleChartError(LapLabError, ValueError):
-    """Sphere chart evaluated at or too close to the colatitude poles."""
-
-
 class NumericalError(LapLabError):
     """Base class for consistency failures found in numerical data."""
 

@@ -5,8 +5,8 @@ construction of a ChartPoint and never again.  Torus metrics have constant
 coefficients, so geodesics lift to straight lines in the universal cover and
 distance is a minimum of one quadratic form over a few lattice shifts.  Sphere
 distances come from the ambient angle formula on the colatitude/longitude
-chart; evaluation is refused inside a small guard band around the poles where
-the chart degenerates.
+chart, which degenerates at the poles; the grid and the sampler keep their
+points out of a small guard band around them.
 
 Everything here is exact up to rounding: no geometry is discretized in this
 module.  Each squared distance has one row-block kernel, which sq_dist_rows
@@ -23,12 +23,12 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, PoleChartError
+from .errors import InvalidParameterError
 
 TWO_PI = 2.0 * math.pi
 
-# Sphere chart guard band, radians.  geodesic_distance refuses colatitudes
-# closer than this to {0, pi}, and the sampler never proposes them.
+# Sphere chart guard band, radians.  The chart degenerates at colatitudes
+# 0 and pi; grid nodes and sampled points keep at least this far from them.
 POLE_GUARD = 1e-6
 
 # Rows per block: 16 rows of 4096 float64 are 0.5 MiB, so a caller can
@@ -55,6 +55,17 @@ class ChartPoint:
 # ---------------------------------------------------------------------------
 # metric families
 # ---------------------------------------------------------------------------
+
+
+def _square(x: float, name: str) -> float:
+    """x * x, refused unless x > 0 and x^2 and 1/x^2 are finite and positive."""
+    sq = x * x
+    if not (x > 0.0 and 0.0 < sq < math.inf and 1.0 / sq < math.inf):
+        raise InvalidParameterError(
+            f"{name} must be positive with its square and inverse square finite "
+            f"and positive, got {x}"
+        )
+    return sq
 
 
 @dataclass(frozen=True)
@@ -99,16 +110,14 @@ class TorusMetric:
     @classmethod
     def anisotropic(cls, a: float) -> "TorusMetric":
         """diag(a^2, a^-2): unit volume form for every a > 0."""
-        if a <= 0:
-            raise InvalidParameterError("anisotropy factor must be positive")
-        return cls(a * a, 0.0, 1.0 / (a * a))
+        sq = _square(a, "anisotropy factor")
+        return cls(sq, 0.0, 1.0 / sq)
 
     @classmethod
     def scaled_flat(cls, c: float) -> "TorusMetric":
         """c^2 * (du^2 + dv^2)."""
-        if c <= 0:
-            raise InvalidParameterError("scale factor must be positive")
-        return cls(c * c, 0.0, c * c)
+        sq = _square(c, "scale factor")
+        return cls(sq, 0.0, sq)
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.E, self.F], [self.F, self.G]], dtype=np.float64)
@@ -166,14 +175,6 @@ class SphereMetric:
 
 
 Metric = Union[TorusMetric, SphereMetric]
-
-
-def _check_sphere_chart(u: float) -> None:
-    if not (POLE_GUARD < u < math.pi - POLE_GUARD):
-        raise PoleChartError(
-            f"colatitude {u!r} is outside the usable chart "
-            f"({POLE_GUARD}, pi - {POLE_GUARD})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +307,6 @@ def metric_sq_geodesic(metric: Metric, p: np.ndarray, q: np.ndarray) -> np.ndarr
     return sphere_sq_geodesic(metric.radius, p, q)
 
 
-def geodesic_distance(metric: Metric, x: ChartPoint, y: ChartPoint) -> float:
-    """Geodesic distance between two chart points."""
-    if isinstance(metric, SphereMetric):
-        _check_sphere_chart(x.u)
-        _check_sphere_chart(y.u)
-    d2 = metric_sq_geodesic(metric, x.as_array()[None, :], y.as_array()[None, :])
-    return math.sqrt(float(d2[0, 0]))
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
@@ -336,9 +328,12 @@ class DonutTorus:
     ambient_dim: int = 3
 
     def __post_init__(self):
-        if not (self.major > self.minor > 0.0):
+        # chords are at most 2 (major + minor) long; keep their squares finite
+        reach = 4.0 * (self.major + self.minor)
+        if not (self.major > self.minor > 0.0 and reach * reach < math.inf):
             raise InvalidParameterError(
-                f"need major > minor > 0, got major={self.major}, minor={self.minor}"
+                "need major > minor > 0 and major + minor below about 3.3e153, "
+                f"got major={self.major}, minor={self.minor}"
             )
 
 
@@ -392,12 +387,6 @@ def ambient_sq_dist(embedding: Embedding, p: np.ndarray, q: np.ndarray) -> np.nd
     order numpy 2.4's einsum took on x86-64, now fixed for any numpy or CPU.
     """
     return _table(_ambient_rows, embedding, p, q)
-
-
-def ambient_distance(embedding: Embedding, x: ChartPoint, y: ChartPoint) -> float:
-    """Chord distance between the embedded images of two chart points."""
-    d2 = ambient_sq_dist(embedding, x.as_array()[None, :], y.as_array()[None, :])
-    return math.sqrt(float(d2[0, 0]))
 
 
 def induced_metric(embedding: Embedding, x: ChartPoint, h: float = 1e-4) -> np.ndarray:

@@ -28,7 +28,9 @@ is extrinsic, pushing it to O(h^4).
 The stencil reads distances only at O(n) neighbor pairs, so run_recovery
 computes them only there; the dense n x n kernel and distance matrices of a
 RecoveryReport are built on first read (an embedded or externalized report,
-or library use), by the same operations, with the same bits.
+or library use).  Both go through one map from kernel weight to one-way
+distance, _one_way_distance, on index pairs or on row blocks, so the stencil
+and the dense matrices share its bits.
 """
 
 from __future__ import annotations
@@ -217,6 +219,32 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     return m / m.sum()
 
 
+def _one_way_distance(wk: WeightedKernel, mass: np.ndarray, i, j) -> np.ndarray:
+    """d_ij = sqrt(max(-t log min(W_ij / m_j, 1), 0)) where sym holds, NaN elsewhere.
+
+    i, j are two index arrays (pairs) or two slices (a block of rows).
+    """
+    ok = wk.sym[i, j]
+    d = np.full(ok.shape, np.nan)
+    np.divide(wk.w[i, j], mass[j], out=d, where=ok)
+    np.minimum(d, 1.0, out=d, where=ok)
+    np.log(d, out=d, where=ok)
+    d *= -wk.t
+    return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+
+
+def _check_kernel_bound(wk: WeightedKernel, mass: np.ndarray) -> None:
+    """Masked kernel values W_ij / m_j above 1 + KERNEL_SLACK: not a kernel operator."""
+    high = max(
+        float((wk.w[r] / mass).max(where=wk.mask[r], initial=-np.inf))
+        for r in _tiles(wk.n)
+    )
+    if high > 1.0 + KERNEL_SLACK:
+        raise InconsistencyError(
+            f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
+        )
+
+
 def recover_kernel_distance(
     wk: WeightedKernel, mass: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -228,17 +256,16 @@ def recover_kernel_distance(
     Masked kernel values above 1 + 1e-8 mean the matrix was not a kernel
     operator and raise an inconsistency error.
     """
+    _check_kernel_bound(wk, mass)
     khat = wk.w / mass[None, :]
-    _check_kernel_bound(float(khat.max(where=wk.mask, initial=-np.inf)))
     np.minimum(khat, 1.0, out=khat, where=wk.mask)
     np.fill_diagonal(khat, 1.0)
 
-    d = np.full_like(khat, np.nan)
-    np.log(khat, out=d, where=wk.sym)
-    d *= -wk.t
-    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-    # d <- (d + d.T) / 2 in place, tile by tile: the same sums in either order
+    d = np.empty_like(khat)
     tiles = _tiles(wk.n)
+    for r in tiles:
+        d[r] = _one_way_distance(wk, mass, r, slice(None))
+    # d <- (d + d.T) / 2 in place, tile by tile: the same sums in either order
     for k, a in enumerate(tiles):
         for b in tiles[k:]:
             s = d[a, b] + d[b, a].T
@@ -249,37 +276,21 @@ def recover_kernel_distance(
     return khat, d
 
 
-def _check_kernel_bound(high: float) -> None:
-    """Masked kernel values above 1 + KERNEL_SLACK: not a kernel operator."""
-    if high > 1.0 + KERNEL_SLACK:
-        raise InconsistencyError(
-            f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
-        )
-
-
 class _PairDistances:
     """The distance matrix of recover_kernel_distance, read only at index pairs.
 
-    view[i, j] with index arrays runs the same elementwise operations in the
-    same order on just those pairs, so it returns the same bits; no n x n
-    array is built.
+    view[i, j] with index arrays maps just those pairs, both ways, and
+    averages them as the dense matrix does, so it returns the same bits; no
+    n x n array is built.
     """
 
     def __init__(self, wk: WeightedKernel, mass: np.ndarray):
         self.wk, self.mass, self.shape = wk, mass, wk.w.shape
 
-    def _one_way(self, i, j):
-        ok = self.wk.sym[i, j]
-        d = np.full(ok.shape, np.nan)
-        np.divide(self.wk.w[i, j], self.mass[j], out=d, where=ok)
-        np.minimum(d, 1.0, out=d, where=ok)
-        np.log(d, out=d, where=ok)
-        d *= -self.wk.t
-        return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-
     def __getitem__(self, pairs):
         i, j = np.broadcast_arrays(*pairs)
-        d = self._one_way(i, j) + self._one_way(j, i)
+        d = _one_way_distance(self.wk, self.mass, i, j) + _one_way_distance(
+            self.wk, self.mass, j, i)
         d *= 0.5
         d[i == j] = 0.0
         return d
@@ -430,11 +441,7 @@ def run_recovery(op: OperatorMatrix, refine: bool = False) -> RecoveryReport:
     """Full inverse pipeline on one operator."""
     wk = extract_weighted_kernel(op)
     mass = recover_mass(wk, refine=refine)
-    # the kernel-value check of recover_kernel_distance, in row blocks
-    _check_kernel_bound(max(
-        float((wk.w[r] / mass).max(where=wk.mask[r], initial=-np.inf))
-        for r in _tiles(wk.n)
-    ))
+    _check_kernel_bound(wk, mass)
     periodic_u = isinstance(op.measure_metric, TorusMetric)
     richardson = isinstance(op.mode, ExtrinsicKernel)
     metric_field = metric_field_from_distance(

@@ -178,16 +178,6 @@ def build_operator(
     return assemble_continuous(kernel, p, rule, t), rule, p
 
 
-def apply_operator(op: OperatorMatrix, f: np.ndarray) -> np.ndarray:
-    """Matrix-vector product L f for node values f."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (op.n,):
-        raise InvalidParameterError(
-            f"function values must have shape ({op.n},), got {f.shape}"
-        )
-    return op.entries @ f
-
-
 def operator_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
     """Max-abs entrywise discrepancy between two operators on the same grid."""
     if a.t != b.t or not np.array_equal(a.nodes, b.nodes):

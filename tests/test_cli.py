@@ -203,24 +203,31 @@ def test_bad_metric_selector_exits_two(tmp_path):
     ["assemble", "--grid", "4", "--bandwidth", "1e160"],
     ["assemble", "--grid", "4", "--metric", "sphere:1e-160"],
     ["assemble", "--grid", "4", "--metric", "sphere:1e160"],
+    ["assemble", "--grid", "4", "--mode", "extrinsic", "--embedding", "donut:inf:2"],
+    ["assemble", "--grid", "4", "--mode", "extrinsic", "--embedding", "donut:1e300:2"],
     ["converge", "--n", "500,1000,2000", "--seeds", "5", "--bandwidth", "1e300"],
 ], ids=lambda argv: argv[-1])
 def test_unrepresentable_scale_exits_two_with_one_line(tmp_path, argv):
-    # t^2 or r^2 overflows or underflows: no traceback, no warning, no file
+    # t^2, r^2 or a squared chord overflows or underflows: no traceback, no
+    # warning, no file
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("scale", ["1e154", "1e-160"])
-def test_unrepresentable_torus_scale_names_the_scale(tmp_path, scale):
-    # E G overflows or underflows while the form is round (ratio 1) and definite
-    proc = run_cli("assemble", "--grid", "4", "--metric", f"scaled:{scale}",
+@pytest.mark.parametrize("metric", [
+    "scaled:1e154", "scaled:1e-160", "scaled:1e-200",
+    "aniso:1e-200", "aniso:1e-170", "aniso:1e-320", "aniso:1e200",
+], ids=lambda metric: metric.removeprefix("scaled:"))
+def test_unrepresentable_torus_scale_names_the_scale(tmp_path, metric):
+    # E G overflows or underflows while the form is round (ratio 1) and definite,
+    # or the factor's square or its inverse is 0 or infinite
+    proc = run_cli("assemble", "--grid", "4", "--metric", metric,
                    "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-    assert "scale" in proc.stderr
+    assert ("anisotropy factor" if metric.startswith("aniso") else "scale") in proc.stderr
     assert "ratio" not in proc.stderr and "definite" not in proc.stderr
     assert os.listdir(tmp_path) == []
 
@@ -449,3 +456,38 @@ def test_fuzzed_operator_file_never_tracebacks(tmp_path_factory, grid4_operator,
                              "--out", str(work / "r.json")])
     assert rc in (0, 2, 3)
     assert rc == 0 or err.count("\n") == 1
+
+
+# selector fields at the edges of parsing and of float64, and a few usable ones
+_NUMBERS = st.sampled_from([
+    "", "nan", "inf", "-inf", "0", "-0", "5e-324", "1e-310", "1e-300", "1e300",
+    "-1e300", "0.3", "1.5", "2",
+])
+
+
+def _selector(heads, *fields):
+    """'head' or 'head:f1:...' with up to len(fields) fields drawn from fields."""
+    def join(head, values):
+        return ":".join([head, *values])
+    return st.one_of(st.sampled_from(heads), *(
+        st.builds(join, st.sampled_from(heads), st.tuples(*fields[:k]))
+        for k in range(1, len(fields) + 1)))
+
+
+@given(mode=st.sampled_from(["intrinsic", "extrinsic"]),
+       metric=_selector(["aniso", "scaled", "sphere", "flat", ""], _NUMBERS),
+       embedding=_selector(["donut", "clifford", "sphere", ""], _NUMBERS, _NUMBERS),
+       density=_selector(["cosine", "uniform", ""], _NUMBERS, st.sampled_from(["u", "v", ""])),
+       bandwidth=_NUMBERS)
+def test_fuzzed_assemble_selectors_never_traceback(tmp_path_factory, mode, metric,
+                                                   embedding, density, bandwidth):
+    work = tmp_path_factory.mktemp("asm")
+    rc, err = _main_quietly([
+        "assemble", "--grid", "4", f"--mode={mode}", f"--metric={metric}",
+        f"--embedding={embedding}", f"--density={density}",
+        f"--bandwidth={bandwidth}", "--out", str(work / "x.llop")])
+    assert rc in (0, 2, 3)
+    if rc:
+        # laplab's own errors are one line; argparse's lead with the usage text
+        assert err.count("\n") == 1 or err.startswith("usage: laplab assemble")
+        assert os.listdir(work) == []

@@ -502,6 +502,19 @@ def test_pair_view_stencil_matches_dense_stencil_bitwise(case, grid):
         assert _same_bits(lazy.tensors, dense.tensors)
 
 
+@pytest.mark.parametrize("case", sorted(_RECOVERY_CASES))
+def test_recovery_leaves_operator_entries_untouched(case, tmp_path):
+    from laplab.identify import report_payload
+
+    op = _case_op(case, 16)
+    before = op.entries.tobytes()
+    for refine in (False, True):
+        report = run_recovery(op, refine=refine)
+        assert op.entries.tobytes() == before
+        report_payload(report, externalize_dir=tmp_path)
+        assert op.entries.tobytes() == before
+
+
 def test_kernel_overshoot_fails_slim_recovery():
     # doubling one row of W doubles K on that row and its column: > 1 near i
     op, _, _ = _op(n=32)
@@ -575,11 +588,16 @@ _REMOVED = [
     "sample_set_from_csv",
     "write_result_json",
     "_operator",
+    "geodesic_distance",
+    "_check_sphere_chart",
+    "PoleChartError",
+    "ambient_distance",
+    "apply_operator",
 ]
 
 
 @pytest.mark.parametrize(
-    "module", ["identify", "verify", "operators", "geometry", "discretization"])
+    "module", ["identify", "verify", "operators", "geometry", "discretization", "errors"])
 @pytest.mark.parametrize("name", _REMOVED)
 def test_removed_names_stay_removed(module, name):
     mod = importlib.import_module(f"laplab.{module}")

@@ -37,7 +37,6 @@ from laplab.operators import (
     DiscreteOperator,
     ExtrinsicKernel,
     IntrinsicKernel,
-    apply_operator,
     assemble_continuous,
     build_operator,
     continuous_value,
@@ -65,7 +64,7 @@ def _flat_op(n=8, t=0.5, density=None, metric=None):
 def test_rows_annihilate_constants_across_bandwidths(t):
     op, _, _ = _flat_op(8, t)
     ones = np.ones(op.n)
-    assert np.max(np.abs(apply_operator(op, ones))) <= 1e-12
+    assert np.max(np.abs(op.entries @ ones)) <= 1e-12
 
 
 def test_rows_annihilate_constants_all_modes():
@@ -411,7 +410,7 @@ def test_apply_indicator_reads_off_kernel_column():
     j = 11
     f = np.zeros(op.n)
     f[j] = 1.0
-    out = apply_operator(op, f)
+    out = op.entries @ f
     # off row j the result is L[:, j] = -c W[:, j]
     mask = np.arange(op.n) != j
     assert np.array_equal(out[mask], op.entries[mask, j])
@@ -421,15 +420,9 @@ def test_apply_linearity():
     op, rule, _ = _flat_op(8)
     rng = np.random.default_rng(2)
     f, g = rng.normal(size=(2, op.n))
-    lhs = apply_operator(op, 2.5 * f - 1.5 * g)
-    rhs = 2.5 * apply_operator(op, f) - 1.5 * apply_operator(op, g)
+    lhs = op.entries @ (2.5 * f - 1.5 * g)
+    rhs = 2.5 * (op.entries @ f) - 1.5 * (op.entries @ g)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_apply_shape_check():
-    op, _, _ = _flat_op(8)
-    with pytest.raises(InvalidParameterError):
-        apply_operator(op, np.ones(op.n + 1))
 
 
 # --- pointwise continuous values ----------------------------------------------
