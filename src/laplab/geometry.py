@@ -200,6 +200,18 @@ def _wrap_min(coef: float, d: np.ndarray, out, x, y) -> np.ndarray:
     return out
 
 
+def _keep_apart(o: np.ndarray, diff) -> None:
+    """Zero squares in o of distinct points (separation below about 1e-162) become
+    5e-324, the smallest positive float64: diff(i, j) gives the chart differences
+    (du, dv) at entries (i, j), and only entries where both wrap to 0 stay 0."""
+    zero = np.flatnonzero(o == 0.0)
+    if zero.size:
+        i, j = np.divmod(zero, o.shape[1])
+        du, dv = diff(i, j)
+        apart = (np.remainder(du, TWO_PI) != 0.0) | (np.remainder(dv, TWO_PI) != 0.0)
+        o[i[apart], j[apart]] = 5e-324
+
+
 def _torus_rows(metric: TorusMetric, p: np.ndarray, q: np.ndarray, out: np.ndarray):
     qu, qv = q[:, 0].copy(), q[:, 1].copy()
     s = metric.shift_range()
@@ -218,6 +230,7 @@ def _torus_rows(metric: TorusMetric, p: np.ndarray, q: np.ndarray, out: np.ndarr
                     np.add(dv, b * TWO_PI, out=y)
                     np.minimum(o, metric.E * x * x + 2.0 * metric.F * x * y + metric.G * y * y,
                                out=o)
+        _keep_apart(o, lambda i, j: (p[lo + i, 0] - qu[j], p[lo + i, 1] - qv[j]))
         yield lo, hi
 
 
@@ -230,6 +243,8 @@ def torus_grid_rows(metric: TorusMetric, u: np.ndarray, v: np.ndarray, out: np.n
     for lo, hi, _ in _blocks(nu * nv, 0, 0):
         r = np.arange(lo, hi)
         np.add(a[r // nv, :, None], b[r % nv, None, :], out=out[lo:hi].reshape(-1, nu, nv))
+        _keep_apart(out[lo:hi], lambda i, j: (u[(lo + i) // nv] - u[j // nv],
+                                              v[(lo + i) % nv] - v[j % nv]))
         yield lo, hi
 
 
@@ -286,7 +301,8 @@ def torus_sq_geodesic(metric: TorusMetric, p: np.ndarray, q: np.ndarray) -> np.n
     it takes the wrap minimum of each axis (6 evaluations of coef * x * x)
     and adds the two; rounded addition is monotone, so for finite
     coordinates the result is bit for bit the minimum over the full square
-    of shifts, at any anisotropy.
+    of shifts, at any anisotropy.  Where that minimum underflows to 0 for
+    distinct points, the entry is the smallest positive float64 instead.
     """
     return _table(_torus_rows, metric, p, q)
 
@@ -329,10 +345,10 @@ class DonutTorus:
 
     def __post_init__(self):
         # chords are at most 2 (major + minor) long; keep their squares finite
-        reach = 4.0 * (self.major + self.minor)
+        reach = 2.0 * (self.major + self.minor)
         if not (self.major > self.minor > 0.0 and reach * reach < math.inf):
             raise InvalidParameterError(
-                "need major > minor > 0 and major + minor below about 3.3e153, "
+                "need major > minor > 0 and major + minor below about 6.7e153, "
                 f"got major={self.major}, minor={self.minor}"
             )
 

@@ -28,8 +28,8 @@ is extrinsic, pushing it to O(h^4).
 The stencil reads distances only at O(n) neighbor pairs, so run_recovery
 computes them only there; the dense n x n kernel and distance matrices of a
 RecoveryReport are built on first read (an embedded or externalized report,
-or library use).  Both go through one map from kernel weight to one-way
-distance, _one_way_distance, on index pairs or on row blocks, so the stencil
+or library use).  Both go through one map from kernel value to one-way
+distance, _kernel_distance, on index pairs or on row blocks, so the stencil
 and the dense matrices share its bits.
 """
 
@@ -219,26 +219,24 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     return m / m.sum()
 
 
-def _one_way_distance(wk: WeightedKernel, mass: np.ndarray, i, j) -> np.ndarray:
-    """d_ij = sqrt(max(-t log min(W_ij / m_j, 1), 0)) where sym holds, NaN elsewhere.
-
-    i, j are two index arrays (pairs) or two slices (a block of rows).
-    """
-    ok = wk.sym[i, j]
-    d = np.full(ok.shape, np.nan)
-    np.divide(wk.w[i, j], mass[j], out=d, where=ok)
-    np.minimum(d, 1.0, out=d, where=ok)
-    np.log(d, out=d, where=ok)
-    d *= -wk.t
+def _kernel_distance(k: np.ndarray, mask: np.ndarray, sym: np.ndarray, t: float):
+    """Clamp kernel values k to 1 in place where mask holds, and return the
+    one-way distances sqrt(max(-t log k, 0)) where sym holds, NaN elsewhere."""
+    np.minimum(k, 1.0, out=k, where=mask)
+    d = np.full(k.shape, np.nan)
+    np.log(k, out=d, where=sym)
+    d *= -t
     return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
 
 
-def _check_kernel_bound(wk: WeightedKernel, mass: np.ndarray) -> None:
-    """Masked kernel values W_ij / m_j above 1 + KERNEL_SLACK: not a kernel operator."""
-    high = max(
-        float((wk.w[r] / mass).max(where=wk.mask[r], initial=-np.inf))
-        for r in _tiles(wk.n)
-    )
+def _kernel_rows(wk: WeightedKernel, mass: np.ndarray):
+    """Row blocks (r, W[r] / m) of the kernel values, 64 rows at a time; after the
+    last, raises if a masked one exceeds 1 + KERNEL_SLACK (not a kernel operator)."""
+    high = -np.inf
+    for r in _tiles(wk.n):
+        k = wk.w[r] / mass
+        high = max(high, float(k.max(where=wk.mask[r], initial=-np.inf)))
+        yield r, k
     if high > 1.0 + KERNEL_SLACK:
         raise InconsistencyError(
             f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
@@ -256,15 +254,12 @@ def recover_kernel_distance(
     Masked kernel values above 1 + 1e-8 mean the matrix was not a kernel
     operator and raise an inconsistency error.
     """
-    _check_kernel_bound(wk, mass)
-    khat = wk.w / mass[None, :]
-    np.minimum(khat, 1.0, out=khat, where=wk.mask)
+    khat, d = np.empty_like(wk.w), np.empty_like(wk.w)
+    for r, kr in _kernel_rows(wk, mass):
+        d[r] = _kernel_distance(kr, wk.mask[r], wk.sym[r], wk.t)
+        khat[r] = kr
     np.fill_diagonal(khat, 1.0)
-
-    d = np.empty_like(khat)
     tiles = _tiles(wk.n)
-    for r in tiles:
-        d[r] = _one_way_distance(wk, mass, r, slice(None))
     # d <- (d + d.T) / 2 in place, tile by tile: the same sums in either order
     for k, a in enumerate(tiles):
         for b in tiles[k:]:
@@ -287,10 +282,13 @@ class _PairDistances:
     def __init__(self, wk: WeightedKernel, mass: np.ndarray):
         self.wk, self.mass, self.shape = wk, mass, wk.w.shape
 
+    def _one_way(self, i, j):
+        ok = self.wk.sym[i, j]
+        return _kernel_distance(self.wk.w[i, j] / self.mass[j], ok, ok, self.wk.t)
+
     def __getitem__(self, pairs):
         i, j = np.broadcast_arrays(*pairs)
-        d = _one_way_distance(self.wk, self.mass, i, j) + _one_way_distance(
-            self.wk, self.mass, j, i)
+        d = self._one_way(i, j) + self._one_way(j, i)
         d *= 0.5
         d[i == j] = 0.0
         return d
@@ -441,7 +439,8 @@ def run_recovery(op: OperatorMatrix, refine: bool = False) -> RecoveryReport:
     """Full inverse pipeline on one operator."""
     wk = extract_weighted_kernel(op)
     mass = recover_mass(wk, refine=refine)
-    _check_kernel_bound(wk, mass)
+    for _ in _kernel_rows(wk, mass):  # raises on kernel values above 1
+        pass
     periodic_u = isinstance(op.measure_metric, TorusMetric)
     richardson = isinstance(op.mode, ExtrinsicKernel)
     metric_field = metric_field_from_distance(

@@ -177,9 +177,7 @@ def test_torus_distance_symmetric_and_separating(metric, p, q):
     d_qp = geodesic(metric, q, p)
     assert d_pq == d_qp  # bitwise, not just approximately
     assert geodesic(metric, p, p) == 0.0
-    # a squared distance rounds to 0 below a chart separation of about 1e-162
-    du, dv = (abs(math.remainder(a - b, TWO_PI)) for a, b in ((p.u, q.u), (p.v, q.v)))
-    if max(du, dv) > 1e-150:
+    if (p.u, p.v) != (q.u, q.v):
         assert d_pq > 0.0
 
 
@@ -284,6 +282,18 @@ def test_torus_grid_table_non_square_grid():
                           torus_sq_geodesic(metric, nodes, nodes))
 
 
+@pytest.mark.parametrize("metric", [TorusMetric.flat(), TorusMetric(1.0, 0.3, 2.0)],
+                         ids=["diagonal", "coupled"])
+def test_torus_tables_separate_points_whose_square_underflows(metric):
+    # chart separations of 7.76e-240 and 1e-300 square to 0 in float64
+    u, v = np.array([0.0, 1e-300]), np.array([0.0, 7.76e-240])
+    nodes = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
+    d2 = torus_sq_geodesic(metric, nodes, nodes)
+    assert np.array_equal(d2 > 0.0, ~np.eye(4, dtype=bool))
+    if metric.F == 0.0:
+        assert np.array_equal(_grid_table(metric, u, v), d2)
+
+
 # --- embeddings -------------------------------------------------------------
 
 
@@ -303,6 +313,15 @@ def test_donut_embedding_shape():
     assert np.allclose(x, [3.0, 0.0, 0.0], atol=1e-15)
     with pytest.raises(InvalidParameterError):
         DonutTorus(1.0, 2.0)  # tube must be thinner than the ring
+
+
+def test_donut_radii_limit_is_where_squared_chords_overflow():
+    # the longest chord is 2 (major + minor); its square must stay finite
+    emb = DonutTorus(6.6e153, 1.0)
+    d2 = ambient_sq_dist(emb, np.array([[0.0, 0.0]]), np.array([[0.0, math.pi]]))
+    assert 0.0 < d2[0, 0] < math.inf
+    with pytest.raises(InvalidParameterError):
+        DonutTorus(6.8e153, 1.0)
 
 
 def test_clifford_ambient_distances():

@@ -35,6 +35,7 @@ from laplab.geometry import (
     metric_sq_geodesic,
 )
 from laplab.identify import (
+    WeightedKernel,
     extract_weighted_kernel,
     metric_field_from_distance,
     recover_density,
@@ -266,6 +267,18 @@ def test_inflated_kernel_value_raises():
     m = recover_mass(wk)
     with pytest.raises(InconsistencyError):
         recover_kernel_distance(wk, m * 0.2)  # masses too small -> K > 1
+
+
+def test_kernel_value_within_slack_is_clamped_to_one():
+    op, _, _ = _op(n=8)
+    wk = extract_weighted_kernel(op)
+    m = recover_mass(wk)
+    i, j = np.argwhere(wk.sym)[0]
+    w = wk.w.copy()
+    w[i, j] = m[j] * (1.0 + 1e-9)  # K_ij just above 1, inside KERNEL_SLACK
+    khat, _ = recover_kernel_distance(WeightedKernel(w, wk.mask, wk.t), m)
+    assert khat[i, j] == 1.0
+    assert khat[wk.mask].max() <= 1.0
 
 
 # --- metric stencil ---------------------------------------------------------------
