@@ -25,12 +25,17 @@ is O(h^2) with a visible constant at practical grid sizes, so run_recovery
 adds one Richardson step (stencils at spacing h and 2h) whenever the operator
 is extrinsic, pushing it to O(h^4).
 
-The stencil reads distances only at O(n) neighbor pairs, so run_recovery
-computes them only there; the dense n x n kernel and distance matrices of a
-RecoveryReport are built on first read (an embedded or externalized report,
-or library use).  Both go through one map from kernel value to one-way
-distance, _kernel_distance, on index pairs or on row blocks, so the stencil
-and the dense matrices share its bits.
+No copy of W is made: extraction checks the operator and builds the edge
+mask in one pass over 64-row blocks of its entries, and every later reader
+scales the entries it needs by the same formula (WeightedKernel.w).  The
+stencil reads distances only at O(n) neighbor pairs, so run_recovery
+computes them only there.  The n x n kernel and distance matrices come 64
+rows at a time from _kernel_rows and _distance_rows: an externalized report
+streams them into its .llmx files and never holds either whole, while an
+embedded report and library reads of RecoveryReport.kernel / .distance fill
+whole arrays from the same blocks.  Index pairs and row blocks both go
+through one map from kernel value to one-way distance, _kernel_distance, so
+the stencil, the arrays and the files share its bits.
 """
 
 from __future__ import annotations
@@ -64,8 +69,9 @@ KERNEL_SLACK = 1e-8
 _ROW_SUM_TOL = 1e-10
 _NEGATIVE_TOL = 1e-14
 
-# Edge of the square tiles that the transposed passes (sym, symmetrization)
-# walk, so that a tile and its mirror stay in cache together.
+# Rows per block of the passes over the operator, and edge of the square
+# tiles that the transposed passes (sym, the distance stream) walk, so that a
+# tile and its mirror stay in cache together.
 _TILE = 64
 
 
@@ -77,18 +83,27 @@ def _tiles(n: int) -> list[slice]:
 class WeightedKernel:
     """Off-diagonal kernel weights W_ij = K_ij m_j with an edge mask.
 
-    w has NaN on the diagonal (unknown by construction); mask is True where
-    an entry is usable, always False on the diagonal; sym is True where both
+    entries is the operator's own matrix, never copied and never written;
+    w(*index) returns W at any index of it.  mask is True where an entry is
+    usable, always False on the diagonal (W_ii is unknown by construction,
+    and w returns no meaningful value there); sym is True where both
     directions are.
     """
 
-    w: np.ndarray
+    entries: np.ndarray
     mask: np.ndarray
     t: float
 
     @property
     def n(self) -> int:
-        return self.w.shape[0]
+        return self.mask.shape[0]
+
+    def w(self, *index) -> np.ndarray:
+        """W at entries[index]: the entries times -t^2, with the tiny negative
+        weights that rounding leaves (extraction refuses larger ones) set to 0."""
+        x = self.entries[index] * (-self.t**2)
+        x[x < 0.0] = 0.0
+        return x
 
     @cached_property
     def sym(self) -> np.ndarray:
@@ -123,6 +138,7 @@ class RecoveryReport:
     The dense n x n kernel and distance matrices are not stored: `kernel` and
     `distance` build both through recover_kernel_distance(wk, mass) on first
     read and cache them, so a report that never reads them never pays for them.
+    report_payload streams them into .llmx files without reading either.
     """
 
     mass: np.ndarray
@@ -152,9 +168,25 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
 
     Checks: every entry is finite, row sums vanish to 1e-10, off-diagonal
     entries have the right sign (tiny negatives from rounding are clipped),
-    no row is entirely disconnected.
+    no row is entirely disconnected.  One pass over 64-row blocks of the
+    entries gathers what every check needs and the edge mask; the checks
+    then raise in that order, on values of the whole operator.
     """
-    worst = float(np.max(np.abs(op.entries @ np.ones(len(op.entries)))))
+    e, n = op.entries, len(op.entries)
+    sums, ones = np.empty(n), np.ones(n)
+    mask = np.empty((n, n), dtype=bool)
+    low, live = np.inf, True
+    for r in _tiles(n):
+        # +inf and -inf in one row sum to NaN, which the finiteness check reports
+        with np.errstate(invalid="ignore"):
+            sums[r] = e[r] @ ones
+        x = e[r] * (-op.t**2)
+        # the NaN diagonal fails every comparison below, and fmin skips it
+        np.fill_diagonal(x[:, r], np.nan)
+        low = np.fmin(low, np.fmin.reduce(x, axis=None))
+        np.greater(x, EDGE_THRESHOLD, out=mask[r])
+        live = live and bool((x > 0.0).any(axis=1).all())
+    worst = float(np.max(np.abs(sums)))
     # a NaN or infinite entry makes its row sum non-finite
     if not np.isfinite(worst):
         raise MalformedOperatorError("operator has non-finite entries")
@@ -162,18 +194,13 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
         raise MalformedOperatorError(
             f"row sums reach {worst:.3e}; operator does not annihilate constants"
         )
-    w = op.entries * (-op.t**2)
-    # the NaN diagonal fails every comparison below; it needs no mask of its own
-    np.fill_diagonal(w, np.nan)
-    low = float(np.nanmin(w))
     if low < -_NEGATIVE_TOL:
         raise MalformedOperatorError(
-            f"positive off-diagonal operator entry (kernel weight {low:.3e} < 0)"
+            f"positive off-diagonal operator entry (kernel weight {float(low):.3e} < 0)"
         )
-    w[w < 0.0] = 0.0
-    if not (w > 0.0).any(axis=1).all():
+    if not live:
         raise MalformedOperatorError("a node has an all-zero kernel row")
-    return WeightedKernel(w=w, mask=w > EDGE_THRESHOLD, t=op.t)
+    return WeightedKernel(entries=e, mask=mask, t=op.t)
 
 
 def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
@@ -184,7 +211,7 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     solution is replaced by the least-squares fit over all masked edges
     (normal equations on the edge graph; O(n^3) dense solve).
     """
-    n, w, sym = wk.n, wk.w, wk.sym
+    n, sym = wk.n, wk.sym
     logm = np.full(n, np.nan)
     logm[0] = 0.0
     seen = np.zeros(n, dtype=bool)
@@ -195,7 +222,7 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
         nbrs = np.flatnonzero(sym[i] & ~seen)
         if nbrs.size == 0:
             continue
-        logm[nbrs] = logm[i] + (np.log(w[i, nbrs]) - np.log(w[nbrs, i]))
+        logm[nbrs] = logm[i] + (np.log(wk.w(i, nbrs)) - np.log(wk.w(nbrs, i)))
         seen[nbrs] = True
         queue.extend(nbrs.tolist())
     if not seen.all():
@@ -205,12 +232,18 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
         )
 
     if refine:
-        # log W on symmetric edges, 0 elsewhere (log 1)
-        logw = np.log(np.where(sym, w, 1.0))
+        # log W on symmetric edges, 0 elsewhere (log 1), a row block at a time
+        logw = np.empty((n, n))
+        for r in _tiles(n):
+            logw[r] = np.log(np.where(sym[r], wk.w(r), 1.0))
         ratio = logw - logw.T
-        deg = sym.sum(axis=1).astype(np.float64)
-        lap = np.diag(deg) - sym.astype(np.float64)
+        del logw
         rhs = ratio.sum(axis=0)
+        del ratio
+        # the edge-graph Laplacian, built in place: -sym, degrees on the diagonal
+        lap = sym.astype(np.float64)
+        np.negative(lap, out=lap)
+        np.fill_diagonal(lap, sym.sum(axis=1))
         # gauge: the all-ones direction is null, pin it with a rank-one shift
         lap += 1.0 / n
         logm = np.linalg.solve(lap, rhs)
@@ -219,10 +252,10 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     return m / m.sum()
 
 
-def _kernel_distance(k: np.ndarray, mask: np.ndarray, sym: np.ndarray, t: float):
-    """Clamp kernel values k to 1 in place where mask holds, and return the
-    one-way distances sqrt(max(-t log k, 0)) where sym holds, NaN elsewhere."""
-    np.minimum(k, 1.0, out=k, where=mask)
+def _kernel_distance(k: np.ndarray, sym: np.ndarray, t: float):
+    """Clamp kernel values k to 1 in place where sym holds, and return the
+    one-way distances sqrt(max(-t log k, 0)) there, NaN elsewhere."""
+    np.minimum(k, 1.0, out=k, where=sym)
     d = np.full(k.shape, np.nan)
     np.log(k, out=d, where=sym)
     d *= -t
@@ -230,17 +263,58 @@ def _kernel_distance(k: np.ndarray, mask: np.ndarray, sym: np.ndarray, t: float)
 
 
 def _kernel_rows(wk: WeightedKernel, mass: np.ndarray):
-    """Row blocks (r, W[r] / m) of the kernel values, 64 rows at a time; after the
-    last, raises if a masked one exceeds 1 + KERNEL_SLACK (not a kernel operator)."""
+    """Row blocks (r, K[r]) of the kernel matrix, 64 rows at a time: W[r] / m,
+    clamped to 1 where masked, diagonal 1.  After the last block, raises if a
+    masked W / m exceeded 1 + KERNEL_SLACK (not a kernel operator)."""
     high = -np.inf
     for r in _tiles(wk.n):
-        k = wk.w[r] / mass
+        k = wk.w(r)
+        k /= mass
         high = max(high, float(k.max(where=wk.mask[r], initial=-np.inf)))
+        np.minimum(k, 1.0, out=k, where=wk.mask[r])
+        np.fill_diagonal(k[:, r], 1.0)
         yield r, k
     if high > 1.0 + KERNEL_SLACK:
         raise InconsistencyError(
             f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
         )
+
+
+def _one_way(wk: WeightedKernel, mass: np.ndarray, i, j) -> np.ndarray:
+    """One-way distances f(W[i, j] / m[j]) at any index (i, j), f = _kernel_distance."""
+    k = wk.w(i, j)
+    k /= mass[j]
+    return _kernel_distance(k, wk.sym[i, j], wk.t)
+
+
+def _distance_rows(wk: WeightedKernel, mass: np.ndarray):
+    """Row blocks (r, D[r]) of the distance matrix, 64 rows at a time.
+
+    D[r] = (f(K[r, :]) + f(K[:, r]).T) / 2, zero on the diagonal.  A block maps
+    the row strip from its diagonal rightwards and the column strip below it,
+    gathered as it lies (n x 64), and adds the latter transposed one 64 x 64
+    tile at a time.  D is symmetric, so the tiles left of the diagonal are the
+    mirrors of tiles that earlier blocks built: each is kept until its row
+    block comes (at most n^2 / 4 entries at once), and every one-way distance
+    is mapped once.  Kernel values above 1 are not checked here; _kernel_rows
+    checks them.
+    """
+    tiles, kept = _tiles(wk.n), {}
+    for a, r in enumerate(tiles):
+        d = np.empty((r.stop - r.start, wk.n))
+        for b, c in enumerate(tiles[:a]):
+            d[:, c] = kept.pop((a, b))
+        right = slice(r.start, wk.n)
+        d[:, right] = _one_way(wk, mass, r, right)
+        col = _one_way(wk, mass, right, r)
+        for b, c in enumerate(tiles[a:], a):
+            s = d[:, c]
+            s += col[c.start - r.start:c.stop - r.start].T
+            s *= 0.5
+            if b > a:
+                kept[b, a] = s.T.copy()
+        np.fill_diagonal(d[:, r], 0.0)
+        yield r, d
 
 
 def recover_kernel_distance(
@@ -254,20 +328,11 @@ def recover_kernel_distance(
     Masked kernel values above 1 + 1e-8 mean the matrix was not a kernel
     operator and raise an inconsistency error.
     """
-    khat, d = np.empty_like(wk.w), np.empty_like(wk.w)
+    khat, d = np.empty((wk.n, wk.n)), np.empty((wk.n, wk.n))
     for r, kr in _kernel_rows(wk, mass):
-        d[r] = _kernel_distance(kr, wk.mask[r], wk.sym[r], wk.t)
         khat[r] = kr
-    np.fill_diagonal(khat, 1.0)
-    tiles = _tiles(wk.n)
-    # d <- (d + d.T) / 2 in place, tile by tile: the same sums in either order
-    for k, a in enumerate(tiles):
-        for b in tiles[k:]:
-            s = d[a, b] + d[b, a].T
-            s *= 0.5
-            d[a, b] = s
-            d[b, a] = s.T
-    np.fill_diagonal(d, 0.0)
+    for r, dr in _distance_rows(wk, mass):
+        d[r] = dr
     return khat, d
 
 
@@ -280,15 +345,11 @@ class _PairDistances:
     """
 
     def __init__(self, wk: WeightedKernel, mass: np.ndarray):
-        self.wk, self.mass, self.shape = wk, mass, wk.w.shape
-
-    def _one_way(self, i, j):
-        ok = self.wk.sym[i, j]
-        return _kernel_distance(self.wk.w[i, j] / self.mass[j], ok, ok, self.wk.t)
+        self.wk, self.mass, self.shape = wk, mass, (wk.n, wk.n)
 
     def __getitem__(self, pairs):
         i, j = np.broadcast_arrays(*pairs)
-        d = self._one_way(i, j) + self._one_way(j, i)
+        d = _one_way(self.wk, self.mass, i, j) + _one_way(self.wk, self.mass, j, i)
         d *= 0.5
         d[i == j] = 0.0
         return d
@@ -392,10 +453,11 @@ def report_payload(report: RecoveryReport, externalize_dir=None) -> dict:
     """JSON-ready dict for a recovery report.
 
     Small vectors (mass, density, metric tensors) are embedded.  The kernel
-    and distance matrices are written as binary matrix files when
-    externalize_dir is given, embedded for grids up to 256 nodes otherwise,
-    and dropped (with a note) beyond that.  NaN entries (pairs outside the
-    edge mask) become nulls when embedded.
+    and distance matrices are streamed, 64 rows at a time, into binary matrix
+    files when externalize_dir is given (neither is ever held whole), embedded
+    for grids up to 256 nodes otherwise, and dropped (with a note) beyond
+    that.  NaN entries (pairs outside the edge mask) become nulls when
+    embedded.
     """
     payload: dict = {
         "version": __version__,
@@ -416,10 +478,12 @@ def report_payload(report: RecoveryReport, externalize_dir=None) -> dict:
     }
     if externalize_dir is not None:
         os.makedirs(externalize_dir, exist_ok=True)
+        wk, mass, n = report.wk, report.mass, report.wk.n
+        rows = {"kernel": _kernel_rows(wk, mass), "distance": _distance_rows(wk, mass)}
         files = {}
-        for name, mat in (("kernel", report.kernel), ("distance", report.distance)):
+        for name, blocks in rows.items():
             fname = f"recovery_{name}.llmx"
-            save_matrix(mat, os.path.join(externalize_dir, fname))
+            save_matrix((b for _, b in blocks), os.path.join(externalize_dir, fname), (n, n))
             files[name] = fname
         payload["matrix_files"] = files
     elif report.mass.shape[0] <= 256:

@@ -381,13 +381,21 @@ _MX_MAGIC = b"LLMX"
 _MX_HEAD = struct.Struct("<4sHII")
 
 
-def save_matrix(m: np.ndarray, path) -> None:
+def save_matrix(m, path, shape=None) -> None:
     """Bare binary matrix: magic 'LLMX', u16 version, u32 rows, u32 cols,
-    then row-major little-endian float64."""
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    then row-major little-endian float64.
+
+    m is a matrix, or, with shape=(rows, cols), an iterable of row blocks
+    that fill it from the top; each block is written as it arrives, so the
+    whole matrix never needs to be in memory.
+    """
+    if shape is None:
+        m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+        shape, m = m.shape, (m,)
     with open(path, "wb") as fh:
-        fh.write(_MX_HEAD.pack(_MX_MAGIC, _VERSION, m.shape[0], m.shape[1]))
-        fh.write(np.ascontiguousarray(m, dtype="<f8"))
+        fh.write(_MX_HEAD.pack(_MX_MAGIC, _VERSION, *shape))
+        for block in m:
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_matrix(path) -> np.ndarray:

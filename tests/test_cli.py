@@ -491,3 +491,66 @@ def test_fuzzed_assemble_selectors_never_traceback(tmp_path_factory, mode, metri
         # laplab's own errors are one line; argparse's lead with the usage text
         assert err.count("\n") == 1 or err.startswith("usage: laplab assemble")
         assert os.listdir(work) == []
+
+
+@pytest.fixture(scope="module")
+def block_operators():
+    """Operators of more than 64 nodes, so every pass over them crosses row blocks."""
+    from laplab.discretization import CosineBump
+    from laplab.geometry import SphereMetric, TorusMetric, UnitSphere
+    from laplab.operators import ExtrinsicKernel, IntrinsicKernel, build_operator
+
+    aniso, sphere = TorusMetric.anisotropic(1.5), SphereMetric(1.0)
+    cases = ((IntrinsicKernel(aniso), aniso, 10), (ExtrinsicKernel(UnitSphere()), sphere, 10))
+    ops = [build_operator(kernel, metric, CosineBump(0.3, "u"), grid, 0.5)[0]
+           for kernel, metric, grid in cases]
+    assert all(op.n > 64 for op in ops)
+    return ops
+
+
+_ENTRY_FAULTS = st.lists(st.tuples(
+    st.sampled_from(["nan", "inf", "-inf", "positive", "zero_row", "tiny_negative"]),
+    st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3)
+
+
+def _corrupt(op, faults):
+    """A copy of op's entries with each fault applied at (i, j) off the diagonal."""
+    entries = op.entries.copy()
+    for kind, a, b in faults:
+        i, j = a % op.n, b % op.n
+        j = (j + 1) % op.n if i == j else j
+        if kind == "zero_row":
+            entries[i] = 0.0
+        elif kind in ("positive", "tiny_negative"):
+            # a kernel weight of -1e-3, or of -5e-15 (inside the rounding
+            # tolerance); the diagonal keeps the row sum at zero
+            value = 1e-3 if kind == "positive" else 5e-15 / op.t**2
+            entries[i, i] += entries[i, j] - value
+            entries[i, j] = value
+        else:
+            entries[i, j] = float(kind)
+    return entries
+
+
+@given(which=st.sampled_from([0, 1]), faults=_ENTRY_FAULTS,
+       externalize=st.booleans(), refine=st.booleans())
+def test_fuzzed_operator_entries_never_traceback(tmp_path_factory, block_operators, which,
+                                                 faults, externalize, refine):
+    import dataclasses
+
+    from laplab.operators import save_operator
+
+    op = block_operators[which]
+    work = tmp_path_factory.mktemp("entries")
+    save_operator(dataclasses.replace(op, entries=_corrupt(op, faults)), work / "op.llop")
+    argv = ["recover", "--operator", str(work / "op.llop"), "--out", str(work / "r.json")]
+    argv += ["--externalize", str(work / "mx")] if externalize else []
+    argv += ["--refine"] if refine else []
+    rc, err = _main_quietly(argv)
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err
+    if rc:
+        assert err.count("\n") == 1
+        assert not (work / "r.json").exists()
+    else:
+        assert (work / "r.json").exists()

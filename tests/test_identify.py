@@ -5,8 +5,12 @@ Forward assembly is the oracle throughout: every recovered quantity is
 compared against the closed-form inputs the operator was built from.
 """
 
+import dataclasses
 import importlib
+import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from laplab.geometry import (
     metric_sq_geodesic,
 )
 from laplab.identify import (
+    EDGE_THRESHOLD,
     WeightedKernel,
     extract_weighted_kernel,
     metric_field_from_distance,
@@ -47,6 +52,7 @@ from laplab.operators import (
     ExtrinsicKernel,
     IntrinsicKernel,
     assemble_continuous,
+    save_matrix,
 )
 
 FOUR_PI_SQ = 4 * math.pi**2
@@ -60,6 +66,15 @@ def _op(metric=None, density=None, n=16, t=0.5, kernel=None):
     return assemble_continuous(mode, p, rule, t), rule, p
 
 
+def _reference_w(op):
+    """Reference W: the whole operator scaled at once, NaN on the diagonal,
+    tiny negative weights clipped to 0."""
+    w = op.entries * (-op.t**2)
+    np.fill_diagonal(w, np.nan)
+    w[w < 0.0] = 0.0
+    return w
+
+
 # --- kernel extraction --------------------------------------------------------
 
 
@@ -68,14 +83,14 @@ def test_extracted_kernel_matches_forward_construction():
     wk = extract_weighted_kernel(op)
     d2 = metric_sq_geodesic(TorusMetric.anisotropic(1.5), rule.nodes, rule.nodes)
     w_direct = np.exp(-d2 / op.t) * (density_values(p, rule.nodes) * rule.weights)[None, :]
-    diff = np.abs(wk.w - w_direct)[wk.mask]
+    diff = np.abs(_reference_w(op) - w_direct)[wk.mask]
     assert float(diff.max()) <= 1e-12
 
 
 def test_extracted_diagonal_is_nan():
     op, _, _ = _op()
     wk = extract_weighted_kernel(op)
-    assert np.all(np.isnan(np.diag(wk.w)))
+    assert np.all(np.isnan(np.diag(_reference_w(op))))
     assert not np.any(np.diag(wk.mask))
 
 
@@ -135,6 +150,28 @@ def test_extract_rejects_all_zero_row():
         extract_weighted_kernel(op2)
 
 
+def test_extraction_checks_raise_in_order_across_row_blocks():
+    # n = 240: row blocks of 64, 64, 64 and 48 rows
+    op = _case_op("intrinsic-sphere", 16)
+    assert op.n % 64 != 0
+    bad = op.entries.copy()
+    bad[5] = 0.0  # an all-zero row in block 0
+    # positive off-diagonal entries in block 0 and in the last block, rows
+    # rebalanced on the diagonal; the last block's gives the smallest weight
+    for i, j, value in ((10, 11, 1e-12), (230, 231, -bad[230, 231])):
+        bad[i, i] += bad[i, j] - value
+        bad[i, j] = value
+    w = bad * (-op.t**2)
+    np.fill_diagonal(w, np.nan)
+    low = np.nanmin(w)
+    assert np.unravel_index(np.nanargmin(w), w.shape)[0] >= 192
+    with pytest.raises(MalformedOperatorError, match=re.escape(f"kernel weight {low:.3e} < 0")):
+        extract_weighted_kernel(dataclasses.replace(op, entries=bad))
+    bad[235, 7] = np.nan  # only the last block holds a non-finite entry
+    with pytest.raises(MalformedOperatorError, match="non-finite"):
+        extract_weighted_kernel(dataclasses.replace(op, entries=bad))
+
+
 def test_extract_clips_tiny_negative_weight():
     op, _, _ = _op(n=8)
     bad = op.entries.copy()
@@ -149,10 +186,14 @@ def test_extract_clips_tiny_negative_weight():
         spacing=op.spacing,
     )
     wk = extract_weighted_kernel(op2)
-    assert wk.w[3, 5] == 0.0
+    w = _reference_w(op2)
+    assert w[3, 5] == 0.0
     assert not wk.mask[3, 5]
     assert wk.mask[5, 3]
-    assert np.all(wk.w[~np.eye(wk.n, dtype=bool)] >= 0.0)
+    off = ~np.eye(wk.n, dtype=bool)
+    assert np.all(w[off] >= 0.0)
+    # the accessor reads the same bits off the operator, clipped zero included
+    assert wk.w(off).tobytes() == w[off].tobytes()
 
 
 # --- mass recovery --------------------------------------------------------------
@@ -200,6 +241,33 @@ def test_refined_masses_beat_tree_masses_under_noise():
     assert ls_err <= tree_err / 5
 
 
+def test_refined_masses_match_whole_array_solve_bitwise():
+    op, _, _ = _op(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), n=16)
+    wk = extract_weighted_kernel(op)
+    sym, n = wk.sym, wk.n
+    # reference: the normal equations built over whole n x n arrays
+    logw = np.log(np.where(sym, _reference_w(op), 1.0))
+    ratio = logw - logw.T
+    lap = np.diag(sym.sum(axis=1).astype(np.float64)) - sym.astype(np.float64)
+    lap += 1.0 / n
+    logm = np.linalg.solve(lap, ratio.sum(axis=0))
+    m = np.exp(logm - logm.max())
+    assert _same_bits(recover_mass(wk, refine=True), m / m.sum())
+
+
+def test_refined_mass_peak_memory_is_two_matrices():
+    op, rule, _ = _op(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), n=32)
+    wk = extract_weighted_kernel(op)
+    tracemalloc.start()
+    try:
+        recover_mass(wk, refine=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # log W and its antisymmetric part, then the Laplacian; never all three
+    assert peak <= 3.0 * 8 * rule.n**2
+
+
 def test_mass_does_not_depend_on_kernel_mode():
     # masses are p(x_j) w_j; the kernel mode only changes distances
     metric = TorusMetric.flat()
@@ -216,7 +284,7 @@ def test_disconnected_graph_raises():
     cut = wk.mask.copy()
     cut[0, :] = False
     cut[:, 0] = False
-    wk2 = type(wk)(w=wk.w, mask=cut, t=wk.t)
+    wk2 = type(wk)(entries=op.entries, mask=cut, t=wk.t)
     with pytest.raises(UnrecoverableMassError):
         recover_mass(wk2)
 
@@ -274,9 +342,10 @@ def test_kernel_value_within_slack_is_clamped_to_one():
     wk = extract_weighted_kernel(op)
     m = recover_mass(wk)
     i, j = np.argwhere(wk.sym)[0]
-    w = wk.w.copy()
-    w[i, j] = m[j] * (1.0 + 1e-9)  # K_ij just above 1, inside KERNEL_SLACK
-    khat, _ = recover_kernel_distance(WeightedKernel(w, wk.mask, wk.t), m)
+    entries = op.entries.copy()
+    # W_ij = -t^2 L_ij, so K_ij sits just above 1, inside KERNEL_SLACK
+    entries[i, j] = m[j] * (1.0 + 1e-9) / (-op.t**2)
+    khat, _ = recover_kernel_distance(WeightedKernel(entries, wk.mask, wk.t), m)
     assert khat[i, j] == 1.0
     assert khat[wk.mask].max() <= 1.0
 
@@ -440,18 +509,18 @@ def test_report_payload_round_trips_to_json(tmp_path):
     assert k.shape == (64, 64)
 
 
-# --- lazy matrices: dense only on read, the same bits as the dense pipeline -------
+# --- lazy and streamed matrices: the same bits as the dense pipeline --------------
 
 
-def _dense_kernel_distance(wk, mass):
+def _dense_kernel_distance(w, mask, t, mass):
     """Reference: kernel and distance built out of place over whole n x n arrays."""
-    khat = wk.w / mass[None, :]
-    np.minimum(khat, 1.0, out=khat, where=wk.mask)
+    khat = w / mass[None, :]
+    np.minimum(khat, 1.0, out=khat, where=mask)
     np.fill_diagonal(khat, 1.0)
-    sym = wk.mask & wk.mask.T
+    sym = mask & mask.T
     d = np.full_like(khat, np.nan)
     np.log(khat, out=d, where=sym)
-    d *= -wk.t
+    d *= -t
     np.sqrt(np.maximum(d, 0.0, out=d), out=d)
     dhat = d + d.T
     dhat *= 0.5
@@ -483,13 +552,32 @@ def _case_op(case, grid):
 
 @pytest.mark.parametrize("grid", [16, 32])
 @pytest.mark.parametrize("case", sorted(_RECOVERY_CASES))
-def test_lazy_matrices_match_dense_pipeline_bitwise(case, grid):
-    report = run_recovery(_case_op(case, grid))
+def test_lazy_matrices_match_dense_pipeline_bitwise(case, grid, tmp_path):
+    from laplab.identify import report_payload
+
+    op = _case_op(case, grid)
+    report = run_recovery(op)
     wk = report.wk
+    w = _reference_w(op)
+    assert np.array_equal(wk.mask, w > EDGE_THRESHOLD)
     assert _same_bits(wk.sym, wk.mask & wk.mask.T)
-    khat, dhat = _dense_kernel_distance(wk, report.mass)
+    khat, dhat = _dense_kernel_distance(w, wk.mask, wk.t, report.mass)
+    # the streamed files hold the bytes that save_matrix writes for whole arrays
+    files = report_payload(report, externalize_dir=tmp_path / "stream")["matrix_files"]
+    for name, ref in (("kernel", khat), ("distance", dhat)):
+        save_matrix(ref, tmp_path / f"{name}.llmx")
+        streamed = (tmp_path / "stream" / files[name]).read_bytes()
+        assert streamed == (tmp_path / f"{name}.llmx").read_bytes()
     # raw bytes: NaN-aware equality, and NaN payloads and signed zeros too
     assert _same_bits(report.kernel, khat) and _same_bits(report.distance, dhat)
+    embedded = report_payload(report)
+    if op.n > 256:
+        assert "matrix_note" in embedded and "kernel" not in embedded
+        return
+    for name, ref in (("kernel", khat), ("distance", dhat)):
+        obj = ref.astype(object)
+        obj[~np.isfinite(ref)] = None
+        assert json.dumps(embedded[name]) == json.dumps(obj.tolist())
 
 
 @pytest.mark.parametrize("grid", [16, 32])
@@ -501,7 +589,7 @@ def test_pair_view_stencil_matches_dense_stencil_bitwise(case, grid):
     wk = extract_weighted_kernel(op)
     mass = recover_mass(wk)
     view = _PairDistances(wk, mass)
-    dhat = _dense_kernel_distance(wk, mass)[1]
+    dhat = _dense_kernel_distance(_reference_w(op), wk.mask, wk.t, mass)[1]
     assert view.shape == dhat.shape
     rng = np.random.default_rng(grid)
     i, j = rng.integers(0, wk.n, size=(2, 4000))
@@ -585,6 +673,22 @@ def test_slim_recovery_peak_memory_is_a_few_matrices():
     assert peak <= 3 * 8 * rule.n**2
 
 
+@pytest.mark.parametrize("externalize, bound", [(False, 0.6), (True, 1.0)])
+def test_recovery_report_peak_memory_holds_no_dense_float_matrix(externalize, bound, tmp_path):
+    # in units of one n x n float64 array: W, the kernel and the distance
+    # matrix are never held whole, so any one of them coming back adds 1.0
+    from laplab.identify import report_payload
+
+    op, rule, _ = _op(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), n=32)
+    tracemalloc.start()
+    try:
+        report_payload(run_recovery(op), externalize_dir=tmp_path if externalize else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * rule.n**2
+
+
 # --- one path per job: removed duplicate entry points stay removed -----------------
 
 _REMOVED = [
@@ -618,7 +722,6 @@ def test_removed_names_stay_removed(module, name):
 
 
 def test_removed_members_and_knobs_stay_removed():
-    import dataclasses
     import inspect
 
     from laplab.discretization import QuadratureRule, SampleSet
