@@ -180,6 +180,8 @@ def _cmd_assemble(args) -> int:
         if args.embedding is None:
             raise ValueError("extrinsic mode needs --embedding")
         kernel = ExtrinsicKernel(_parse_embedding(args.embedding))
+    elif args.embedding is not None:
+        raise ValueError("--embedding applies to extrinsic mode only")
     else:
         kernel = IntrinsicKernel(metric)
     op, _, _ = build_operator(kernel, metric, _parse_density(args.density),

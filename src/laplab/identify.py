@@ -87,12 +87,14 @@ class WeightedKernel:
     w(*index) returns W at any index of it.  mask is True where an entry is
     usable, always False on the diagonal (W_ii is unknown by construction,
     and w returns no meaningful value there); sym is True where both
-    directions are.
+    directions are.  colmax holds each column's largest masked W, -inf
+    where a column has no edge.
     """
 
     entries: np.ndarray
     mask: np.ndarray
     t: float
+    colmax: np.ndarray
 
     @property
     def n(self) -> int:
@@ -169,12 +171,14 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
     Checks: every entry is finite, row sums vanish to 1e-10, off-diagonal
     entries have the right sign (tiny negatives from rounding are clipped),
     no row is entirely disconnected.  One pass over 64-row blocks of the
-    entries gathers what every check needs and the edge mask; the checks
-    then raise in that order, on values of the whole operator.
+    entries gathers what every check needs, the edge mask and the column
+    maxima; the checks then raise in that order, on values of the whole
+    operator.
     """
     e, n = op.entries, len(op.entries)
     sums, ones = np.empty(n), np.ones(n)
     mask = np.empty((n, n), dtype=bool)
+    colmax = np.full(n, -np.inf)
     low, live = np.inf, True
     for r in _tiles(n):
         # +inf and -inf in one row sum to NaN, which the finiteness check reports
@@ -186,6 +190,7 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
         low = np.fmin(low, np.fmin.reduce(x, axis=None))
         np.greater(x, EDGE_THRESHOLD, out=mask[r])
         live = live and bool((x > 0.0).any(axis=1).all())
+        np.fmax(colmax, np.fmax.reduce(x, axis=0), out=colmax)
     worst = float(np.max(np.abs(sums)))
     # a NaN or infinite entry makes its row sum non-finite
     if not np.isfinite(worst):
@@ -200,7 +205,9 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
         )
     if not live:
         raise MalformedOperatorError("a node has an all-zero kernel row")
-    return WeightedKernel(entries=e, mask=mask, t=op.t)
+    # a column maximum above the threshold is a masked W; any other column has no edge
+    colmax[~(colmax > EDGE_THRESHOLD)] = -np.inf
+    return WeightedKernel(entries=e, mask=mask, t=op.t, colmax=colmax)
 
 
 def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
@@ -262,22 +269,29 @@ def _kernel_distance(k: np.ndarray, sym: np.ndarray, t: float):
     return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
 
 
-def _kernel_rows(wk: WeightedKernel, mass: np.ndarray):
-    """Row blocks (r, K[r]) of the kernel matrix, 64 rows at a time: W[r] / m,
-    clamped to 1 where masked, diagonal 1.  After the last block, raises if a
-    masked W / m exceeded 1 + KERNEL_SLACK (not a kernel operator)."""
-    high = -np.inf
-    for r in _tiles(wk.n):
-        k = wk.w(r)
-        k /= mass
-        high = max(high, float(k.max(where=wk.mask[r], initial=-np.inf)))
-        np.minimum(k, 1.0, out=k, where=wk.mask[r])
-        np.fill_diagonal(k[:, r], 1.0)
-        yield r, k
+def _check_kernel_bound(wk: WeightedKernel, mass: np.ndarray) -> None:
+    """Raise if a masked W_ij / m_j exceeds 1 + KERNEL_SLACK (not a kernel operator).
+
+    Rounded division by a positive m_j is monotone, so colmax_j / m_j is the
+    largest masked W_ij / m_j of column j, bit for bit; O(n) work.
+    """
+    high = float(np.max(wk.colmax / mass))
     if high > 1.0 + KERNEL_SLACK:
         raise InconsistencyError(
             f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator"
         )
+
+
+def _kernel_rows(wk: WeightedKernel, mass: np.ndarray):
+    """Row blocks (r, K[r]) of the kernel matrix, 64 rows at a time: W[r] / m,
+    clamped to 1 where masked, diagonal 1.  Values above 1 + KERNEL_SLACK are
+    not checked here; _check_kernel_bound checks them."""
+    for r in _tiles(wk.n):
+        k = wk.w(r)
+        k /= mass
+        np.minimum(k, 1.0, out=k, where=wk.mask[r])
+        np.fill_diagonal(k[:, r], 1.0)
+        yield r, k
 
 
 def _one_way(wk: WeightedKernel, mass: np.ndarray, i, j) -> np.ndarray:
@@ -296,8 +310,8 @@ def _distance_rows(wk: WeightedKernel, mass: np.ndarray):
     tile at a time.  D is symmetric, so the tiles left of the diagonal are the
     mirrors of tiles that earlier blocks built: each is kept until its row
     block comes (at most n^2 / 4 entries at once), and every one-way distance
-    is mapped once.  Kernel values above 1 are not checked here; _kernel_rows
-    checks them.
+    is mapped once.  Kernel values above 1 are not checked here;
+    _check_kernel_bound checks them.
     """
     tiles, kept = _tiles(wk.n), {}
     for a, r in enumerate(tiles):
@@ -328,6 +342,7 @@ def recover_kernel_distance(
     Masked kernel values above 1 + 1e-8 mean the matrix was not a kernel
     operator and raise an inconsistency error.
     """
+    _check_kernel_bound(wk, mass)
     khat, d = np.empty((wk.n, wk.n)), np.empty((wk.n, wk.n))
     for r, kr in _kernel_rows(wk, mass):
         khat[r] = kr
@@ -503,8 +518,7 @@ def run_recovery(op: OperatorMatrix, refine: bool = False) -> RecoveryReport:
     """Full inverse pipeline on one operator."""
     wk = extract_weighted_kernel(op)
     mass = recover_mass(wk, refine=refine)
-    for _ in _kernel_rows(wk, mass):  # raises on kernel values above 1
-        pass
+    _check_kernel_bound(wk, mass)
     periodic_u = isinstance(op.measure_metric, TorusMetric)
     richardson = isinstance(op.mode, ExtrinsicKernel)
     metric_field = metric_field_from_distance(

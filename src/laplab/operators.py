@@ -20,7 +20,8 @@ in cache, in the order of the formula.  It is capped at 64^2 nodes.  Above
 that, and for reference values at arbitrary chart points, `continuous_value`
 evaluates single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
-normalized by 1/(n t^2).
+normalized by 1/(n t^2): it evaluates f on the cloud once and takes one 1 x n
+distance row per evaluation point.
 
 Operators serialize to a small binary format (header + nodes + row-major
 float64 entries, little-endian throughout); see save_operator for the layout.
@@ -32,7 +33,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -226,18 +227,26 @@ class DiscreteOperator:
 def evaluate_discrete(
     dop: DiscreteOperator,
     f: Callable[[np.ndarray], np.ndarray],
-    x: ChartPoint,
-) -> float:
-    """(1/(n t^2)) sum_j exp(-dist(x, X_j)^2/t) (f(x) - f(X_j)).
+    points: Sequence[ChartPoint],
+) -> np.ndarray:
+    """(1/(n t^2)) sum_j exp(-dist(x, X_j)^2/t) (f(x) - f(X_j)) at each x in points.
 
+    f is evaluated on the sample once per call.  Each point takes its own
+    1 x n row of squared distances and turns it into the terms in place.
     Sample points coinciding with x contribute zero terms.
     """
-    pts = dop.samples.points
-    p = x.as_array()[None, :]
-    d2 = kernel_sq_dist(dop.mode, p, pts)[0]
-    fx = float(np.asarray(f(p))[0])
-    terms = np.exp(d2 / -dop.t) * (fx - np.asarray(f(pts)))
-    return float(terms.sum() / (dop.samples.n * dop.t**2))
+    pts, t = dop.samples.points, dop.t
+    f_pts = np.asarray(f(pts))
+    values = np.empty(len(points))
+    for i, x in enumerate(points):
+        p = x.as_array()[None, :]
+        terms = kernel_sq_dist(dop.mode, p, pts)[0]
+        terms /= -t
+        np.exp(terms, out=terms)
+        terms *= float(np.asarray(f(p))[0]) - f_pts
+        values[i] = terms.sum() / (dop.samples.n * t**2)
+        del terms  # free this row before the next one is computed
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,15 @@ decorrelated streams; a zero post-mix state falls back to the golden-ratio
 constant because the all-zero state is a fixed point of xorshift.
 
 Batches (`uniforms`) use jump-ahead and give the same stream as repeated
-`uniform` calls, bit for bit.  The state step is linear over GF(2), so C
-steps are one 64x64 bit matrix M^C.  A batch is cut into lanes of C = 128
-draws; each lane's start state is M^C applied to the previous lane's, done
-with eight 256-entry tables (one per state byte) built on first use.  All
-lanes then advance together with the plain step in numpy uint64, writing
-column j of an (lanes, C) view of the output at step j.
+`uniform` calls, bit for bit.  The state step is linear over GF(2), so k
+steps are one 64x64 bit matrix M^k, applied to a state as the xor of eight
+256-entry tables looked up by the state's bytes.  A batch is cut into lanes
+of C = 16 draws.  Lane start states are filled by doubling: with M^(C h) the
+tables of level log2(h), lanes [h, 2h) are the images of lanes [0, h), for
+all lanes at once in numpy.  Level 0 comes from plain stepping of the unit
+vectors and level k + 1 from applying level k twice to them; each level is
+built on first use.  All lanes then advance together with the plain step in
+numpy uint64, writing column j of a (lanes, C) view of the output at step j.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ _MASK = (1 << 64) - 1
 _STAR = 0x2545F4914F6CDD1D
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0**-53
-_CHUNK = 128  # lane length C of `uniforms`
+_CHUNK = 16  # lane length C of `uniforms`
 
 
 def _splitmix64(z: int) -> int:
@@ -55,23 +58,35 @@ def _step(x: int) -> int:
     return x ^ (x >> 27)
 
 
+def _byte_tables(cols: np.ndarray) -> np.ndarray:
+    """(8, 256) tables of the bit matrix whose column b is cols[b]: the matrix
+    maps x to the xor of tables[j][byte j of x]."""
+    cols = cols.reshape(8, 8)
+    tables = np.zeros((8, 1), dtype=np.uint64)
+    for bit in range(8):
+        tables = np.concatenate([tables, tables ^ cols[:, bit:bit + 1]], axis=1)
+    return tables
+
+
+def _apply(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The bit matrix of `tables` applied to every state in x."""
+    y = tables[0][x & 255]
+    for j in range(1, 8):
+        y ^= tables[j][x >> 8 * j & 255]
+    return y
+
+
 @cache
-def _jump_tables() -> tuple[tuple[int, ...], ...]:
-    """Byte tables of M^C: M^C x is the xor of tables[j][byte j of x]."""
-    cols = []
-    for bit in range(64):
-        x = 1 << bit
+def _jump(level: int) -> np.ndarray:
+    """Byte tables of M^(C 2^level), M the one-step matrix and C = _CHUNK."""
+    if level == 0:
+        cols = [1 << bit for bit in range(64)]
         for _ in range(_CHUNK):
-            x = _step(x)
-        cols.append(x)
-    tables = []
-    for j in range(8):
-        t = [0] * 256
-        for b in range(1, 256):
-            low = b & -b
-            t[b] = t[b ^ low] ^ cols[8 * j + low.bit_length() - 1]
-        tables.append(tuple(t))
-    return tuple(tables)
+            cols = [_step(x) for x in cols]
+        return _byte_tables(np.array(cols, dtype=np.uint64))
+    half = _jump(level - 1)
+    units = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    return _byte_tables(_apply(half, _apply(half, units)))
 
 
 class Xorshift64Star:
@@ -100,15 +115,13 @@ class Xorshift64Star:
         lanes = -(-count // _CHUNK)
         steps = min(count, _CHUNK)
         last = count - (lanes - 1) * _CHUNK  # steps taken by the last lane
-        t0, t1, t2, t3, t4, t5, t6, t7 = _jump_tables()
-        starts = [self._state]
-        for _ in range(lanes - 1):
-            s = starts[-1]
-            starts.append(
-                t0[s & 255] ^ t1[s >> 8 & 255] ^ t2[s >> 16 & 255] ^ t3[s >> 24 & 255]
-                ^ t4[s >> 32 & 255] ^ t5[s >> 40 & 255] ^ t6[s >> 48 & 255] ^ t7[s >> 56]
-            )
-        x = np.array(starts, dtype=np.uint64)
+        x = np.empty(lanes, dtype=np.uint64)
+        x[0] = self._state
+        h, level = 1, 0
+        while h < lanes:  # lanes [h, 2h) start C h steps after lanes [0, h)
+            k = min(h, lanes - h)
+            x[h:h + k] = _apply(_jump(level), x[:k])
+            h, level = 2 * h, level + 1
         tmp = np.empty_like(x)
         buf = np.empty(lanes * steps, dtype=np.float64)
         view = buf.reshape(lanes, steps)

@@ -432,7 +432,7 @@ def convergence_study(
         for j, n in enumerate(n_values):
             samples = sample_points(density, metric, n, seed + 1000003 * i + n)
             dop = DiscreteOperator(samples, bandwidth, kernel)
-            vals = np.array([evaluate_discrete(dop, _f_cos_u, x) for x in points])
+            vals = evaluate_discrete(dop, _f_cos_u, points)
             per_seed[i, j] = np.sqrt(np.mean((vals - ref) ** 2))
             del samples, dop  # free this cloud before the next one is drawn
     errors = tuple(float(e) for e in per_seed.mean(axis=0))

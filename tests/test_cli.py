@@ -86,6 +86,15 @@ def test_extrinsic_requires_embedding(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("embedding", ["bogus", "clifford", ""])
+def test_embedding_in_intrinsic_mode_exits_two(tmp_path, capsys, embedding):
+    rc = main(["assemble", "--grid", "4", f"--embedding={embedding}",
+               "--out", str(tmp_path / "x.llop")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --embedding applies to extrinsic mode only\n"
+    assert os.listdir(tmp_path) == []
+
+
 # --- verify exit codes -----------------------------------------------------------
 
 
@@ -476,17 +485,21 @@ def _selector(heads, *fields):
 
 @given(mode=st.sampled_from(["intrinsic", "extrinsic"]),
        metric=_selector(["aniso", "scaled", "sphere", "flat", ""], _NUMBERS),
-       embedding=_selector(["donut", "clifford", "sphere", ""], _NUMBERS, _NUMBERS),
+       embedding=st.one_of(st.none(),
+                           _selector(["donut", "clifford", "sphere", ""], _NUMBERS, _NUMBERS)),
        density=_selector(["cosine", "uniform", ""], _NUMBERS, st.sampled_from(["u", "v", ""])),
        bandwidth=_NUMBERS)
 def test_fuzzed_assemble_selectors_never_traceback(tmp_path_factory, mode, metric,
                                                    embedding, density, bandwidth):
     work = tmp_path_factory.mktemp("asm")
+    # an embedding is passed, or not, in either mode
+    chosen = [] if embedding is None else [f"--embedding={embedding}"]
     rc, err = _main_quietly([
-        "assemble", "--grid", "4", f"--mode={mode}", f"--metric={metric}",
-        f"--embedding={embedding}", f"--density={density}",
-        f"--bandwidth={bandwidth}", "--out", str(work / "x.llop")])
+        "assemble", "--grid", "4", f"--mode={mode}", f"--metric={metric}", *chosen,
+        f"--density={density}", f"--bandwidth={bandwidth}", "--out", str(work / "x.llop")])
     assert rc in (0, 2, 3)
+    if mode == "intrinsic" and chosen:
+        assert rc == 2
     if rc:
         # laplab's own errors are one line; argparse's lead with the usage text
         assert err.count("\n") == 1 or err.startswith("usage: laplab assemble")
@@ -554,3 +567,41 @@ def test_fuzzed_operator_entries_never_traceback(tmp_path_factory, block_operato
         assert not (work / "r.json").exists()
     else:
         assert (work / "r.json").exists()
+
+
+# --n fields: empty, zero, negative, float and NaN spellings, and sizes of at
+# most 64, so that no draw samples a large cloud
+_N_FIELDS = st.one_of(st.sampled_from(["", "0", "-0", "1e3", "nan", "-inf", " 8"]),
+                      st.integers(-64, 64).map(str))
+_SEED_VALUES = st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**80),
+                         st.integers(0, 2**64 - 1))
+# usable seed counts and bandwidths come first: hypothesis favours early
+# elements of sampled_from, and draws that reach the sampler are the rarer ones
+_BANDWIDTHS = st.sampled_from([
+    "0.5", "nan", "0.3", "inf", "1e-150", "-inf", "1e150", "0", "0.01", "-0", "2",
+    "5e-324", "1e-310", "1e-300", "1e300", "-1e300",
+])
+
+
+# increasing lists of usable sizes reach the sampler; the rest stop earlier
+_N_LISTS = st.one_of(
+    st.lists(st.integers(1, 64), min_size=3, max_size=4, unique=True).map(sorted),
+    st.lists(st.integers(-64, 64), min_size=3, max_size=4, unique=True).map(sorted),
+    st.lists(_N_FIELDS, max_size=5),
+).map(lambda fields: ",".join(map(str, fields)))
+
+
+@given(n=_N_LISTS, seeds=st.sampled_from([5, 6, 7, 0, 1, 2, 3, 4]),
+       bandwidth=_BANDWIDTHS, seed=_SEED_VALUES)
+def test_fuzzed_converge_never_tracebacks(tmp_path_factory, n, seeds, bandwidth, seed):
+    work = tmp_path_factory.mktemp("conv")
+    rc, err = _main_quietly([
+        "converge", f"--n={n}", f"--seeds={seeds}", f"--bandwidth={bandwidth}",
+        f"--seed={seed}", "--out", str(work / "c.csv")])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err
+    if rc:
+        assert err.count("\n") == 1
+        assert not (work / "c.csv").exists()
+    else:
+        assert (work / "c.csv").exists()

@@ -40,7 +40,7 @@ from laplab.geometry import (
 )
 from laplab.identify import (
     EDGE_THRESHOLD,
-    WeightedKernel,
+    KERNEL_SLACK,
     extract_weighted_kernel,
     metric_field_from_distance,
     recover_density,
@@ -284,7 +284,7 @@ def test_disconnected_graph_raises():
     cut = wk.mask.copy()
     cut[0, :] = False
     cut[:, 0] = False
-    wk2 = type(wk)(entries=op.entries, mask=cut, t=wk.t)
+    wk2 = dataclasses.replace(wk, mask=cut)
     with pytest.raises(UnrecoverableMassError):
         recover_mass(wk2)
 
@@ -345,7 +345,7 @@ def test_kernel_value_within_slack_is_clamped_to_one():
     entries = op.entries.copy()
     # W_ij = -t^2 L_ij, so K_ij sits just above 1, inside KERNEL_SLACK
     entries[i, j] = m[j] * (1.0 + 1e-9) / (-op.t**2)
-    khat, _ = recover_kernel_distance(WeightedKernel(entries, wk.mask, wk.t), m)
+    khat, _ = recover_kernel_distance(dataclasses.replace(wk, entries=entries), m)
     assert khat[i, j] == 1.0
     assert khat[wk.mask].max() <= 1.0
 
@@ -629,6 +629,37 @@ def test_kernel_overshoot_fails_slim_recovery():
                    op.grid_shape, op.spacing)
     with pytest.raises(InconsistencyError, match="exceeds 1; not a Gaussian kernel"):
         run_recovery(bad)
+
+
+def test_kernel_overshoot_in_last_partial_block_fails_with_scan_value():
+    # grid 10: rows 64..99 form the last, partial 64-row block.  Scaling W at
+    # the neighbors (99, 98) and (98, 99) alike keeps their mass ratio and
+    # lifts K there just above 1 + KERNEL_SLACK.
+    op, _, _ = _op(n=10)
+    i, j = op.n - 1, op.n - 2
+    m = recover_mass(extract_weighted_kernel(op))
+    factor = (1.0 + 2.0 * KERNEL_SLACK) / (op.entries[i, j] * -op.t**2 / m[j])
+    entries = op.entries.copy()
+    for a, b in ((i, j), (j, i)):
+        entries[a, b] *= factor
+        entries[a, a] = 0.0
+        entries[a, a] = -entries[a].sum()
+    bad = dataclasses.replace(op, entries=entries)
+    wk = extract_weighted_kernel(bad)
+    m = recover_mass(wk)
+    # the scan over every masked W_ij / m_j, 64 rows at a time
+    high, where = -np.inf, None
+    for lo in range(0, wk.n, 64):
+        k = wk.w(slice(lo, lo + 64)) / m
+        k[~wk.mask[lo:lo + 64]] = -np.inf
+        if k.max() > high:
+            high, where = float(k.max()), lo
+    assert where == 64 and high > 1.0 + KERNEL_SLACK
+    message = re.escape(f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator")
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+        run_recovery(bad)
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+        recover_kernel_distance(wk, m)
 
 
 def test_slim_recovery_builds_no_dense_matrix(monkeypatch):

@@ -448,7 +448,7 @@ def test_discrete_constant_is_exactly_zero():
     p = normalize_density(UniformDensity(), rule)
     s = sample_points(p, TorusMetric.flat(), 500, 3)
     dop = DiscreteOperator(s, 0.5, IntrinsicKernel(TorusMetric.flat()))
-    val = evaluate_discrete(dop, lambda pts: np.ones(len(pts)), ChartPoint(0.1, 0.2))
+    [val] = evaluate_discrete(dop, lambda pts: np.ones(len(pts)), [ChartPoint(0.1, 0.2)])
     assert val == 0.0
 
 
@@ -458,7 +458,7 @@ def test_discrete_single_coincident_sample():
     s = sample_points(p, TorusMetric.flat(), 1, 3)
     dop = DiscreteOperator(s, 0.5, IntrinsicKernel(TorusMetric.flat()))
     x = ChartPoint(s.points[0, 0], s.points[0, 1])
-    val = evaluate_discrete(dop, lambda pts: np.cos(pts[:, 0]), x)
+    [val] = evaluate_discrete(dop, lambda pts: np.cos(pts[:, 0]), [x])
     assert val == 0.0
 
 
@@ -474,7 +474,7 @@ def test_discrete_value_near_continuous_value():
 
     s = sample_points(p, metric, 100_000, 1234)
     dop = DiscreteOperator(s, 0.5, IntrinsicKernel(metric))
-    val = evaluate_discrete(dop, f, x)
+    [val] = evaluate_discrete(dop, f, [x])
     # standard error from the empirical variance of the summed terms
     d2 = kernel_sq_dist(dop.mode, x.as_array()[None, :], s.points)[0]
     terms = np.exp(d2 / -dop.t) * (f(x.as_array()[None, :])[0] - f(s.points)) / dop.t**2
@@ -489,6 +489,52 @@ def test_discrete_bandwidth_validation():
     s = sample_points(p, TorusMetric.flat(), 10, 3)
     with pytest.raises(InvalidParameterError):
         DiscreteOperator(s, -1.0, IntrinsicKernel(TorusMetric.flat()))
+
+
+def _evaluate_one(dop, f, x):
+    """The single-point Monte-Carlo evaluator as it stood before it took many
+    points: f over the whole cloud and fresh temporaries on every call."""
+    pts = dop.samples.points
+    p = x.as_array()[None, :]
+    d2 = kernel_sq_dist(dop.mode, p, pts)[0]
+    fx = float(np.asarray(f(p))[0])
+    terms = np.exp(d2 / -dop.t) * (fx - np.asarray(f(pts)))
+    return float(terms.sum() / (dop.samples.n * dop.t**2))
+
+
+@pytest.mark.parametrize("case", ["flat_torus", "sphere", "clifford"])
+def test_discrete_many_points_match_single_point_bits(case):
+    flat, sphere = TorusMetric.flat(), SphereMetric(1.0)
+    metric, mode = {
+        "flat_torus": (flat, IntrinsicKernel(flat)),
+        "sphere": (sphere, IntrinsicKernel(sphere)),
+        "clifford": (flat, ExtrinsicKernel(CliffordTorus())),
+    }[case]
+    p = normalize_density(CosineBump(0.4, "v"), build_grid(metric, 16))
+    dop = DiscreteOperator(sample_points(p, metric, 3000, 17), 0.3, mode)
+    gen = np.random.default_rng(5)
+    points = [ChartPoint(u, v) for u, v in zip(gen.uniform(0.3, 2.8, 8),
+                                               gen.uniform(0.0, 2 * math.pi, 8))]
+    f = lambda pts: np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
+    got = evaluate_discrete(dop, f, points)
+    want = np.array([_evaluate_one(dop, f, x) for x in points])
+    assert got.shape == (8,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_discrete_evaluates_f_on_the_cloud_once():
+    rule = build_grid(TorusMetric.flat(), 8)
+    p = normalize_density(UniformDensity(), rule)
+    dop = DiscreteOperator(sample_points(p, TorusMetric.flat(), 200, 3), 0.5,
+                           IntrinsicKernel(TorusMetric.flat()))
+    sizes = []
+
+    def f(pts):
+        sizes.append(len(pts))
+        return np.cos(pts[:, 0])
+
+    evaluate_discrete(dop, f, [ChartPoint(0.1 * k, 0.2) for k in range(5)])
+    assert sorted(sizes) == [1] * 5 + [200]
 
 
 # --- serialization --------------------------------------------------------------

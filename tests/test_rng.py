@@ -41,7 +41,7 @@ def _as_uniforms(bits):
 
 
 # lane length of the jump-ahead in Xorshift64Star.uniforms
-C = 128
+C = 16
 
 
 def test_matches_independent_reimplementation():
@@ -75,7 +75,7 @@ def test_uniforms_batch_equals_repeated_scalar():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-@pytest.mark.parametrize("count", [0, 1, C - 1, C, C + 1, 3 * 1024, 192_000])
+@pytest.mark.parametrize("count", [0, 1, C - 1, C, C + 1, 127, 128, 129, 3 * 1024, 192_000])
 def test_uniforms_stream_and_state_match_oracle(seed, count):
     # 192,000 draws is sample_points' first batch at n = 64,000
     gen = Xorshift64Star(seed)
@@ -90,12 +90,46 @@ def test_uniforms_stream_and_state_match_oracle(seed, count):
 def test_uniforms_interleaved_with_next_u64():
     gen = Xorshift64Star(2**64 - 1)
     x = _oracle_seed(2**64 - 1)
-    for count in (5, C, 1, 3 * C + 7, 0, C - 1, 1000):
+    for count in (5, 128, 1, 391, 0, 127, 1000, C, 3 * C + 7, C - 1, C + 1):
         bit, x = _oracle_steps(x, 1)
         assert [gen.next_u64() >> 11] == bit
         bits, x = _oracle_steps(x, count)
         assert np.array_equal(gen.uniforms(count), _as_uniforms(bits))
         assert gen._state == x
+
+
+# 2^k - 1, 2^k and 2^k + 1 lanes for k up to 12: the start states are filled
+# in doubling rounds, and these counts end a round early, on time or late
+_LANES = sorted({2**k + d for k in range(13) for d in (-1, 0, 1)} - {0})
+
+
+@pytest.mark.parametrize("lanes", _LANES)
+def test_uniforms_at_lane_counts_match_oracle(lanes):
+    gen = Xorshift64Star(lanes)
+    x = _oracle_seed(lanes)
+    for count in (lanes * C, lanes * C - 5):  # full last lane, then a partial one
+        bits, x = _oracle_steps(x, count)
+        assert np.array_equal(gen.uniforms(count), _as_uniforms(bits))
+        assert gen._state == x
+        bit, x = _oracle_steps(x, 1)
+        assert [gen.next_u64() >> 11] == bit
+
+
+def test_jump_tables_are_powers_of_the_step_matrix():
+    from laplab.rng import _jump
+
+    for level in range(4):
+        # column b of M^(C 2^level): the unit vector 1 << b stepped that often
+        cols = [_oracle_steps(1 << b, C * 2**level)[1] for b in range(64)]
+        tables = _jump(level)
+        assert tables.shape == (8, 256) and tables.dtype == np.uint64
+        for j in range(8):
+            for byte in range(256):
+                want = 0
+                for b in range(8):
+                    if byte >> b & 1:
+                        want ^= cols[8 * j + b]
+                assert int(tables[j, byte]) == want
 
 
 def test_uniforms_zero_leaves_state_unchanged():
@@ -107,7 +141,7 @@ def test_uniforms_zero_leaves_state_unchanged():
     assert gen._state == before
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 3 * C + 5))
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 389))
 def test_uniforms_match_oracle_property(seed, count):
     gen = Xorshift64Star(seed)
     bits, state = _oracle_steps(_oracle_seed(seed), count)

@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from laplab.discretization import UniformDensity, build_grid, normalize_density, sample_points
 from laplab.errors import InvalidParameterError
+from laplab.geometry import TorusMetric
+from laplab.operators import DiscreteOperator, IntrinsicKernel, continuous_value, kernel_sq_dist
 from laplab.verify import (
     ScenarioConfig,
+    _eval_points,
+    _f_cos_u,
     convergence_study,
     run_scenario,
     stencil_order_study,
@@ -171,6 +176,32 @@ def test_reference_cache_reused(tmp_path):
     c = study()
     assert np.array_equal(c.per_seed, a.per_seed)
     assert cache.read_bytes() == stamp
+
+
+def test_convergence_per_seed_bits_match_single_point_loop():
+    # the study's loop as it stood with a single-point evaluator
+    metric = TorusMetric.flat()
+    kernel = IntrinsicKernel(metric)
+    rule = build_grid(metric, 128)
+    density = normalize_density(UniformDensity(), rule)
+    points = _eval_points()
+    ref = np.array([continuous_value(kernel, density, rule, 0.5, _f_cos_u, x)
+                    for x in points])
+    n_values, want = (250, 500, 1000), np.empty((5, 3))
+    for i in range(5):
+        for j, n in enumerate(n_values):
+            dop = DiscreteOperator(sample_points(density, metric, n, 1234 + 1000003 * i + n),
+                                   0.5, kernel)
+            pts = dop.samples.points
+            vals = []
+            for x in points:
+                p = x.as_array()[None, :]
+                d2 = kernel_sq_dist(kernel, p, pts)[0]
+                terms = np.exp(d2 / -0.5) * (float(_f_cos_u(p)[0]) - _f_cos_u(pts))
+                vals.append(float(terms.sum() / (n * 0.5**2)))
+            want[i, j] = np.sqrt(np.mean((np.array(vals) - ref) ** 2))
+    study = convergence_study(n_values=n_values, n_seeds=5)
+    assert study.per_seed.tobytes() == want.tobytes()
 
 
 def test_convergence_csv_has_config_echo_and_slope_footer(tmp_path):
