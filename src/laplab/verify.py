@@ -202,10 +202,11 @@ def write_json(payload, path, indent=2) -> None:
     """Dump payload with sorted keys and a trailing newline, making its directory.
 
     The bytes are those of json.dump(payload, fh, indent=indent, sort_keys=True).
-    json.dump with an indent always runs the pure-Python encoder, so with one
-    set, every flat list of numbers and nulls (a matrix row, a mass vector)
-    goes through the C encoder of json.dumps and is re-indented: no float,
-    NaN or Infinity text holds ", " or a bracket.
+    With an indent, payload may also hold float64 and integer ndarrays, written
+    as json.dump writes their nested lists, with non-finite entries as null.
+    An array is written straight from its values: each distinct value (float64
+    bit pattern, so 0.0 and -0.0 stay apart) is formatted once, and the texts
+    are gathered back into place and joined at the list form's indentation.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
@@ -216,6 +217,34 @@ def write_json(payload, path, indent=2) -> None:
         fh.write("\n")
 
 
+# json's text of a finite float
+_FLOAT_TEXT = float.__repr__
+
+
+def _array_texts(a: np.ndarray) -> np.ndarray:
+    """json's text of every entry of a, shaped like a; each distinct value
+    is formatted once, and non-finite ones become null."""
+    flat = a.ravel()
+    if a.dtype == np.float64:
+        bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+        values = bits.view(np.float64)
+        texts = np.array(list(map(_FLOAT_TEXT, values.tolist())), dtype=object)
+        texts[~np.isfinite(values)] = "null"
+    else:
+        values, inverse = np.unique(flat, return_inverse=True)
+        texts = np.array(list(map(int.__repr__, values.tolist())), dtype=object)
+    return texts[inverse].reshape(a.shape)
+
+
+def _nested(texts: np.ndarray, step: str, nl: str) -> str:
+    """The indented json list of an array of entry texts (see _indented)."""
+    if len(texts) == 0:
+        return "[]"
+    inner = nl + step
+    items = texts.tolist() if texts.ndim == 1 else [_nested(t, step, inner) for t in texts]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
 def _indented(obj, step: str, nl: str) -> str:
     """json.dumps(obj, indent=len(step), sort_keys=True) with obj's opening
     line ending in nl (a newline plus the indentation of that line)."""
@@ -224,10 +253,10 @@ def _indented(obj, step: str, nl: str) -> str:
         items = (json.dumps(_key(k)) + ": " + _indented(v, step, inner)
                  for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, np.ndarray) and (obj.dtype == np.float64 or obj.dtype.kind in "iu"):
+        return _nested(_array_texts(obj), step, nl)
     if not (isinstance(obj, (list, tuple)) and obj):
         return json.dumps(obj)
-    if all(x is None or isinstance(x, (int, float)) for x in obj):
-        return "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + nl + "]"
     return "[" + inner + ("," + inner).join(_indented(x, step, inner) for x in obj) + nl + "]"
 
 
@@ -375,9 +404,9 @@ class ConvergenceResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _s5_reference(rule, density, t, points, out_dir=None):
-    """Continuous operator values at the evaluation points; with out_dir set,
-    also written (never read) to s5_reference.json under a hash of the inputs."""
+def _s5_reference(rule, density, t, points):
+    """Continuous operator values at the evaluation points, and a hash of the
+    inputs, under which convergence_study writes them to s5_reference.json."""
     mode = IntrinsicKernel(rule.metric)
     key_src = json.dumps(
         {
@@ -394,10 +423,7 @@ def _s5_reference(rule, density, t, points, out_dir=None):
     values = np.array(
         [continuous_value(mode, density, rule, t, _f_cos_u, x) for x in points]
     )
-    if out_dir is not None:
-        write_json({"key": key, "values": values.tolist()},
-                   os.path.join(out_dir, "s5_reference.json"), indent=None)
-    return values
+    return values, key
 
 
 def convergence_study(
@@ -412,7 +438,9 @@ def convergence_study(
 
     Seed index i at size n samples the flat torus from `seed + 1000003 i + n`;
     its error is the RMS over eight chart points of the Monte-Carlo minus the
-    quadrature value of cos(u) on a reference_grid grid.
+    quadrature value of cos(u) on a reference_grid grid.  With out_dir set,
+    a study that succeeds writes those quadrature values to s5_reference.json
+    there; one that fails writes nothing.
     """
     n_values = tuple(int(n) for n in n_values)
     if len(n_values) < 3 or list(n_values) != sorted(set(n_values)):
@@ -425,7 +453,7 @@ def convergence_study(
     rule = build_grid(metric, reference_grid)
     density = normalize_density(UniformDensity(), rule)
     points = _eval_points()
-    ref = _s5_reference(rule, density, bandwidth, points, out_dir)
+    ref, key = _s5_reference(rule, density, bandwidth, points)
     del rule  # sampling needs only the density; free the reference grid
     per_seed = np.empty((n_seeds, len(n_values)))
     for i in range(n_seeds):
@@ -440,6 +468,9 @@ def convergence_study(
         raise NumericalError(f"mean Monte-Carlo errors {errors} have no log-log slope; "
                              f"bandwidth {bandwidth} is out of usable range")
     slope = float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])
+    if out_dir is not None:
+        write_json({"key": key, "values": ref.tolist()},
+                   os.path.join(out_dir, "s5_reference.json"), indent=None)
     return ConvergenceResult(n_values, errors, per_seed, slope, seed, bandwidth, reference_grid)
 
 

@@ -79,6 +79,59 @@ def test_verify_cli_matches_library_bytes(tmp_path):
     assert (cli_dir / "S3.json").read_bytes() == (lib_dir / "S3.json").read_bytes()
 
 
+# the four surfaces of the benchmark's recover batch
+_REPORT_CASES = {
+    "intrinsic-aniso-torus": ["--mode", "intrinsic", "--metric", "aniso:1.5"],
+    "extrinsic-donut": ["--mode", "extrinsic", "--metric", "flat", "--embedding", "donut:2:1"],
+    "extrinsic-sphere": ["--mode", "extrinsic", "--metric", "sphere:1", "--embedding", "sphere"],
+    "intrinsic-sphere": ["--mode", "intrinsic", "--metric", "sphere:1"],
+}
+
+
+def _list_payload(report, externalize):
+    """The report as nested lists, each matrix through astype(object) with its
+    non-finite entries set to None: the payload json.dump wrote reports from."""
+    def nulls(mat):
+        obj = mat.astype(object)
+        obj[~np.isfinite(mat)] = None
+        return obj.tolist()
+
+    fld = report.metric_field
+    payload = {
+        "version": laplab.__version__,
+        "t": report.t,
+        "grid_shape": list(report.grid_shape),
+        "spacing": list(report.spacing),
+        "n": int(report.mass.shape[0]),
+        "mass": report.mass.tolist(),
+        "metric": {"indices": fld.indices.tolist(), "tensors": fld.tensors.tolist()},
+        "density": {"indices": fld.indices.tolist(), "values": report.density.tolist()},
+        "errors": {},
+    }
+    if externalize:
+        payload["matrix_files"] = {"kernel": "recovery_kernel.llmx",
+                                   "distance": "recovery_distance.llmx"}
+    else:
+        payload["kernel"], payload["distance"] = nulls(report.kernel), nulls(report.distance)
+    return payload
+
+
+@pytest.mark.parametrize("externalize", [False, True])
+@pytest.mark.parametrize("case", sorted(_REPORT_CASES))
+def test_recover_report_bytes_equal_json_dump_of_list_payload(tmp_path, case, externalize):
+    from laplab.identify import run_recovery
+    from laplab.operators import load_operator
+
+    op_path, out = tmp_path / "op.llop", tmp_path / "r.json"
+    assert main(["assemble", *_REPORT_CASES[case], "--density", "cosine:0.4:v",
+                 "--grid", "8", "--bandwidth", "0.5", "--out", str(op_path)]) == 0
+    extra = ["--externalize", str(tmp_path / "mx")] if externalize else []
+    assert main(["recover", "--operator", str(op_path), "--out", str(out), *extra]) == 0
+    ref = json.dumps(_list_payload(run_recovery(load_operator(op_path)), externalize),
+                     indent=2, sort_keys=True)
+    assert out.read_text() == ref + "\n"
+
+
 def test_extrinsic_requires_embedding(tmp_path):
     rc = main(["assemble", "--mode", "extrinsic", "--metric", "flat",
                "--density", "uniform", "--grid", "4", "--bandwidth", "0.5",
@@ -114,6 +167,20 @@ def test_verify_scenario_failure_exits_one(capsys):
 
 def test_verify_unknown_scenario_exits_two():
     assert main(["verify", "--scenario", "S99"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--n", "100,200,400", "--seeds", "5", "--bandwidth", "1e-100",
+     "--out", "{out}/c.csv"],
+    ["verify", "--scenario", "S5", "--bandwidth", "1e-100", "--out", "{out}"],
+])
+def test_failed_convergence_study_leaves_no_file(tmp_path, capsys, argv):
+    # every kernel weight underflows, so the Monte-Carlo errors are all 0
+    rc = main([a.replace("{out}", str(tmp_path)) for a in argv])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_recovery_numerical_failure_exits_three(tmp_path):
@@ -602,6 +669,50 @@ def test_fuzzed_converge_never_tracebacks(tmp_path_factory, n, seeds, bandwidth,
     assert "Traceback" not in err
     if rc:
         assert err.count("\n") == 1
-        assert not (work / "c.csv").exists()
+        assert os.listdir(work) == []
     else:
         assert (work / "c.csv").exists()
+
+
+# verify flags at the edges of parsing, and usable ones: S1-S4 and S6 at grids
+# 4 and 6, so that no draw runs long (S5 and "all" run the full default
+# convergence study); the two that recover, and write arrays, come first
+_VERIFY_FLAGS = {
+    "scenario": (["S2", "S6", "S1", "S3", "S4"], ["", "S7", "s1", "S", "nan", "S1 ", "inf"]),
+    "grid": (["4", "6"], ["", "nan", "inf", "-inf", "0", "-0", "3", "5", "-4", "1", "2", "1e3",
+                          "5e-324"]),
+    "bandwidth": (["0.5", "2", "0.3", "0.01", "1e-150"],
+                  ["", "nan", "inf", "-inf", "0", "-0", "5e-324", "1e-310", "1e-300", "1e300",
+                   "-1e300", "1e150"]),
+    "seed": (["1234", "0", "-1", str(2**64), str(-(2**70))], ["", "nan", "1.5", "-0.0", "1e300"]),
+}
+
+
+@st.composite
+def _verify_argv(draw):
+    """verify flags with at most two of them drawn from the bad values, so that
+    runs which reach a scenario are as common as runs that stop at a flag."""
+    broken = draw(st.sets(st.sampled_from(sorted(_VERIFY_FLAGS)), max_size=2))
+    return [f"--{flag}={draw(st.sampled_from(values[flag in broken]))}"
+            for flag, values in _VERIFY_FLAGS.items()]
+
+
+@given(flags=_verify_argv())
+def test_fuzzed_verify_never_tracebacks(tmp_path_factory, flags):
+    out_dir = tmp_path_factory.mktemp("verify") / "out"
+    scenario = flags[0].partition("=")[2]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", *flags, "--out", str(out_dir)])
+    err = err.getvalue()
+    # 1 is a scenario that ran and missed its thresholds; its report is written
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert "FAIL" in out.getvalue() and err == ""
+    if rc in (0, 1):
+        assert (out_dir / f"{scenario}.json").exists()
+    else:
+        # laplab's own errors are one line; argparse's lead with the usage text
+        assert err.count("\n") == 1 or err.startswith("usage: laplab verify")
+        assert not out_dir.exists() or os.listdir(out_dir) == []

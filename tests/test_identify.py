@@ -54,6 +54,7 @@ from laplab.operators import (
     assemble_continuous,
     save_matrix,
 )
+from laplab.verify import write_json
 
 FOUR_PI_SQ = 4 * math.pi**2
 
@@ -495,8 +496,8 @@ def test_report_payload_round_trips_to_json(tmp_path):
     from laplab.identify import report_payload
 
     payload = report_payload(report)
-    text = json.dumps(payload, sort_keys=True)
-    back = json.loads(text)
+    write_json(payload, tmp_path / "r.json")
+    back = json.loads((tmp_path / "r.json").read_text())
     assert back["n"] == 64
     assert len(back["mass"]) == 64
 
@@ -577,7 +578,9 @@ def test_lazy_matrices_match_dense_pipeline_bitwise(case, grid, tmp_path):
     for name, ref in (("kernel", khat), ("distance", dhat)):
         obj = ref.astype(object)
         obj[~np.isfinite(ref)] = None
-        assert json.dumps(embedded[name]) == json.dumps(obj.tolist())
+        write_json({name: embedded[name]}, tmp_path / "embedded.json")
+        text = json.dumps({name: obj.tolist()}, indent=2, sort_keys=True)
+        assert (tmp_path / "embedded.json").read_text() == text + "\n"
 
 
 @pytest.mark.parametrize("grid", [16, 32])

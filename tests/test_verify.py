@@ -1,14 +1,16 @@
 """Scenario harness behavior: pass/fail wiring, report files, determinism,
 and the convergence study's statistics."""
 
-import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from laplab import verify
 from laplab.discretization import UniformDensity, build_grid, normalize_density, sample_points
 from laplab.errors import InvalidParameterError
 from laplab.geometry import TorusMetric
@@ -234,8 +236,24 @@ def test_stencil_order_is_two_on_sphere_distances():
 
 _TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["a, b", "[x, y]", "ü, é", "1.5, NaN"]))
 _NUMBERS = st.one_of(st.floats(), st.none(), st.integers(), st.booleans())
+# array entries: few distinct values, so that most of them repeat, among them
+# both zeros, the non-finite ones and the ends of the float64 range
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300,
+                     1e-300, 0.1, 1.0]),
+    st.floats(),
+)
+_ARRAYS = st.one_of(
+    arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5), elements=_ENTRIES),
+    st.sampled_from([
+        np.array([[0.0, -0.0, 5e-324], [-0.0, 0.0, -5e-324]]),
+        np.array([math.nan, -math.inf, 1e300, math.nan, -1e-300, math.inf, 0.0]),
+        np.empty((3, 0)), np.empty((0, 3)), np.full((2, 1, 3), -0.0),
+    ]),
+    arrays(np.int64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)),
+)
 _PAYLOADS = st.recursive(
-    _NUMBERS | _TEXT,
+    _NUMBERS | _TEXT | _ARRAYS,
     lambda inner: st.lists(inner, max_size=6) | st.lists(_NUMBERS, max_size=6) | st.one_of(
         # one key type per dict: json sorts keys before it turns them into text
         st.dictionaries(keys, inner, max_size=6)
@@ -245,12 +263,47 @@ _PAYLOADS = st.recursive(
 )
 
 
+def _as_lists(obj):
+    """obj with every array replaced by its nested list, non-finite entries None."""
+    if isinstance(obj, np.ndarray):
+        out = obj.astype(object)
+        out[~np.isfinite(obj)] = None
+        return out.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(x) for x in obj]
+    return obj
+
+
 @given(_PAYLOADS)
 def test_write_json_bytes_equal_json_dump(tmp_path_factory, payload):
-    # flat number lists go through the C encoder; the bytes must not notice
+    # arrays are written from their values, lists through json; the bytes
+    # must be those of json.dump on the list form either way
     path = tmp_path_factory.getbasetemp() / "write_json.json"
-    for indent in (2, None):
-        ref = io.StringIO()
-        json.dump(payload, ref, indent=indent, sort_keys=True)
-        write_json(payload, path, indent=indent)
-        assert path.read_text() == ref.getvalue() + "\n"
+    lists = _as_lists(payload)
+    write_json(payload, path)
+    assert path.read_text() == json.dumps(lists, indent=2, sort_keys=True) + "\n"
+    # the compact form is json.dump's own, for plain json values
+    write_json(lists, path, indent=None)
+    assert path.read_text() == json.dumps(lists, sort_keys=True) + "\n"
+
+
+def test_write_json_formats_each_distinct_float_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return float.__repr__(x)
+
+    monkeypatch.setattr(verify, "_FLOAT_TEXT", spy)
+    rng = np.random.default_rng(5)
+    values = np.array([0.0, -0.0, math.nan, math.inf, 5e-324, 1e300, 0.1, 1.0 / 3.0])
+    matrix = rng.choice(values, size=(40, 30))
+    tensors = rng.choice(values[4:], size=(50, 2, 2))
+    write_json({"matrix": matrix, "tensors": tensors}, tmp_path / "r.json")
+    distinct = [np.unique(a.view(np.uint64)).size for a in (matrix, tensors)]
+    assert sorted(distinct) == [4, 8]
+    assert len(calls) == sum(distinct)
+    ref = json.dumps(_as_lists({"matrix": matrix, "tensors": tensors}), indent=2, sort_keys=True)
+    assert (tmp_path / "r.json").read_text() == ref + "\n"
