@@ -18,9 +18,12 @@ file whose keys fill in defaults; flags given on the command line win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,6 +210,31 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _staged(out):
+    """Yield a staging directory for the files a command writes to directory
+    out, and move them into out (making it) only when the body returns.  A
+    command that fails leaves out as it was; None stages nothing."""
+    if out is None:
+        yield None
+        return
+    parent = os.path.abspath(out)
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    stage = tempfile.mkdtemp(prefix=".laplab-", dir=parent)
+    try:
+        yield stage
+        os.makedirs(out, exist_ok=True)
+        names = sorted(os.listdir(stage))
+        for name in names:  # refuse before the first move: all files land or none
+            if os.path.isdir(os.path.join(out, name)):
+                raise IsADirectoryError(f"{os.path.join(out, name)} is a directory")
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def _cmd_verify(args) -> int:
     import dataclasses
 
@@ -218,17 +246,17 @@ def _cmd_verify(args) -> int:
         grid=args.grid,
         bandwidth=args.bandwidth,
         seed=args.seed,
-        out_dir=args.out,
     )
     ok = True
-    for sid in wanted:
-        result = run_scenario(dataclasses.replace(base, scenario=sid))
-        status = "pass" if result.passed else "FAIL"
-        detail = ", ".join(
-            f"{k}={v:.3e}" for k, v in sorted(result.discrepancies.items())
-        )
-        print(f"{sid}: {status} ({detail})")
-        ok = ok and result.passed
+    with _staged(args.out) as stage:
+        for sid in wanted:
+            result = run_scenario(dataclasses.replace(base, scenario=sid, out_dir=stage))
+            status = "pass" if result.passed else "FAIL"
+            detail = ", ".join(
+                f"{k}={v:.3e}" for k, v in sorted(result.discrepancies.items())
+            )
+            print(f"{sid}: {status} ({detail})")
+            ok = ok and result.passed
     return 0 if ok else 1
 
 
@@ -236,14 +264,17 @@ def _cmd_converge(args) -> int:
     from .verify import convergence_study
 
     n_values = tuple(int(s) for s in str(args.n).split(",") if s)
-    study = convergence_study(
-        n_values=n_values,
-        n_seeds=args.seeds,
-        bandwidth=args.bandwidth,
-        seed=args.seed,
-        out_dir=os.path.dirname(os.path.abspath(args.out)),
-    )
-    study.to_csv(args.out)
+    if not os.path.basename(args.out):
+        raise ValueError(f"--out {args.out} names a directory, not a file")
+    with _staged(os.path.dirname(os.path.abspath(args.out))) as stage:
+        study = convergence_study(
+            n_values=n_values,
+            n_seeds=args.seeds,
+            bandwidth=args.bandwidth,
+            seed=args.seed,
+            out_dir=stage,
+        )
+        study.to_csv(os.path.join(stage, os.path.basename(args.out)))
     print(f"wrote {args.out}: slope {study.slope:.3f}")
     return 0
 

@@ -187,6 +187,9 @@ def sample_points(density: Density, metric: Metric, n: int, seed: int) -> Sample
     Torus metrics have constant sqrt(det g), so only the density shape
     matters there.  Acceptance uses three uniforms per proposal (u, v,
     accept), always consumed, so the stream layout does not depend on data.
+    Accepted draws are gathered with np.compress, one pass, into the
+    cloud's coordinate rows; the points are their (n, 2) transpose, so each
+    coordinate column is contiguous and distance rows read it uncopied.
     """
     if n <= 0:
         raise InvalidParameterError(f"sample count must be positive, got {n}")
@@ -201,22 +204,23 @@ def sample_points(density: Density, metric: Metric, n: int, seed: int) -> Sample
     else:
         u_lo, u_span = POLE_GUARD, math.pi - 2.0 * POLE_GUARD
 
-    chunks: list[np.ndarray] = []
+    cloud = np.empty((2, n))  # one contiguous row per coordinate
     accepted = 0
     while accepted < n:
         batch = max(1024, n - accepted)
         draws = gen.uniforms(3 * batch).reshape(batch, 3)
-        pts = np.empty((batch, 2), dtype=np.float64)
-        pts[:, 0] = u_lo + u_span * draws[:, 0]
-        pts[:, 1] = TWO_PI * draws[:, 1]
-        ratio = density.raw_values(pts) / sup
+        pts = np.empty((2, batch))
+        pts[0] = u_lo + u_span * draws[:, 0]
+        pts[1] = TWO_PI * draws[:, 1]
+        ratio = density.raw_values(pts.T) / sup
         if isinstance(metric, SphereMetric):
             # sup over sqrt(det g) = R^2 at the equator; ratio picks up sin(u).
-            ratio = ratio * np.sin(pts[:, 0])
+            ratio = ratio * np.sin(pts[0])
         if ratio.max() > 1.0 + 1e-12:
             raise LapLabError("rejection envelope violated; analytic sup is wrong")
         keep = draws[:, 2] < ratio
-        chunks.append(pts[keep])
-        accepted += int(keep.sum())
-    points = np.concatenate(chunks, axis=0)[:n]
-    return SampleSet(points, seed, density, metric)
+        del draws, ratio  # free them before the gather
+        kept = np.compress(keep, pts, axis=1)[:, :n - accepted]
+        cloud[:, accepted:accepted + kept.shape[1]] = kept
+        accepted += kept.shape[1]
+    return SampleSet(cloud.T, seed, density, metric)

@@ -3,7 +3,9 @@
 Chart coordinates are angle pairs (u, v), reduced modulo 2*pi once at
 construction of a ChartPoint and never again.  Torus metrics have constant
 coefficients, so geodesics lift to straight lines in the universal cover and
-distance is a minimum of one quadratic form over a few lattice shifts.  Sphere
+distance is a minimum of one quadratic form over lattice shifts: a coupled
+form searches a square of shifts, a diagonal one evaluates each axis's term
+once, at the shorter way round the circle.  Sphere
 distances come from the ambient angle formula on the colatitude/longitude
 chart, which degenerates at the poles; the grid and the sampler keep their
 points out of a small guard band around them.
@@ -189,21 +191,29 @@ def _blocks(n: int, m: int, k: int):
         yield lo, min(lo + _ROWS, n), buf[:, :n - lo]
 
 
-def _wrap_min(coef: float, d: np.ndarray, out, x, y) -> np.ndarray:
-    """out = min over a in {-2 pi, 0, 2 pi} of coef * (d + a)^2; x, y are scratch."""
-    np.multiply(np.multiply(d, coef, out=out), d, out=out)
-    for a in (-TWO_PI, TWO_PI):
-        np.add(d, a, out=x)
-        np.multiply(x, coef, out=y)
-        y *= x
-        np.minimum(out, y, out=out)
+def _wrap_min(coef: float, d: np.ndarray, out, y) -> np.ndarray:
+    """out = min over a in {-2 pi, 0, 2 pi} of coef * (d + a)^2, as (x * coef) * x
+    at the one x that reaches it; d is overwritten and y is scratch.
+
+    x = min(|d|, 2 pi - |d|), the signed minimum.  Rounding is symmetric, so
+    fl(d - 2 pi) = -fl(2 pi - d), and (x * coef) * x is even in x and rounds
+    monotonically in |x|; 2 pi - |d| is negative only where |d| > 2 pi, and
+    then no longer than |d|.  So the bits are those of the three evaluations for
+    every d, infinities and NaN included.
+    """
+    x = np.abs(d, out=d)
+    np.minimum(x, np.subtract(TWO_PI, x, out=y), out=x)
+    np.multiply(x, coef, out=out)
+    out *= x
     return out
 
 
 def _keep_apart(o: np.ndarray, diff) -> None:
     """Zero squares in o of distinct points (separation below about 1e-162) become
     5e-324, the smallest positive float64: diff(i, j) gives the chart differences
-    (du, dv) at entries (i, j), and only entries where both wrap to 0 stay 0."""
+    (du, dv) at entries (i, j), and only entries where both wrap to 0 stay 0.
+    Costs a compare and a scan of o; callers whose blocks seldom hold a zero
+    check o.all() first."""
     zero = np.flatnonzero(o == 0.0)
     if zero.size:
         i, j = np.divmod(zero, o.shape[1])
@@ -213,24 +223,26 @@ def _keep_apart(o: np.ndarray, diff) -> None:
 
 
 def _torus_rows(metric: TorusMetric, p: np.ndarray, q: np.ndarray, out: np.ndarray):
-    qu, qv = q[:, 0].copy(), q[:, 1].copy()
-    s = metric.shift_range()
-    for lo, hi, (du, dv, x, y) in _blocks(len(p), len(q), 4):
+    qu, qv = np.ascontiguousarray(q[:, 0]), np.ascontiguousarray(q[:, 1])
+    for lo, hi, (du, dv, x) in _blocks(len(p), len(q), 3):
         o = out[lo:hi]
         np.subtract(p[lo:hi, 0, None], qu, out=du)
         np.subtract(p[lo:hi, 1, None], qv, out=dv)
         if metric.F == 0.0:
-            _wrap_min(metric.E, du, o, x, y)
-            o += _wrap_min(metric.G, dv, du, x, y)
+            _wrap_min(metric.E, du, o, x)
+            o += _wrap_min(metric.G, dv, du, x)
         else:  # the coupled form's minimum over the square of shifts it can reach
+            s = metric.shift_range()
             o[...] = np.inf
             for a in range(-s, s + 1):
                 np.add(du, a * TWO_PI, out=x)
                 for b in range(-s, s + 1):
-                    np.add(dv, b * TWO_PI, out=y)
+                    y = dv + b * TWO_PI
                     np.minimum(o, metric.E * x * x + 2.0 * metric.F * x * y + metric.G * y * y,
                                out=o)
-        _keep_apart(o, lambda i, j: (p[lo + i, 0] - qu[j], p[lo + i, 1] - qv[j]))
+        # a Monte-Carlo row almost never holds a zero: one pass to rule it out
+        if not o.all():
+            _keep_apart(o, lambda i, j: (p[lo + i, 0] - qu[j], p[lo + i, 1] - qv[j]))
         yield lo, hi
 
 
@@ -238,8 +250,8 @@ def torus_grid_rows(metric: TorusMetric, u: np.ndarray, v: np.ndarray, out: np.n
     """sq_dist_rows of a diagonal metric on the grid u x v (u slowest): entry
     ((a, c), (b, d)) adds the wrap minima of u_a - u_b and v_c - v_d, same bits."""
     nu, nv = len(u), len(v)
-    a = _wrap_min(metric.E, np.subtract.outer(u, u), *np.empty((3, nu, nu)))
-    b = _wrap_min(metric.G, np.subtract.outer(v, v), *np.empty((3, nv, nv)))
+    a = _wrap_min(metric.E, np.subtract.outer(u, u), *np.empty((2, nu, nu)))
+    b = _wrap_min(metric.G, np.subtract.outer(v, v), *np.empty((2, nv, nv)))
     for lo, hi, _ in _blocks(nu * nv, 0, 0):
         r = np.arange(lo, hi)
         np.add(a[r // nv, :, None], b[r % nv, None, :], out=out[lo:hi].reshape(-1, nu, nv))
@@ -298,7 +310,8 @@ def torus_sq_geodesic(metric: TorusMetric, p: np.ndarray, q: np.ndarray) -> np.n
     reach comes from its anisotropy.  A diagonal metric splits per axis:
     E x^2 + G y^2 is smallest where each term is, and for a chart difference
     in (-2 pi, 2 pi) each term's minimum lies at a wrap in {-1, 0, 1}.  So
-    it takes the wrap minimum of each axis (6 evaluations of coef * x * x)
+    it evaluates coef * x * x once per axis, at x = min(|d|, 2 pi - |d|),
+    which gives the bits of the minimum over those three wraps for any d,
     and adds the two; rounded addition is monotone, so for finite
     coordinates the result is bit for bit the minimum over the full square
     of shifts, at any anisotropy.  Where that minimum underflows to 0 for

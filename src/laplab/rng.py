@@ -21,13 +21,14 @@ constant because the all-zero state is a fixed point of xorshift.
 Batches (`uniforms`) use jump-ahead and give the same stream as repeated
 `uniform` calls, bit for bit.  The state step is linear over GF(2), so k
 steps are one 64x64 bit matrix M^k, applied to a state as the xor of eight
-256-entry tables looked up by the state's bytes.  A batch is cut into lanes
-of C = 16 draws.  Lane start states are filled by doubling: with M^(C h) the
-tables of level log2(h), lanes [h, 2h) are the images of lanes [0, h), for
-all lanes at once in numpy.  Level 0 comes from plain stepping of the unit
-vectors and level k + 1 from applying level k twice to them; each level is
-built on first use.  All lanes then advance together with the plain step in
-numpy uint64, writing column j of a (lanes, C) view of the output at step j.
+256-entry tables looked up by the state's bytes, read through a uint8
+view.  A batch is cut into lanes of C = 16 draws.  Lane start states are
+filled by doubling: with M^(C h) the tables of level log2(h), lanes [h, 2h)
+are the images of lanes [0, h), for all lanes at once in numpy.  Level 0
+comes from plain stepping of the unit vectors and level k + 1 from applying
+level k twice to them; each level is built on first use.  All lanes then
+advance together with the plain step in numpy uint64, writing column j of a
+(lanes, C) view of the output at step j.
 """
 
 from __future__ import annotations
@@ -69,10 +70,17 @@ def _byte_tables(cols: np.ndarray) -> np.ndarray:
 
 
 def _apply(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The bit matrix of `tables` applied to every state in x."""
-    y = tables[0][x & 255]
+    """The bit matrix of `tables` applied to every state in x.
+
+    Column j of a little-endian byte view of x is byte j of every state, so
+    each table is one 1-D gather with no shift or mask; xor order does not
+    change bits, and the explicit '<u8' keeps big-endian hosts on the same
+    stream.
+    """
+    b = x.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    y = tables[0][b[:, 0]]
     for j in range(1, 8):
-        y ^= tables[j][x >> 8 * j & 255]
+        y ^= tables[j][b[:, j]]
     return y
 
 

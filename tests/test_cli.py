@@ -154,6 +154,7 @@ def test_embedding_in_intrinsic_mode_exits_two(tmp_path, capsys, embedding):
 def test_verify_pass_exits_zero(tmp_path):
     assert main(["verify", "--scenario", "S4", "--grid", "16",
                  "--out", str(tmp_path)]) == 0
+    assert os.listdir(tmp_path) == ["S4.json"]
 
 
 def test_verify_scenario_failure_exits_one(capsys):
@@ -180,6 +181,61 @@ def test_failed_convergence_study_leaves_no_file(tmp_path, capsys, argv):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
+def test_failed_verify_all_leaves_its_directory_as_it_was(tmp_path, capsys, monkeypatch,
+                                                          existing):
+    # at grid 16 S1-S5 pass, then S6 finds no full stencil on the donut's outer
+    # circle: no report reaches out, a report there before keeps its bytes, and
+    # a file that something else saves in out while the run goes on stays
+    from laplab import verify
+
+    out = tmp_path / "d" if existing else tmp_path / "a" / "d"
+    if existing:
+        out.mkdir()
+        (out / "S1.json").write_text("old")
+    run_scenario = verify.run_scenario
+
+    def run_while_a_file_is_saved(cfg):
+        if cfg.scenario == "S3":
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "other.txt").write_text("not a report")
+        return run_scenario(cfg)
+
+    monkeypatch.setattr(verify, "run_scenario", run_while_a_file_is_saved)
+    rc = main(["verify", "--scenario", "all", "--grid", "16", "--seed", "3",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert sorted(os.listdir(out)) == (["S1.json", "other.txt"] if existing else ["other.txt"])
+    assert (out / "other.txt").read_text() == "not a report"
+    if existing:
+        assert (out / "S1.json").read_text() == "old"
+    assert os.listdir(tmp_path) == [out.relative_to(tmp_path).parts[0]]  # no staging left
+
+
+@pytest.mark.parametrize("clash", ["c.csv", "s5_reference.json"])
+def test_converge_that_cannot_write_a_file_leaves_no_new_file(tmp_path, capsys, clash):
+    # the study succeeds, then one of its two file names is a directory in out:
+    # the other file does not land either
+    (tmp_path / clash).mkdir()
+    rc = main(["converge", "--n", "100,200,400", "--seeds", "5",
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and ".laplab-" not in err
+    assert os.listdir(tmp_path) == [clash] and os.listdir(tmp_path / clash) == []
+
+
+def test_converge_out_ending_in_a_separator_exits_two(tmp_path, capsys):
+    rc = main(["converge", "--n", "100,200,400", "--seeds", "5",
+               "--out", str(tmp_path / "sub") + os.sep])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1 and ".laplab-" not in err
     assert os.listdir(tmp_path) == []
 
 
@@ -394,6 +450,7 @@ def test_converge_writes_csv_with_slope_footer(tmp_path):
     rc = main(["converge", "--n", "500,2000,8000", "--seeds", "5",
                "--seed", "7", "--out", str(out)])
     assert rc == 0
+    assert sorted(os.listdir(tmp_path)) == ["c.csv", "s5_reference.json"]
     lines = out.read_text().strip().splitlines()
     assert lines[-1].startswith("slope,")
     slope = float(lines[-1].split(",")[1])

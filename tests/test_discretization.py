@@ -15,7 +15,7 @@ from laplab.discretization import (
     sample_points,
 )
 from laplab.errors import InvalidDensityError, InvalidParameterError
-from laplab.geometry import SphereMetric, TorusMetric
+from laplab.geometry import POLE_GUARD, SphereMetric, TorusMetric
 
 FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -212,6 +212,56 @@ def test_sphere_sampling_respects_area_element():
     assert abs(np.mean(pts[:, 0] < math.pi / 2) - 0.5) < 0.01
     assert abs(np.mean(pts[:, 0] < math.pi / 3) - 0.25) < 0.01
     assert pts[:, 0].min() > 0 and pts[:, 0].max() < math.pi
+
+
+def _boolean_gather_sample(density, metric, n, gen):
+    """sample_points as it was first written, drawing from gen: each batch's
+    accepted rows taken with a boolean index, concatenated and cut to n."""
+    sup = density.sup_raw()
+    torus = isinstance(metric, TorusMetric)
+    u_lo, u_span = (0.0, 2 * math.pi) if torus else (POLE_GUARD, math.pi - 2 * POLE_GUARD)
+    chunks, accepted = [], 0
+    while accepted < n:
+        batch = max(1024, n - accepted)
+        draws = gen.uniforms(3 * batch).reshape(batch, 3)
+        pts = np.empty((batch, 2), dtype=np.float64)
+        pts[:, 0] = u_lo + u_span * draws[:, 0]
+        pts[:, 1] = 2 * math.pi * draws[:, 1]
+        ratio = density.raw_values(pts) / sup
+        if not torus:
+            ratio = ratio * np.sin(pts[:, 0])
+        keep = draws[:, 2] < ratio
+        chunks.append(pts[keep])
+        accepted += int(keep.sum())
+    return np.concatenate(chunks, axis=0)[:n]
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 64_000])
+@pytest.mark.parametrize("metric", [TorusMetric.flat(), SphereMetric(1.0)],
+                         ids=["torus", "sphere"])
+@pytest.mark.parametrize("density", [UniformDensity(), CosineBump(0.5, "u")],
+                         ids=["uniform", "cosine"])
+def test_sampler_is_bitwise_boolean_gather(monkeypatch, density, metric, n):
+    # the points and the generator's end state (draws consumed) must be those
+    # of the boolean-index loop
+    import laplab.discretization as disc
+    from laplab.rng import Xorshift64Star
+
+    made = []
+
+    class Recorded(Xorshift64Star):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(disc, "Xorshift64Star", Recorded)
+    p = normalize_density(density, build_grid(metric, 16))
+    got = sample_points(p, metric, n, 1234 + n).points
+    ref = Xorshift64Star(1234 + n)
+    want = _boolean_gather_sample(p, metric, n, ref)
+    assert got.shape == (n, 2) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert len(made) == 1 and made[0]._state == ref._state
 
 
 def test_sample_validation():

@@ -29,6 +29,7 @@ from laplab.geometry import (
     sphere_sq_geodesic,
     torus_grid_rows,
     torus_sq_geodesic,
+    _wrap_min,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -253,6 +254,65 @@ def test_diagonal_torus_distance_is_bitwise_lattice_minimum(ratio):
                    TorusMetric(a * a, 0.0, 1.0 / (a * a))):
         assert np.array_equal(torus_sq_geodesic(metric, p, q),
                               _lattice_sq_geodesic(metric, p, q))
+
+
+def _three_wraps(coef, d):
+    """The wrap minimum as it was first written: coef * x * x evaluated at the
+    three wraps x = d, d - 2 pi, d + 2 pi, and the least of the three kept."""
+    best = (d * coef) * d
+    for a in (-TWO_PI, TWO_PI):
+        x = d + a
+        best = np.minimum(best, (x * coef) * x)
+    return best
+
+
+def _wrap_inputs():
+    """Unreduced chart differences up to +-5 pi, plus the values where a wrap
+    changes or the form under- or overflows."""
+    edges = TWO_PI * np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    special = np.concatenate([
+        edges, [0.0, 5e-324, 1e-160, 3e-160, 1e-300, 1e300, np.inf, np.nan],
+    ])
+    rand = np.random.default_rng(11).uniform(-5 * math.pi, 5 * math.pi, 100_000)
+    return np.concatenate([special, -special, rand])
+
+
+_WRAP_COEFS = [1.0, 1.5**2, 1.5**-2, 4.0**2, 4.0**-2, 256.0, 1e150, 1e-150]
+
+
+@pytest.mark.parametrize("coef", _WRAP_COEFS)
+def test_wrap_minimum_is_bitwise_three_wraps(coef):
+    # one evaluation at min(|d|, 2 pi - |d|) must give the bits of the
+    # three-wrap minimum for every d, not only for |d| < 2 pi
+    d = _wrap_inputs()
+    with np.errstate(all="ignore"):  # 1e300, inf and nan over- and underflow
+        want = _three_wraps(coef, d)
+        got = _wrap_min(coef, d.copy(), np.empty_like(d), np.empty_like(d))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    fin = ~np.isnan(want)
+    assert np.array_equal(got[fin].view(np.uint64), want[fin].view(np.uint64))
+
+
+@pytest.mark.parametrize("coef", [1.0, 1.5**2, 256.0, 1e150, 1e-150])
+def test_torus_distance_of_unreduced_points_is_bitwise_three_wraps(coef):
+    # points off the base window: their differences reach +-5 pi; zero squares
+    # of distinct points become 5e-324 exactly where the reference says so
+    d = _wrap_inputs()[:20_000]
+    p = np.column_stack([d, d[::-1]])
+    rand = np.random.default_rng(12).uniform(-2.5 * math.pi, 2.5 * math.pi, (40, 2))
+    q = np.vstack([[0.0, 0.0], [TWO_PI, -TWO_PI], rand])
+    for metric in (TorusMetric(coef, 0.0, coef), TorusMetric(16.0 * coef, 0.0, coef / 16.0)):
+        with np.errstate(all="ignore"):
+            du = p[:, 0, None] - q[None, :, 0]
+            dv = p[:, 1, None] - q[None, :, 1]
+            want = _three_wraps(metric.E, du) + _three_wraps(metric.G, dv)
+            apart = (np.remainder(du, TWO_PI) != 0.0) | (np.remainder(dv, TWO_PI) != 0.0)
+            want[(want == 0.0) & apart] = 5e-324
+            got = torus_sq_geodesic(metric, p, q)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        fin = ~np.isnan(want)
+        assert np.array_equal(got[fin].view(np.uint64), want[fin].view(np.uint64))
 
 
 def _grid_table(metric, u, v):

@@ -537,6 +537,25 @@ def test_discrete_evaluates_f_on_the_cloud_once():
     assert sorted(sizes) == [1] * 5 + [200]
 
 
+def test_discrete_peak_memory_is_five_rows():
+    # f on the cloud, the distance row and the distance block's three scratch
+    # rows; the cloud's coordinates are contiguous, so no column is copied
+    import tracemalloc
+
+    metric = TorusMetric.flat()
+    p = normalize_density(UniformDensity(), build_grid(metric, 16))
+    dop = DiscreteOperator(sample_points(p, metric, 64_000, 1234), 0.5, IntrinsicKernel(metric))
+    points = [ChartPoint(0.3 * k, 0.7) for k in range(8)]
+    tracemalloc.start()
+    try:
+        evaluate_discrete(dop, lambda pts: np.cos(pts[:, 0]), points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = 8 * dop.samples.n
+    assert peak <= 5.25 * row, peak / row
+
+
 # --- serialization --------------------------------------------------------------
 
 

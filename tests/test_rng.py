@@ -132,6 +132,29 @@ def test_jump_tables_are_powers_of_the_step_matrix():
                 assert int(tables[j, byte]) == want
 
 
+def _apply_by_shifts(tables, x):
+    """The byte-table product as first written: byte j of each state taken
+    with a shift and a mask."""
+    y = tables[0][x & 255]
+    for j in range(1, 8):
+        y ^= tables[j][x >> 8 * j & 255]
+    return y
+
+
+def test_apply_byte_view_equals_shift_and_mask():
+    from laplab.rng import _apply, _jump
+
+    gen = np.random.default_rng(3)
+    x = np.concatenate([np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+                        gen.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False)])
+    for tables in (_jump(0), _jump(3),
+                   gen.integers(0, 2**64, (8, 256), dtype=np.uint64, endpoint=False)):
+        got = _apply(tables, x)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, _apply_by_shifts(tables, x))
+        assert np.array_equal(_apply(tables, x[5:37]), _apply_by_shifts(tables, x[5:37]))
+
+
 def test_uniforms_zero_leaves_state_unchanged():
     gen = Xorshift64Star(42)
     gen.uniforms(3)
