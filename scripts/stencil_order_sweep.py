@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from laplab.discretization import build_grid
-from laplab.geometry import TorusMetric, metric_sq_geodesic
+from laplab.geometry import TorusMetric, sq_dist
 from laplab.identify import metric_field_from_distance
 from laplab.verify import stencil_order_study
 
@@ -40,7 +40,7 @@ def main() -> int:
         (TorusMetric.anisotropic(2.0), "diag(4, 1/4)"),
     ):
         rule = build_grid(metric, 16)
-        dist = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
+        dist = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
         g = metric_field_from_distance(dist, rule.grid_shape, rule.spacing).tensor_at(0)
         err = float(np.max(np.abs(g - metric.matrix())))
         print(f"  {name:>14}: max error {err:.3e}")

@@ -176,19 +176,16 @@ def _parse_density(text: str):
 
 
 def _cmd_assemble(args) -> int:
-    from .operators import ExtrinsicKernel, IntrinsicKernel, build_operator, save_operator
+    from .operators import build_operator, save_operator
 
     metric = _parse_metric(args.metric)
-    if args.mode == "extrinsic":
-        if args.embedding is None:
-            raise ValueError("extrinsic mode needs --embedding")
-        kernel = ExtrinsicKernel(_parse_embedding(args.embedding))
-    elif args.embedding is not None:
+    if args.mode == "extrinsic" and args.embedding is None:
+        raise ValueError("extrinsic mode needs --embedding")
+    if args.mode == "intrinsic" and args.embedding is not None:
         raise ValueError("--embedding applies to extrinsic mode only")
-    else:
-        kernel = IntrinsicKernel(metric)
-    op, _, _ = build_operator(kernel, metric, _parse_density(args.density),
-                              args.grid, args.bandwidth)
+    embedding = None if args.embedding is None else _parse_embedding(args.embedding)
+    op, _, _ = build_operator(metric, _parse_density(args.density), args.grid,
+                              args.bandwidth, embedding)
     save_operator(op, args.out)
     print(f"wrote {args.out}: {op.n} nodes, t={op.t}, mode={args.mode}")
     if op.warning:
@@ -203,8 +200,9 @@ def _cmd_recover(args) -> int:
 
     op = load_operator(args.operator)
     report = run_recovery(op, refine=args.refine)
-    payload = report_payload(report, externalize_dir=args.externalize)
-    write_json(payload, args.out)
+    with _staged(args.externalize) as stage:
+        payload = report_payload(report, externalize_dir=stage)
+        write_json(payload, args.out)
     print(f"wrote {args.out}: {payload['n']} nodes, "
           f"{len(payload['metric']['indices'])} recovered tensors")
     return 0
@@ -214,13 +212,18 @@ def _cmd_recover(args) -> int:
 def _staged(out):
     """Yield a staging directory for the files a command writes to directory
     out, and move them into out (making it) only when the body returns.  A
-    command that fails leaves out as it was; None stages nothing."""
+    command that fails leaves out as it was; None stages nothing.  An empty
+    out, an existing file or a path under one is refused before the body runs."""
     if out is None:
         yield None
         return
+    if not out:
+        raise FileNotFoundError("empty output directory name")
     parent = os.path.abspath(out)
-    while not os.path.isdir(parent):
+    while not os.path.exists(parent):
         parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise NotADirectoryError(f"{parent} is not a directory")
     stage = tempfile.mkdtemp(prefix=".laplab-", dir=parent)
     try:
         yield stage

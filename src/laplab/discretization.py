@@ -165,21 +165,7 @@ def density_values(density: Density, pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSet:
-    """Points drawn i.i.d. from p d(mu_g), plus everything needed to redraw them."""
-
-    points: np.ndarray
-    seed: int
-    density: Density
-    metric: Metric
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
-def sample_points(density: Density, metric: Metric, n: int, seed: int) -> SampleSet:
+def sample_points(density: Density, metric: Metric, n: int, seed: int) -> np.ndarray:
     """Draw n points from p d(mu_g) by rejection with an analytic envelope.
 
     The proposal is uniform on the chart rectangle; a draw at x is accepted
@@ -223,4 +209,4 @@ def sample_points(density: Density, metric: Metric, n: int, seed: int) -> Sample
         kept = np.compress(keep, pts, axis=1)[:, :n - accepted]
         cloud[:, accepted:accepted + kept.shape[1]] = kept
         accepted += kept.shape[1]
-    return SampleSet(cloud.T, seed, density, metric)
+    return cloud.T

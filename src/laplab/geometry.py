@@ -15,6 +15,8 @@ module.  Each squared distance has one row-block kernel, which sq_dist_rows
 and torus_grid_rows hand to operator assembly 16 rows at a time and the
 pairwise *_sq_* functions run over a whole table.  Kernels sum in a fixed
 order, so bits depend neither on the block size nor on numpy's reductions.
+A space is a Metric (geodesic distance) or an Embedding (chord distance);
+sq_dist and sq_dist_rows take either.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def _sphere_rows(radius: float, p: np.ndarray, q: np.ndarray, out: np.ndarray):
         yield lo, hi
 
 
-def sq_dist_rows(space: Union[Metric, Embedding], p: np.ndarray, q: np.ndarray, out):
+def sq_dist_rows(space: Space, p: np.ndarray, q: np.ndarray, out):
     """Squared geodesic (metric) or chord (embedding) distances of float64 p, q into
     out, _ROWS rows at a time: yields (lo, hi) once out[lo:hi] holds them."""
     if isinstance(space, TorusMetric):
@@ -329,13 +331,6 @@ def sphere_sq_geodesic(radius: float, p: np.ndarray, q: np.ndarray) -> np.ndarra
     return _table(_sphere_rows, radius, p, q)
 
 
-def metric_sq_geodesic(metric: Metric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Pairwise squared geodesic distance for either chart."""
-    if isinstance(metric, TorusMetric):
-        return torus_sq_geodesic(metric, p, q)
-    return sphere_sq_geodesic(metric.radius, p, q)
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
@@ -345,8 +340,6 @@ def metric_sq_geodesic(metric: Metric, p: np.ndarray, q: np.ndarray) -> np.ndarr
 class CliffordTorus:
     """(u, v) -> (cos u, sin u, cos v, sin v) in R^4. Induced metric is flat."""
 
-    ambient_dim: int = 4
-
 
 @dataclass(frozen=True)
 class DonutTorus:
@@ -354,7 +347,6 @@ class DonutTorus:
 
     major: float
     minor: float
-    ambient_dim: int = 3
 
     def __post_init__(self):
         # chords are at most 2 (major + minor) long; keep their squares finite
@@ -370,14 +362,16 @@ class DonutTorus:
 class UnitSphere:
     """Colatitude/longitude chart onto the unit sphere in R^3."""
 
-    ambient_dim: int = 3
-
 
 Embedding = Union[CliffordTorus, DonutTorus, UnitSphere]
 
+# What a Gaussian kernel measures distance in: a metric (geodesic distance,
+# the intrinsic operator) or an embedding (chord distance, the extrinsic one).
+Space = Union[Metric, Embedding]
+
 
 def embed_many(embedding: Embedding, p: np.ndarray) -> np.ndarray:
-    """Map (n, 2) chart coordinates to (n, ambient_dim) ambient coordinates."""
+    """Map (n, 2) chart coordinates to (n, 4) points of R^4 (Clifford) or (n, 3) of R^3."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     u, v = p[:, 0], p[:, 1]
     if isinstance(embedding, CliffordTorus):
@@ -416,6 +410,15 @@ def ambient_sq_dist(embedding: Embedding, p: np.ndarray, q: np.ndarray) -> np.nd
     order numpy 2.4's einsum took on x86-64, now fixed for any numpy or CPU.
     """
     return _table(_ambient_rows, embedding, p, q)
+
+
+def sq_dist(space: Space, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Pairwise squared geodesic (metric) or chord (embedding) distance, (n, m)."""
+    if isinstance(space, TorusMetric):
+        return torus_sq_geodesic(space, p, q)
+    if isinstance(space, SphereMetric):
+        return sphere_sq_geodesic(space.radius, p, q)
+    return ambient_sq_dist(space, p, q)
 
 
 def induced_metric(embedding: Embedding, x: ChartPoint, h: float = 1e-4) -> np.ndarray:

@@ -55,8 +55,8 @@ from .errors import (
     MalformedOperatorError,
     UnrecoverableMassError,
 )
-from .geometry import TorusMetric
-from .operators import ExtrinsicKernel, OperatorMatrix, save_matrix
+from .geometry import Metric, TorusMetric
+from .operators import OperatorMatrix, save_matrix
 
 # Off-diagonal kernel weights at or below this threshold are treated as
 # absent edges: below it, log-inversion noise swamps the signal.
@@ -515,7 +515,7 @@ def run_recovery(op: OperatorMatrix, refine: bool = False) -> RecoveryReport:
     mass = recover_mass(wk, refine=refine)
     _check_kernel_bound(wk, mass)
     periodic_u = isinstance(op.measure_metric, TorusMetric)
-    richardson = isinstance(op.mode, ExtrinsicKernel)
+    richardson = not isinstance(op.space, Metric)
     metric_field = metric_field_from_distance(
         _PairDistances(wk, mass), op.grid_shape, op.spacing,
         periodic_u=periodic_u, richardson=richardson,

@@ -1,22 +1,23 @@
 """Assembly and evaluation of graph Laplace operators.
 
-Given a quadrature rule, a normalized density p, and a kernel mode, the
-assembled matrix is
+Given a quadrature rule, a normalized density p, and a space (a metric or an
+embedding), the assembled matrix is
 
     L_ij = c * (delta_ij * sum_k W_ik - W_ij),      c = t^(-2)  (surface case),
     W_ij = exp(-dist(x_i, x_j)^2 / t) * p(x_j) * w_j,
 
-where dist is geodesic distance in intrinsic mode and ambient chord distance
-of an embedding in extrinsic mode.  Rows sum to zero by construction,
+where dist is geodesic distance of a metric (intrinsic) or ambient chord
+distance of an embedding (extrinsic).  Rows sum to zero by construction,
 off-diagonal entries are nonpositive, and L annihilates constants exactly.
 Every bandwidth, given or read from a file, passes one check: t^2 and 1/t^2
 finite and positive (about 7.5e-155 < t < 1.3e154).
 
-`build_operator` is the one path from a metric, density, grid size and
-bandwidth to an operator: grid, normalized density, dense assembly.  Dense
-assembly takes each block of rows from squared distances (per-axis tables
-for a diagonal torus metric on a tensor grid) to entries of L while it sits
-in cache, in the order of the formula.  It is capped at 64^2 nodes.  Above
+`build_operator` is the one path from a metric, density, grid size,
+bandwidth and optional embedding to an operator: grid, normalized density,
+dense assembly.  Dense assembly takes each block of rows from squared
+distances (per-axis tables for a diagonal torus metric on a tensor grid) to
+entries of L while it sits in cache, in the order of the formula.  It is
+capped at 64^2 nodes.  Above
 that, and for reference values at arbitrary chart points, `continuous_value`
 evaluates single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
@@ -33,12 +34,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .discretization import (Density, QuadratureRule, SampleSet, build_grid,
-                             density_values, normalize_density)
+from .discretization import (Density, QuadratureRule, build_grid, density_values,
+                             normalize_density)
 from .errors import InvalidParameterError, MalformedOperatorError, NodeMismatchError
 from .geometry import (
     ChartPoint,
@@ -46,33 +47,16 @@ from .geometry import (
     DonutTorus,
     Embedding,
     Metric,
+    Space,
     SphereMetric,
     TorusMetric,
     UnitSphere,
-    ambient_sq_dist,
-    metric_sq_geodesic,
+    sq_dist,
     sq_dist_rows,
     torus_grid_rows,
 )
 
 DENSE_NODE_CAP = 64 * 64
-
-
-@dataclass(frozen=True)
-class IntrinsicKernel:
-    """Gaussian kernel of geodesic distance for the given metric."""
-
-    metric: Metric
-
-
-@dataclass(frozen=True)
-class ExtrinsicKernel:
-    """Gaussian kernel of ambient chord distance for the given embedding."""
-
-    embedding: Embedding
-
-
-KernelMode = Union[IntrinsicKernel, ExtrinsicKernel]
 
 
 def _check_bandwidth(t: float) -> None:
@@ -84,20 +68,18 @@ def _check_bandwidth(t: float) -> None:
         )
 
 
-def kernel_sq_dist(mode: KernelMode, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    if isinstance(mode, IntrinsicKernel):
-        return metric_sq_geodesic(mode.metric, p, q)
-    return ambient_sq_dist(mode.embedding, p, q)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense operator with the grid metadata needed to invert it later."""
+    """Dense operator with the grid metadata needed to invert it later.
+
+    space is what the kernel measured distance in: a Metric for the intrinsic
+    operator, an Embedding for the extrinsic one.
+    """
 
     entries: np.ndarray
     nodes: np.ndarray
     t: float
-    mode: KernelMode
+    space: Space
     measure_metric: Metric
     grid_shape: tuple[int, int]
     spacing: tuple[float, float]
@@ -108,23 +90,23 @@ class OperatorMatrix:
         return self.nodes.shape[0]
 
 
-def _node_sq_dist(mode: KernelMode, rule: QuadratureRule, out: np.ndarray):
+def _node_sq_dist(space: Space, rule: QuadratureRule, out: np.ndarray):
     """sq_dist_rows between all nodes into out; per-axis tables on a diagonal torus grid."""
-    m, (nu, nv), x = getattr(mode, "metric", None), rule.grid_shape, rule.nodes
-    if isinstance(m, TorusMetric) and m.F == 0.0 and min(nu, nv) > 0 and nu * nv == rule.n:
+    (nu, nv), x = rule.grid_shape, rule.nodes
+    if isinstance(space, TorusMetric) and space.F == 0.0 and min(nu, nv) > 0 and nu * nv == rule.n:
         u, v = x[::nv, 0], x[:nv, 1]
         if np.array_equal(x[:, 0], np.repeat(u, nv)) and np.array_equal(x[:, 1], np.tile(v, nu)):
-            return torus_grid_rows(m, u, v, out)
-    return sq_dist_rows(mode.embedding if m is None else m, x, x, out)
+            return torus_grid_rows(space, u, v, out)
+    return sq_dist_rows(space, x, x, out)
 
 
 def assemble_continuous(
-    mode: KernelMode,
+    space: Space,
     density: Density,
     rule: QuadratureRule,
     t: float,
 ) -> OperatorMatrix:
-    """Assemble the dense quadrature approximation of the kernel operator.
+    """Assemble the dense quadrature approximation of the kernel operator of space.
 
     The density must be normalized against `rule`.  Bandwidth t must pass
     _check_bandwidth.  Refuses grids beyond 64^2 nodes; use continuous_value there.
@@ -138,7 +120,7 @@ def assemble_continuous(
     pw = density_values(density, rule.nodes) * rule.weights
     n, c, dead = rule.n, t ** -2.0, 0
     w = np.empty((n, n))
-    for lo, hi in _node_sq_dist(mode, rule, w):
+    for lo, hi in _node_sq_dist(space, rule, w):
         blk = w[lo:hi]
         diag = blk.reshape(-1)[lo::n + 1]  # entries (i, i) of these rows
         # a quotient that overflows is -inf, whose exp is the 0 it would round to anyway
@@ -162,7 +144,7 @@ def assemble_continuous(
         entries=w,
         nodes=rule.nodes,
         t=t,
-        mode=mode,
+        space=space,
         measure_metric=rule.metric,
         grid_shape=rule.grid_shape,
         spacing=rule.spacing,
@@ -171,12 +153,16 @@ def assemble_continuous(
 
 
 def build_operator(
-    kernel: KernelMode, metric: Metric, density: Density, n: int, t: float
+    metric: Metric, density: Density, n: int, t: float, embedding: Optional[Embedding] = None
 ) -> tuple[OperatorMatrix, QuadratureRule, Density]:
-    """Operator of kernel on the n-grid of metric, with its rule and normalized density."""
+    """Operator on the n-grid of metric, with its rule and normalized density.
+
+    The kernel measures distance in embedding (extrinsic), or in metric when
+    embedding is None (intrinsic).
+    """
     rule = build_grid(metric, n)
     p = normalize_density(density, rule)
-    return assemble_continuous(kernel, p, rule, t), rule, p
+    return assemble_continuous(metric if embedding is None else embedding, p, rule, t), rule, p
 
 
 def operator_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
@@ -187,7 +173,7 @@ def operator_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
 
 
 def continuous_value(
-    mode: KernelMode,
+    space: Space,
     density: Density,
     rule: QuadratureRule,
     t: float,
@@ -200,7 +186,7 @@ def continuous_value(
     """
     _check_bandwidth(t)
     p = x.as_array()[None, :]
-    d2 = kernel_sq_dist(mode, p, rule.nodes)[0]
+    d2 = sq_dist(space, p, rule.nodes)[0]
     k = np.exp(d2 / -t)
     pw = density_values(density, rule.nodes) * rule.weights
     fx = float(np.asarray(f(p))[0])
@@ -212,39 +198,31 @@ def continuous_value(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteOperator:
-    """Empirical operator over an i.i.d. sample, bandwidth t, kernel mode."""
-
-    samples: SampleSet
-    t: float
-    mode: KernelMode
-
-    def __post_init__(self):
-        _check_bandwidth(self.t)
-
-
 def evaluate_discrete(
-    dop: DiscreteOperator,
+    space: Space,
+    points: np.ndarray,
+    t: float,
     f: Callable[[np.ndarray], np.ndarray],
-    points: Sequence[ChartPoint],
+    eval_points: Sequence[ChartPoint],
 ) -> np.ndarray:
-    """(1/(n t^2)) sum_j exp(-dist(x, X_j)^2/t) (f(x) - f(X_j)) at each x in points.
+    """(1/(n t^2)) sum_j exp(-dist(x, X_j)^2/t) (f(x) - f(X_j)) at each x in eval_points.
 
-    f is evaluated on the sample once per call.  Each point takes its own
-    1 x n row of squared distances and turns it into the terms in place.
-    Sample points coinciding with x contribute zero terms.
+    points is the (n, 2) sample X_1..X_n and dist is measured in space; t
+    must pass _check_bandwidth.  f is evaluated on the sample once per call.
+    Each evaluation point takes its own 1 x n row of squared distances and
+    turns it into the terms in place.  Sample points coinciding with x
+    contribute zero terms.
     """
-    pts, t = dop.samples.points, dop.t
-    f_pts = np.asarray(f(pts))
-    values = np.empty(len(points))
-    for i, x in enumerate(points):
+    _check_bandwidth(t)
+    f_pts = np.asarray(f(points))
+    values = np.empty(len(eval_points))
+    for i, x in enumerate(eval_points):
         p = x.as_array()[None, :]
-        terms = kernel_sq_dist(dop.mode, p, pts)[0]
+        terms = sq_dist(space, p, points)[0]
         terms /= -t
         np.exp(terms, out=terms)
         terms *= float(np.asarray(f(p))[0]) - f_pts
-        values[i] = terms.sum() / (dop.samples.n * t**2)
+        values[i] = terms.sum() / (len(points) * t**2)
         del terms  # free this row before the next one is computed
     return values
 
@@ -286,27 +264,26 @@ def _unpack_metric(blob: bytes) -> Metric:
     raise MalformedOperatorError(f"unknown metric kind {kind} in operator file")
 
 
-def _pack_mode(mode: KernelMode) -> bytes:
-    if isinstance(mode, IntrinsicKernel):
-        return _pack_metric(mode.metric)
-    emb = mode.embedding
-    if isinstance(emb, CliffordTorus):
+def _pack_mode(space: Space) -> bytes:
+    if isinstance(space, Metric):
+        return _pack_metric(space)
+    if isinstance(space, CliffordTorus):
         return _PARAM.pack(_KIND_CLIFFORD, 0.0, 0.0, 0.0)
-    if isinstance(emb, DonutTorus):
-        return _PARAM.pack(_KIND_DONUT, emb.major, emb.minor, 0.0)
+    if isinstance(space, DonutTorus):
+        return _PARAM.pack(_KIND_DONUT, space.major, space.minor, 0.0)
     return _PARAM.pack(_KIND_UNIT_SPHERE, 0.0, 0.0, 0.0)
 
 
-def _unpack_mode(mode_tag: int, blob: bytes) -> KernelMode:
+def _unpack_mode(mode_tag: int, blob: bytes) -> Space:
     kind, p1, p2, _ = _PARAM.unpack(blob)
     if mode_tag == 0:
-        return IntrinsicKernel(_unpack_metric(blob))
+        return _unpack_metric(blob)
     if kind == _KIND_CLIFFORD:
-        return ExtrinsicKernel(CliffordTorus())
+        return CliffordTorus()
     if kind == _KIND_DONUT:
-        return ExtrinsicKernel(DonutTorus(p1, p2))
+        return DonutTorus(p1, p2)
     if kind == _KIND_UNIT_SPHERE:
-        return ExtrinsicKernel(UnitSphere())
+        return UnitSphere()
     raise MalformedOperatorError(f"unknown embedding kind {kind} in operator file")
 
 
@@ -320,12 +297,12 @@ def save_operator(op: OperatorMatrix, path) -> None:
     then the nodes as n x 2 f64 and the entries as n x n row-major f64.
     """
     chart = 0 if isinstance(op.measure_metric, TorusMetric) else 1
-    mode_tag = 0 if isinstance(op.mode, IntrinsicKernel) else 1
+    mode_tag = 0 if isinstance(op.space, Metric) else 1
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(_MAGIC, _VERSION, mode_tag, chart,
                             op.n, op.grid_shape[0], op.grid_shape[1]))
         fh.write(_BAND.pack(op.t, op.spacing[0], op.spacing[1]))
-        fh.write(_pack_mode(op.mode))
+        fh.write(_pack_mode(op.space))
         fh.write(_pack_metric(op.measure_metric))
         fh.write(np.ascontiguousarray(op.nodes, dtype="<f8"))
         fh.write(np.ascontiguousarray(op.entries, dtype="<f8"))
@@ -365,7 +342,7 @@ def load_operator(path) -> OperatorMatrix:
             raise MalformedOperatorError(f"spacings must be finite and positive, got {du}, {dv}")
         try:
             _check_bandwidth(t)
-            mode = _unpack_mode(mode_tag, head[-2 * _PARAM.size:-_PARAM.size])
+            space = _unpack_mode(mode_tag, head[-2 * _PARAM.size:-_PARAM.size])
             measure = _unpack_metric(head[-_PARAM.size:])
         except InvalidParameterError as exc:
             raise MalformedOperatorError(f"operator file: {exc}") from None
@@ -379,7 +356,7 @@ def load_operator(path) -> OperatorMatrix:
         entries=entries,
         nodes=nodes,
         t=t,
-        mode=mode,
+        space=space,
         measure_metric=measure,
         grid_shape=(nu, nv),
         spacing=(du, dv),

@@ -55,8 +55,8 @@ from .geometry import (
     SphereMetric,
     TorusMetric,
     UnitSphere,
-    metric_sq_geodesic,
     sphere_sq_geodesic,
+    sq_dist,
 )
 from .identify import (
     extract_weighted_kernel,
@@ -66,9 +66,6 @@ from .identify import (
     run_recovery,
 )
 from .operators import (
-    DiscreteOperator,
-    ExtrinsicKernel,
-    IntrinsicKernel,
     build_operator,
     continuous_value,
     evaluate_discrete,
@@ -277,12 +274,12 @@ def _key(k) -> str:
 def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     n, t = cfg.grid, cfg.bandwidth
-    base, _, _ = build_operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
+    base, _, _ = build_operator(flat, UniformDensity(), n, t)
     factors = sorted({1.25, 1.5, ANISOTROPY})
     gaps = []
     for a in factors:
         aniso = TorusMetric.anisotropic(a)
-        op_a, _, _ = build_operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
+        op_a, _, _ = build_operator(aniso, UniformDensity(), n, t)
         gaps.append(operator_distance(base, op_a))
     margin = float(min(b - a for a, b in zip(gaps, gaps[1:])))
     discrepancies = {
@@ -296,7 +293,7 @@ def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
     metric = TorusMetric.anisotropic(ANISOTROPY)
     density = CosineBump(BUMP_ALPHA, "u")
-    op, rule, p = build_operator(IntrinsicKernel(metric), metric, density, cfg.grid, cfg.bandwidth)
+    op, rule, p = build_operator(metric, density, cfg.grid, cfg.bandwidth)
     report = run_recovery(op)
 
     g_true = metric.matrix()
@@ -306,7 +303,7 @@ def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
 
     mass_true = density_values(p, rule.nodes) * rule.weights
     mass_err = float(np.max(np.abs(report.mass - mass_true) / mass_true))
-    d_true = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
+    d_true = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
     dist = report.distance
     sym = np.isfinite(dist)
     dist_err = float(np.max(np.abs(dist[sym] - d_true[sym])))
@@ -336,12 +333,11 @@ def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     aniso = TorusMetric.anisotropic(ANISOTROPY)
-    ext = ExtrinsicKernel(CliffordTorus())
     n, t = cfg.grid, cfg.bandwidth
-    ext1, _, _ = build_operator(ext, flat, UniformDensity(), n, t)
-    ext2, _, _ = build_operator(ext, aniso, UniformDensity(), n, t)
-    int1, _, _ = build_operator(IntrinsicKernel(flat), flat, UniformDensity(), n, t)
-    int2, _, _ = build_operator(IntrinsicKernel(aniso), aniso, UniformDensity(), n, t)
+    ext1, _, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    ext2, _, _ = build_operator(aniso, UniformDensity(), n, t, CliffordTorus())
+    int1, _, _ = build_operator(flat, UniformDensity(), n, t)
+    int2, _, _ = build_operator(aniso, UniformDensity(), n, t)
     discrepancies = {
         "extrinsic_distance": operator_distance(ext1, ext2),
         "intrinsic_distance": operator_distance(int1, int2),
@@ -352,9 +348,9 @@ def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s4(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     scaled = TorusMetric.scaled_flat(SCALE)
-    ext = ExtrinsicKernel(CliffordTorus())
-    op1, _, _ = build_operator(ext, flat, UniformDensity(), cfg.grid, cfg.bandwidth)
-    op2, _, _ = build_operator(ext, scaled, UniformDensity(), cfg.grid, cfg.bandwidth)
+    n, t = cfg.grid, cfg.bandwidth
+    op1, _, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    op2, _, _ = build_operator(scaled, UniformDensity(), n, t, CliffordTorus())
     m1 = recover_mass(extract_weighted_kernel(op1))
     m2 = recover_mass(extract_weighted_kernel(op2))
     discrepancies = {
@@ -407,7 +403,6 @@ class ConvergenceResult:
 def _s5_reference(rule, density, t, points):
     """Continuous operator values at the evaluation points, and a hash of the
     inputs, under which convergence_study writes them to s5_reference.json."""
-    mode = IntrinsicKernel(rule.metric)
     key_src = json.dumps(
         {
             "metric": [rule.metric.E, rule.metric.F, rule.metric.G],
@@ -421,7 +416,7 @@ def _s5_reference(rule, density, t, points):
     )
     key = hashlib.sha256(key_src.encode()).hexdigest()
     values = np.array(
-        [continuous_value(mode, density, rule, t, _f_cos_u, x) for x in points]
+        [continuous_value(rule.metric, density, rule, t, _f_cos_u, x) for x in points]
     )
     return values, key
 
@@ -449,7 +444,6 @@ def convergence_study(
         raise InvalidParameterError("need at least 5 seeds for a stable slope")
 
     metric = TorusMetric.flat()
-    kernel = IntrinsicKernel(metric)
     rule = build_grid(metric, reference_grid)
     density = normalize_density(UniformDensity(), rule)
     points = _eval_points()
@@ -458,11 +452,10 @@ def convergence_study(
     per_seed = np.empty((n_seeds, len(n_values)))
     for i in range(n_seeds):
         for j, n in enumerate(n_values):
-            samples = sample_points(density, metric, n, seed + 1000003 * i + n)
-            dop = DiscreteOperator(samples, bandwidth, kernel)
-            vals = evaluate_discrete(dop, _f_cos_u, points)
+            cloud = sample_points(density, metric, n, seed + 1000003 * i + n)
+            vals = evaluate_discrete(metric, cloud, bandwidth, _f_cos_u, points)
             per_seed[i, j] = np.sqrt(np.mean((vals - ref) ** 2))
-            del samples, dop  # free this cloud before the next one is drawn
+            del cloud  # free this cloud before the next one is drawn
     errors = tuple(float(e) for e in per_seed.mean(axis=0))
     if not all(0.0 < e < math.inf for e in errors):
         raise NumericalError(f"mean Monte-Carlo errors {errors} have no log-log slope; "
@@ -501,12 +494,12 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     n, t = cfg.grid, cfg.bandwidth
     flat = TorusMetric.flat()
 
-    op, rule, _ = build_operator(ExtrinsicKernel(CliffordTorus()), flat, UniformDensity(), n, t)
+    op, rule, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
     fld = run_recovery(op).metric_field
     clifford_err = float(np.max(np.abs(fld.tensors - np.eye(2)[None])))
 
     donut = DonutTorus(2.0, 1.0)
-    op, rule, _ = build_operator(ExtrinsicKernel(donut), flat, UniformDensity(), n, t)
+    op, rule, _ = build_operator(flat, UniformDensity(), n, t, donut)
     fld = run_recovery(op).metric_field
     tube = np.flatnonzero(rule.nodes[fld.indices, 0] == 0.0)
     if tube.size == 0:
@@ -518,9 +511,7 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     g_true = np.diag([donut.minor**2, (donut.major + donut.minor) ** 2])
     donut_err = float(np.max(np.abs(fld.tensors[tube] - g_true[None])))
 
-    op, rule, _ = build_operator(
-        ExtrinsicKernel(UnitSphere()), SphereMetric(1.0), UniformDensity(), n, t
-    )
+    op, rule, _ = build_operator(SphereMetric(1.0), UniformDensity(), n, t, UnitSphere())
     fld = run_recovery(op).metric_field
     equator = np.flatnonzero(np.abs(rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
     if equator.size == 0:

@@ -22,10 +22,10 @@ from laplab.geometry import (
     SphereMetric,
     TorusMetric,
     UnitSphere,
-    metric_sq_geodesic,
+    sq_dist,
 )
 from laplab.identify import metric_field_from_distance, run_recovery
-from laplab.operators import ExtrinsicKernel, IntrinsicKernel, assemble_continuous
+from laplab.operators import assemble_continuous
 from laplab.verify import ScenarioConfig, run_scenario, stencil_order_study
 
 from conftest import acceptance_lines
@@ -50,8 +50,8 @@ def test_criterion_1_constant_annihilation():
             rule = build_grid(metric, n)
             for density in (UniformDensity(), CosineBump(0.5, "u")):
                 p = normalize_density(density, rule)
-                for mode in (IntrinsicKernel(metric), ExtrinsicKernel(emb)):
-                    op = assemble_continuous(mode, p, rule, 0.5)
+                for space in (metric, emb):
+                    op = assemble_continuous(space, p, rule, 0.5)
                     resid = float(np.max(np.abs(op.entries @ np.ones(op.n))))
                     worst = max(worst, resid)
     elapsed = time.perf_counter() - start
@@ -105,7 +105,7 @@ def test_criterion_4_joint_round_trip():
     for n in (32, 64):
         rule = build_grid(sphere, n)
         p = normalize_density(CosineBump(0.5, "u"), rule)
-        report = run_recovery(assemble_continuous(IntrinsicKernel(sphere), p, rule, 0.5))
+        report = run_recovery(assemble_continuous(sphere, p, rule, 0.5))
         idx = report.metric_field.indices
         g_true = np.zeros((idx.size, 2, 2))
         g_true[:, 0, 0] = 1.0
@@ -169,7 +169,7 @@ def test_criterion_6_stencil_order():
     worst_exact = 0.0
     for metric in (TorusMetric.flat(), TorusMetric.anisotropic(2.0)):
         rule = build_grid(metric, 16)
-        dist = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
+        dist = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
         fld = metric_field_from_distance(dist, rule.grid_shape, rule.spacing)
         g = fld.tensor_at(3 * 16 + 7)
         worst_exact = max(worst_exact, float(np.max(np.abs(g - metric.matrix()))))

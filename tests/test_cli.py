@@ -57,11 +57,11 @@ def test_assemble_cli_matches_library_bytes(tmp_path):
 
     from laplab.discretization import CosineBump, build_grid, normalize_density
     from laplab.geometry import DonutTorus, TorusMetric
-    from laplab.operators import ExtrinsicKernel, assemble_continuous, save_operator
+    from laplab.operators import assemble_continuous, save_operator
 
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(CosineBump(0.4, "v"), rule)
-    op = assemble_continuous(ExtrinsicKernel(DonutTorus(2.0, 1.0)), p, rule, 0.25)
+    op = assemble_continuous(DonutTorus(2.0, 1.0), p, rule, 0.25)
     save_operator(op, lib_path)
     assert cli_path.read_bytes() == lib_path.read_bytes()
 
@@ -237,6 +237,45 @@ def test_converge_out_ending_in_a_separator_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: --out ") and err.count("\n") == 1 and ".laplab-" not in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("case", ["new_dir", "existing_dir", "file", "under_a_file", "empty"])
+def test_failed_externalized_recover_leaves_its_directory_as_it_was(tmp_path, capsys, case):
+    # with --out a directory the report fails after both matrices are written:
+    # neither reaches the externalize directory, and files there keep their
+    # bytes; an externalize path that cannot be a directory is refused before
+    # the report is written
+    op_path, ext, out = tmp_path / "op.llop", tmp_path / "ext", tmp_path / "outdir"
+    assert main(["assemble", "--grid", "8", "--out", str(op_path)]) == 0
+    names = ["recovery_distance.llmx", "recovery_kernel.llmx"]
+    if case in ("file", "under_a_file", "empty"):
+        ext.write_bytes(b"old")
+        out = tmp_path / "r.json"
+    else:
+        out.mkdir()
+    if case == "existing_dir":
+        ext.mkdir()
+        for name in names:
+            (ext / name).write_bytes(b"old")
+    capsys.readouterr()
+    where = {"under_a_file": str(ext / "mx"), "empty": ""}.get(case, str(ext))
+    argv = ["recover", "--operator", str(op_path), "--externalize", where]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and ".laplab-" not in err
+    if case in ("file", "under_a_file", "empty"):
+        assert ext.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["ext", "op.llop"]
+        return
+    if case == "existing_dir":
+        assert sorted(os.listdir(ext)) == names
+        assert all((ext / name).read_bytes() == b"old" for name in names)
+    else:
+        assert not ext.exists()
+    assert os.listdir(out) == []
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(os.listdir(ext)) == names
+    assert sorted(os.listdir(tmp_path)) == ["ext", "op.llop", "outdir", "r.json"]
 
 
 def test_recovery_numerical_failure_exits_three(tmp_path):
@@ -635,12 +674,12 @@ def block_operators():
     """Operators of more than 64 nodes, so every pass over them crosses row blocks."""
     from laplab.discretization import CosineBump
     from laplab.geometry import SphereMetric, TorusMetric, UnitSphere
-    from laplab.operators import ExtrinsicKernel, IntrinsicKernel, build_operator
+    from laplab.operators import build_operator
 
     aniso, sphere = TorusMetric.anisotropic(1.5), SphereMetric(1.0)
-    cases = ((IntrinsicKernel(aniso), aniso, 10), (ExtrinsicKernel(UnitSphere()), sphere, 10))
-    ops = [build_operator(kernel, metric, CosineBump(0.3, "u"), grid, 0.5)[0]
-           for kernel, metric, grid in cases]
+    cases = ((aniso, None, 10), (sphere, UnitSphere(), 10))
+    ops = [build_operator(metric, CosineBump(0.3, "u"), grid, 0.5, embedding)[0]
+           for metric, embedding, grid in cases]
     assert all(op.n > 64 for op in ops)
     return ops
 

@@ -158,22 +158,22 @@ def test_sampling_is_deterministic():
     p = _normalized(CosineBump(0.5, "u"))
     a = sample_points(p, TorusMetric.flat(), 1000, 77)
     b = sample_points(p, TorusMetric.flat(), 1000, 77)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
     c = sample_points(p, TorusMetric.flat(), 1000, 78)
-    assert not np.array_equal(a.points, c.points)
+    assert not np.array_equal(a, c)
 
 
 def test_single_sample_reproducible():
     p = _normalized(UniformDensity())
     a = sample_points(p, TorusMetric.flat(), 1, 5)
     b = sample_points(p, TorusMetric.flat(), 1, 5)
-    assert a.points.shape == (1, 2)
-    assert np.array_equal(a.points, b.points)
+    assert a.shape == (1, 2)
+    assert np.array_equal(a, b)
 
 
 def test_uniform_quadrant_occupancy():
     p = _normalized(UniformDensity())
-    pts = sample_points(p, TorusMetric.flat(), 100_000, 1234).points
+    pts = sample_points(p, TorusMetric.flat(), 100_000, 1234)
     for ulo in (0.0, math.pi):
         for vlo in (0.0, math.pi):
             frac = np.mean(
@@ -188,13 +188,13 @@ def test_uniform_quadrant_occupancy():
 def test_cosine_bump_sample_mean():
     # E[cos u] = (1/2pi) * integral cos(u)(1 + 0.5 cos u) du = 0.25
     p = _normalized(CosineBump(0.5, "u"))
-    pts = sample_points(p, TorusMetric.flat(), 100_000, 99).points
+    pts = sample_points(p, TorusMetric.flat(), 100_000, 99)
     assert abs(np.mean(np.cos(pts[:, 0])) - 0.25) < 0.01
 
 
 def test_cosine_bump_marginal_distribution():
     p = _normalized(CosineBump(0.5, "u"))
-    pts = sample_points(p, TorusMetric.flat(), 20_000, 4321).points
+    pts = sample_points(p, TorusMetric.flat(), 20_000, 4321)
 
     def cdf(u):
         return (u + 0.5 * np.sin(u)) / (2 * math.pi)
@@ -207,7 +207,7 @@ def test_sphere_sampling_respects_area_element():
     sphere = SphereMetric(1.0)
     rule = build_grid(sphere, 16)
     p = normalize_density(UniformDensity(), rule)
-    pts = sample_points(p, sphere, 50_000, 31).points
+    pts = sample_points(p, sphere, 50_000, 31)
     # uniform measure on the sphere: P(u < pi/2) = 1/2, P(u < pi/3) = 1/4
     assert abs(np.mean(pts[:, 0] < math.pi / 2) - 0.5) < 0.01
     assert abs(np.mean(pts[:, 0] < math.pi / 3) - 0.25) < 0.01
@@ -256,7 +256,7 @@ def test_sampler_is_bitwise_boolean_gather(monkeypatch, density, metric, n):
 
     monkeypatch.setattr(disc, "Xorshift64Star", Recorded)
     p = normalize_density(density, build_grid(metric, 16))
-    got = sample_points(p, metric, n, 1234 + n).points
+    got = sample_points(p, metric, n, 1234 + n)
     ref = Xorshift64Star(1234 + n)
     want = _boolean_gather_sample(p, metric, n, ref)
     assert got.shape == (n, 2) and got.dtype == np.float64

@@ -36,7 +36,7 @@ from laplab.geometry import (
     TorusMetric,
     UnitSphere,
     ambient_sq_dist,
-    metric_sq_geodesic,
+    sq_dist,
 )
 from laplab.identify import (
     EDGE_THRESHOLD,
@@ -48,23 +48,17 @@ from laplab.identify import (
     recover_mass,
     run_recovery,
 )
-from laplab.operators import (
-    ExtrinsicKernel,
-    IntrinsicKernel,
-    assemble_continuous,
-    save_matrix,
-)
+from laplab.operators import assemble_continuous, save_matrix
 from laplab.verify import write_json
 
 FOUR_PI_SQ = 4 * math.pi**2
 
 
-def _op(metric=None, density=None, n=16, t=0.5, kernel=None):
+def _op(metric=None, density=None, n=16, t=0.5, embedding=None):
     metric = metric or TorusMetric.flat()
     rule = build_grid(metric, n)
     p = normalize_density(density or UniformDensity(), rule)
-    mode = kernel or IntrinsicKernel(metric)
-    return assemble_continuous(mode, p, rule, t), rule, p
+    return assemble_continuous(embedding or metric, p, rule, t), rule, p
 
 
 def _reference_w(op):
@@ -82,7 +76,7 @@ def _reference_w(op):
 def test_extracted_kernel_matches_forward_construction():
     op, rule, p = _op(TorusMetric.anisotropic(1.5), CosineBump(0.3, "u"))
     wk = extract_weighted_kernel(op)
-    d2 = metric_sq_geodesic(TorusMetric.anisotropic(1.5), rule.nodes, rule.nodes)
+    d2 = sq_dist(TorusMetric.anisotropic(1.5), rule.nodes, rule.nodes)
     w_direct = np.exp(-d2 / op.t) * (density_values(p, rule.nodes) * rule.weights)[None, :]
     diff = np.abs(_reference_w(op) - w_direct)[wk.mask]
     assert float(diff.max()) <= 1e-12
@@ -100,7 +94,7 @@ def test_extract_rejects_broken_row_sums():
     bad = op.entries.copy()
     bad[3, 5] += 1e-6
     op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, mode=op.mode,
+        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
         measure_metric=op.measure_metric, grid_shape=op.grid_shape,
         spacing=op.spacing,
     )
@@ -115,7 +109,7 @@ def test_extract_rejects_positive_off_diagonal():
     bad[3, 5] = -bad[3, 5]
     bad[3, 3] -= 2 * bad[3, 5]
     op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, mode=op.mode,
+        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
         measure_metric=op.measure_metric, grid_shape=op.grid_shape,
         spacing=op.spacing,
     )
@@ -128,7 +122,7 @@ def test_extract_rejects_non_finite_entry():
     bad = op.entries.copy()
     bad[3, 5] = np.nan
     op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, mode=op.mode,
+        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
         measure_metric=op.measure_metric, grid_shape=op.grid_shape,
         spacing=op.spacing,
     )
@@ -143,7 +137,7 @@ def test_extract_rejects_all_zero_row():
     bad = op.entries.copy()
     bad[7, :] = 0.0
     op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, mode=op.mode,
+        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
         measure_metric=op.measure_metric, grid_shape=op.grid_shape,
         spacing=op.spacing,
     )
@@ -182,7 +176,7 @@ def test_extract_clips_tiny_negative_weight():
     bad[3, 3] += bad[3, 5] - tiny
     bad[3, 5] = tiny
     op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, mode=op.mode,
+        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
         measure_metric=op.measure_metric, grid_shape=op.grid_shape,
         spacing=op.spacing,
     )
@@ -231,7 +225,7 @@ def test_refined_masses_beat_tree_masses_under_noise():
     np.fill_diagonal(noisy, 0.0)
     np.fill_diagonal(noisy, -noisy.sum(axis=1))
     wk = extract_weighted_kernel(type(op)(
-        entries=noisy, nodes=op.nodes, t=op.t, mode=op.mode,
+        entries=noisy, nodes=op.nodes, t=op.t, space=op.space,
         measure_metric=op.measure_metric, grid_shape=op.grid_shape,
         spacing=op.spacing,
     ))
@@ -270,12 +264,12 @@ def test_refined_mass_peak_memory_is_two_matrices():
 
 
 def test_mass_does_not_depend_on_kernel_mode():
-    # masses are p(x_j) w_j; the kernel mode only changes distances
+    # masses are p(x_j) w_j; the space the kernel measures in only changes distances
     metric = TorusMetric.flat()
     m_int = recover_mass(extract_weighted_kernel(
         _op(metric, CosineBump(0.5, "u"))[0]))
     m_ext = recover_mass(extract_weighted_kernel(
-        _op(metric, CosineBump(0.5, "u"), kernel=ExtrinsicKernel(CliffordTorus()))[0]))
+        _op(metric, CosineBump(0.5, "u"), embedding=CliffordTorus())[0]))
     assert np.max(np.abs(m_int - m_ext)) <= 1e-8
 
 
@@ -299,7 +293,7 @@ def test_recovered_distances_match_geodesics():
     wk = extract_weighted_kernel(op)
     m = recover_mass(wk)
     khat, dhat = recover_kernel_distance(wk, m)
-    d_true = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
+    d_true = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
     sym = wk.sym
     assert float(np.max(np.abs(dhat[sym] - d_true[sym]))) <= 1e-7
     assert np.all(np.diag(khat) == 1.0)
@@ -308,7 +302,7 @@ def test_recovered_distances_match_geodesics():
 
 def test_recovered_distances_match_chords_for_extrinsic():
     emb = CliffordTorus()
-    op, rule, _ = _op(kernel=ExtrinsicKernel(emb))
+    op, rule, _ = _op(embedding=emb)
     wk = extract_weighted_kernel(op)
     m = recover_mass(wk)
     _, dhat = recover_kernel_distance(wk, m)
@@ -324,7 +318,7 @@ def test_distance_error_stays_below_roundoff_amplification():
     op, rule, _ = _op(metric, t=0.25)
     wk = extract_weighted_kernel(op)
     _, dhat = recover_kernel_distance(wk, recover_mass(wk))
-    d_true = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
+    d_true = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
     sym = wk.sym
     bound = math.sqrt(np.finfo(float).eps) * 0.25
     assert float(np.max(np.abs(dhat[sym] ** 2 - d_true[sym] ** 2))) <= bound
@@ -357,7 +351,7 @@ def test_kernel_value_within_slack_is_clamped_to_one():
 def test_stencil_exact_on_anisotropic_sigma():
     metric = TorusMetric.anisotropic(2.0)
     rule = build_grid(metric, 16)
-    dist = np.sqrt(metric_sq_geodesic(metric, rule.nodes, rule.nodes))
+    dist = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
     fld = metric_field_from_distance(dist, rule.grid_shape, rule.spacing)
     g = fld.tensor_at(5 * 16 + 3)
     assert np.max(np.abs(g - np.diag([4.0, 0.25]))) <= 1e-10
@@ -365,7 +359,7 @@ def test_stencil_exact_on_anisotropic_sigma():
 
 def test_stencil_exact_on_flat_sigma():
     rule = build_grid(TorusMetric.flat(), 16)
-    dist = np.sqrt(metric_sq_geodesic(TorusMetric.flat(), rule.nodes, rule.nodes))
+    dist = np.sqrt(sq_dist(TorusMetric.flat(), rule.nodes, rule.nodes))
     g = metric_field_from_distance(dist, rule.grid_shape, rule.spacing).tensor_at(0)
     assert np.max(np.abs(g - np.eye(2))) <= 1e-10
 
@@ -435,14 +429,14 @@ def test_recover_density_direct():
 
 
 def test_induced_metric_clifford():
-    op, rule, _ = _op(n=32, kernel=ExtrinsicKernel(CliffordTorus()))
+    op, rule, _ = _op(n=32, embedding=CliffordTorus())
     fld = run_recovery(op).metric_field
     assert np.max(np.abs(fld.tensors - np.eye(2)[None])) <= 1e-3
 
 
 def test_induced_metric_donut_outer_circle():
     emb = DonutTorus(2.0, 1.0)
-    op, rule, _ = _op(n=32, kernel=ExtrinsicKernel(emb))
+    op, rule, _ = _op(n=32, embedding=emb)
     fld = run_recovery(op).metric_field
     outer = np.flatnonzero(rule.nodes[fld.indices, 0] == 0.0)
     assert outer.size > 0
@@ -454,7 +448,7 @@ def test_induced_metric_sphere_equator():
     sphere = SphereMetric(1.0)
     rule = build_grid(sphere, 32)
     p = normalize_density(UniformDensity(), rule)
-    op = assemble_continuous(ExtrinsicKernel(UnitSphere()), p, rule, 0.5)
+    op = assemble_continuous(UnitSphere(), p, rule, 0.5)
     fld = run_recovery(op).metric_field
     eq = np.flatnonzero(np.abs(rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
     assert eq.size > 0
@@ -465,7 +459,7 @@ def test_extrinsic_recovery_cannot_see_the_chart_metric():
     # the two metrics of the counterexample pair produce the same extrinsic
     # operator; recovery returns the embedding's metric, not either input
     aniso = TorusMetric.anisotropic(2.0)
-    op, rule, _ = _op(aniso, n=32, kernel=ExtrinsicKernel(CliffordTorus()))
+    op, rule, _ = _op(aniso, n=32, embedding=CliffordTorus())
     fld = run_recovery(op).metric_field
     err_identity = np.max(np.abs(fld.tensors - np.eye(2)[None]))
     err_aniso = np.max(np.abs(fld.tensors - np.diag([4.0, 0.25])[None]))
@@ -534,13 +528,13 @@ def _same_bits(a, b):
 
 
 _SPHERE = SphereMetric(1.0)
-# (kernel, measure metric); grids 16 and 32 give n = 256, 1024 on the torus
+# (kernel space, measure metric); grids 16 and 32 give n = 256, 1024 on the torus
 # and 240, 992 on the sphere, so tiles need not divide n
 _RECOVERY_CASES = {
-    "intrinsic-torus": (IntrinsicKernel(TorusMetric.anisotropic(1.5)), TorusMetric.anisotropic(1.5)),
-    "intrinsic-sphere": (IntrinsicKernel(_SPHERE), _SPHERE),
-    "extrinsic-donut": (ExtrinsicKernel(DonutTorus(2.0, 1.0)), TorusMetric.flat()),
-    "extrinsic-sphere": (ExtrinsicKernel(UnitSphere()), _SPHERE),
+    "intrinsic-torus": (TorusMetric.anisotropic(1.5), TorusMetric.anisotropic(1.5)),
+    "intrinsic-sphere": (_SPHERE, _SPHERE),
+    "extrinsic-donut": (DonutTorus(2.0, 1.0), TorusMetric.flat()),
+    "extrinsic-sphere": (UnitSphere(), _SPHERE),
 }
 
 
@@ -628,7 +622,7 @@ def test_kernel_overshoot_fails_slim_recovery():
     entries[i] *= 2.0
     entries[i, i] = 0.0
     entries[i, i] = -entries[i].sum()
-    bad = type(op)(entries, op.nodes, op.t, op.mode, op.measure_metric,
+    bad = type(op)(entries, op.nodes, op.t, op.space, op.measure_metric,
                    op.grid_shape, op.spacing)
     with pytest.raises(InconsistencyError, match="exceeds 1; not a Gaussian kernel"):
         run_recovery(bad)
@@ -744,6 +738,13 @@ _REMOVED = [
     "PoleChartError",
     "ambient_distance",
     "apply_operator",
+    "IntrinsicKernel",
+    "ExtrinsicKernel",
+    "KernelMode",
+    "DiscreteOperator",
+    "SampleSet",
+    "kernel_sq_dist",
+    "metric_sq_geodesic",
 ]
 
 
@@ -758,14 +759,17 @@ def test_removed_names_stay_removed(module, name):
 def test_removed_members_and_knobs_stay_removed():
     import inspect
 
-    from laplab.discretization import QuadratureRule, SampleSet
+    from laplab.discretization import QuadratureRule
     from laplab.geometry import ChartPoint
     from laplab.identify import report_payload
     from laplab.verify import ScenarioConfig
 
     assert not hasattr(ChartPoint, "offset")
     assert not hasattr(QuadratureRule, "cell_area")
-    assert not hasattr(SampleSet, "to_csv")
+    for make in (lambda: CliffordTorus(ambient_dim=4), lambda: UnitSphere(ambient_dim=3),
+                 lambda: DonutTorus(2.0, 1.0, ambient_dim=3)):
+        with pytest.raises(TypeError):
+            make()
     fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
     assert fields.isdisjoint({"anisotropy", "bump_alpha", "scale", "tolerances"})
     assert "stem" not in inspect.signature(report_payload).parameters

@@ -30,18 +30,15 @@ from laplab.geometry import (
     UnitSphere,
     ambient_sq_dist,
     sphere_sq_geodesic,
+    sq_dist,
     torus_sq_geodesic,
 )
 from laplab.operators import (
     DENSE_NODE_CAP,
-    DiscreteOperator,
-    ExtrinsicKernel,
-    IntrinsicKernel,
     assemble_continuous,
     build_operator,
     continuous_value,
     evaluate_discrete,
-    kernel_sq_dist,
     load_matrix,
     load_operator,
     operator_distance,
@@ -54,7 +51,7 @@ def _flat_op(n=8, t=0.5, density=None, metric=None):
     metric = metric or TorusMetric.flat()
     rule = build_grid(metric, n)
     p = normalize_density(density or UniformDensity(), rule)
-    return assemble_continuous(IntrinsicKernel(metric), p, rule, t), rule, p
+    return assemble_continuous(metric, p, rule, t), rule, p
 
 
 # --- row sums and signs -------------------------------------------------------
@@ -77,8 +74,8 @@ def test_rows_annihilate_constants_all_modes():
         rule = build_grid(metric, 8)
         for density in (UniformDensity(), CosineBump(0.5, "u")):
             p = normalize_density(density, rule)
-            cases.append(assemble_continuous(IntrinsicKernel(metric), p, rule, 0.5))
-            cases.append(assemble_continuous(ExtrinsicKernel(emb), p, rule, 0.5))
+            cases.append(assemble_continuous(metric, p, rule, 0.5))
+            cases.append(assemble_continuous(emb, p, rule, 0.5))
     for op in cases:
         assert np.max(np.abs(op.entries.sum(axis=1))) <= 1e-12
 
@@ -112,12 +109,12 @@ def test_bandwidth_validation_and_node_cap():
     # 1e-200 and 1e160 are positive and finite, but t^2 underflows or overflows
     for t in (0.0, math.nan, math.inf, 1e-200, 1e160):
         with pytest.raises(InvalidParameterError):
-            assemble_continuous(IntrinsicKernel(TorusMetric.flat()), p, rule, t)
+            assemble_continuous(TorusMetric.flat(), p, rule, t)
     big = build_grid(TorusMetric.flat(), 66)  # 4356 nodes > cap
     assert big.n > DENSE_NODE_CAP
     pb = normalize_density(UniformDensity(), big)
     with pytest.raises(InvalidParameterError):
-        assemble_continuous(IntrinsicKernel(TorusMetric.flat()), pb, big, 0.5)
+        assemble_continuous(TorusMetric.flat(), pb, big, 0.5)
 
 
 def test_underflow_sets_warning():
@@ -126,10 +123,10 @@ def test_underflow_sets_warning():
     assert _flat_op(8, 0.5)[0].warning is None
 
 
-def _reference_entries(mode, density, rule, t):
+def _reference_entries(space, density, rule, t):
     """The assembly pipeline written out of place, one step at a time."""
     pw = density_values(density, rule.nodes) * rule.weights
-    w = np.exp(kernel_sq_dist(mode, rule.nodes, rule.nodes) / -t) * pw[None, :]
+    w = np.exp(sq_dist(space, rule.nodes, rule.nodes) / -t) * pw[None, :]
     c = t ** -2.0
     entries = -c * w
     np.fill_diagonal(entries, c * (w.sum(axis=1) - np.diagonal(w)))
@@ -151,12 +148,12 @@ _ASSEMBLY_CASES = {
 @pytest.mark.parametrize("case", sorted(_ASSEMBLY_CASES))
 def test_assembly_is_bitwise_reference_pipeline(case):
     metric, emb = _ASSEMBLY_CASES[case]
-    mode = IntrinsicKernel(metric) if emb is None else ExtrinsicKernel(emb)
+    space = metric if emb is None else emb
     rule = build_grid(metric, 16)
     p = normalize_density(CosineBump(0.4, "u"), rule)
     for t in (0.5, 0.05):
-        op = assemble_continuous(mode, p, rule, t)
-        assert np.array_equal(op.entries, _reference_entries(mode, p, rule, t))
+        op = assemble_continuous(space, p, rule, t)
+        assert np.array_equal(op.entries, _reference_entries(space, p, rule, t))
 
 
 def test_non_grid_nodes_take_the_pairwise_path(monkeypatch):
@@ -171,7 +168,6 @@ def test_non_grid_nodes_take_the_pairwise_path(monkeypatch):
 
     monkeypatch.setattr(operators, "torus_grid_rows", spy)
     metric = TorusMetric.anisotropic(2.0)
-    mode = IntrinsicKernel(metric)
     grid = build_grid(metric, 8)
     nudged = grid.nodes.copy()
     nudged[9, 1] = np.nextafter(nudged[9, 1], 1.0)
@@ -181,8 +177,8 @@ def test_non_grid_nodes_take_the_pairwise_path(monkeypatch):
                            (nudged, grid.weights)):
         rule = QuadratureRule(metric, nodes, weights, grid.grid_shape, grid.spacing)
         p = normalize_density(CosineBump(0.4, "v"), rule)
-        op = assemble_continuous(mode, p, rule, 0.5)
-        assert np.array_equal(op.entries, _reference_entries(mode, p, rule, 0.5))
+        op = assemble_continuous(metric, p, rule, 0.5)
+        assert np.array_equal(op.entries, _reference_entries(metric, p, rule, 0.5))
     assert len(calls) == 1
 
 
@@ -284,13 +280,12 @@ def test_row_blocks_match_whole_table_builds_bitwise(case, grid, ts):
     # grid 46 leaves block tails (n = 2116 and 2070 are multiples of neither
     # 16 nor 512); 16-row dot products or a @ a.T change the sphere's bits
     metric, emb = _bit_case(case)
-    mode = IntrinsicKernel(metric) if emb is None else ExtrinsicKernel(emb)
     rule = build_grid(metric, grid)
     p = normalize_density(CosineBump(0.4, "u"), rule)
     pw = density_values(p, rule.nodes) * rule.weights
     d2 = _whole_table_sq_dist(metric if emb is None else emb, rule.nodes, rule.nodes)
     for t in ts:
-        op = assemble_continuous(mode, p, rule, t)
+        op = assemble_continuous(metric if emb is None else emb, p, rule, t)
         entries, dead = _whole_table_assembly(d2, pw, t)
         assert op.entries.tobytes() == entries.tobytes()
         assert op.warning == _underflow_warning(dead, t)
@@ -309,10 +304,10 @@ def test_pairwise_tables_match_whole_table_builds_bitwise(case, grid, ts):
     want = _whole_table_sq_dist(metric if emb is None else emb, x, x)
     assert got.tobytes() == want.tobytes()
     # a single row and a 17-row block against every node
-    mode = IntrinsicKernel(metric) if emb is None else ExtrinsicKernel(emb)
+    space = metric if emb is None else emb
     for lo, hi in ((7, 8), (3, 20)):
-        want = _whole_table_sq_dist(metric if emb is None else emb, x[lo:hi], x)
-        assert kernel_sq_dist(mode, x[lo:hi], x).tobytes() == want.tobytes()
+        want = _whole_table_sq_dist(space, x[lo:hi], x)
+        assert sq_dist(space, x[lo:hi], x).tobytes() == want.tobytes()
 
 
 def test_underflowing_build_names_its_dead_rows():
@@ -322,7 +317,7 @@ def test_underflowing_build_names_its_dead_rows():
     pw = density_values(p, rule.nodes) * rule.weights
     d2 = _whole_table_sq_dist(metric, rule.nodes, rule.nodes)
     for t in (1e-4, 3e-5):  # 300 and 340 of the 380 rows underflow
-        op = assemble_continuous(IntrinsicKernel(metric), p, rule, t)
+        op = assemble_continuous(metric, p, rule, t)
         entries, dead = _whole_table_assembly(d2, pw, t)
         assert 0 < dead and op.warning == _underflow_warning(dead, t)
         assert op.entries.tobytes() == entries.tobytes()
@@ -331,31 +326,54 @@ def test_underflowing_build_names_its_dead_rows():
 def test_build_peak_memory_is_about_one_table():
     import tracemalloc
 
-    cases = [(ExtrinsicKernel(CliffordTorus()), TorusMetric.flat(), 1.15),
-             (ExtrinsicKernel(DonutTorus(2.0, 1.0)), TorusMetric.flat(), 1.15),
-             (ExtrinsicKernel(UnitSphere()), SphereMetric(1.0), 1.15),
-             (IntrinsicKernel(TorusMetric.anisotropic(1.5)), TorusMetric.anisotropic(1.5), 1.15),
+    cases = [(TorusMetric.flat(), CliffordTorus(), 1.15),
+             (TorusMetric.flat(), DonutTorus(2.0, 1.0), 1.15),
+             (SphereMetric(1.0), UnitSphere(), 1.15),
+             (TorusMetric.anisotropic(1.5), None, 1.15),
              # one 512-row block of a . b is half a table at n = 992
-             (IntrinsicKernel(SphereMetric(1.0)), SphereMetric(1.0), 1.6)]
-    for mode, metric, bound in cases:
+             (SphereMetric(1.0), None, 1.6)]
+    for metric, embedding, bound in cases:
         tracemalloc.start()
         try:
-            op, rule, _ = build_operator(mode, metric, CosineBump(0.4, "u"), 32, 0.5)
+            op, rule, _ = build_operator(metric, CosineBump(0.4, "u"), 32, 0.5, embedding)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * 8 * rule.n**2, (mode, peak / (8 * rule.n**2))
+        assert peak <= bound * 8 * rule.n**2, (op.space, peak / (8 * rule.n**2))
 
 
 # --- kernel distances ---------------------------------------------------------
 
 
-def test_kernel_sq_dist_dispatch():
-    pts = np.array([[0.0, 0.0], [math.pi, 0.0]])
-    d2_int = kernel_sq_dist(IntrinsicKernel(TorusMetric.flat()), pts, pts)
-    assert d2_int[0, 1] == pytest.approx(math.pi**2, abs=1e-12)
-    d2_ext = kernel_sq_dist(ExtrinsicKernel(CliffordTorus()), pts, pts)
-    assert d2_ext[0, 1] == pytest.approx(4.0, abs=1e-12)
+# the (metric, embedding) of each CLI (mode, surface) pair
+_CLI_PAIRS = {
+    "intrinsic-aniso_torus": (TorusMetric.anisotropic(1.5), None),
+    "intrinsic-flat_torus": (TorusMetric.flat(), None),
+    "intrinsic-sphere": (SphereMetric(1.0), None),
+    "extrinsic-clifford": (TorusMetric.flat(), CliffordTorus()),
+    "extrinsic-donut": (TorusMetric.flat(), DonutTorus(2.0, 1.0)),
+    "extrinsic-sphere": (SphereMetric(1.0), UnitSphere()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_PAIRS))
+def test_sq_dist_is_the_kind_table_and_the_space_round_trips(case, tmp_path):
+    metric, emb = _CLI_PAIRS[case]
+    space = metric if emb is None else emb
+    x = build_grid(metric, 8).nodes
+    if emb is not None:
+        want = ambient_sq_dist(emb, x[:5], x)
+    elif isinstance(metric, SphereMetric):
+        want = sphere_sq_geodesic(metric.radius, x[:5], x)
+    else:
+        want = torus_sq_geodesic(metric, x[:5], x)
+    assert sq_dist(space, x[:5], x).tobytes() == want.tobytes()
+    op, _, _ = build_operator(metric, UniformDensity(), 8, 0.5, emb)
+    assert op.space == space
+    path = tmp_path / "op.llop"
+    save_operator(op, path)
+    assert path.read_bytes()[6] == (0 if emb is None else 1)  # the mode tag
+    assert load_operator(path).space == space
 
 
 def test_intrinsic_pair_differs_but_extrinsic_pair_does_not():
@@ -366,8 +384,8 @@ def test_intrinsic_pair_differs_but_extrinsic_pair_does_not():
     for m in (flat, aniso):
         rule = build_grid(m, 16)
         p = normalize_density(UniformDensity(), rule)
-        ops_int.append(assemble_continuous(IntrinsicKernel(m), p, rule, t))
-        ops_ext.append(assemble_continuous(ExtrinsicKernel(CliffordTorus()), p, rule, t))
+        ops_int.append(assemble_continuous(m, p, rule, t))
+        ops_ext.append(assemble_continuous(CliffordTorus(), p, rule, t))
     assert operator_distance(*ops_int) > 1e-3
     assert operator_distance(*ops_ext) <= 1e-14
 
@@ -430,12 +448,11 @@ def test_apply_linearity():
 
 def test_continuous_value_matches_dense_row():
     op, rule, p = _flat_op(8, 0.5)
-    mode = IntrinsicKernel(TorusMetric.flat())
     f = lambda pts: np.cos(pts[:, 0]) + np.sin(pts[:, 1])
     fv = f(rule.nodes)
     for i in (0, 17, 40):
         x = ChartPoint(rule.nodes[i, 0], rule.nodes[i, 1])
-        val = continuous_value(mode, p, rule, 0.5, f, x)
+        val = continuous_value(TorusMetric.flat(), p, rule, 0.5, f, x)
         dense = float(op.entries[i] @ fv)
         assert val == pytest.approx(dense, abs=1e-12)
 
@@ -447,8 +464,8 @@ def test_discrete_constant_is_exactly_zero():
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
     s = sample_points(p, TorusMetric.flat(), 500, 3)
-    dop = DiscreteOperator(s, 0.5, IntrinsicKernel(TorusMetric.flat()))
-    [val] = evaluate_discrete(dop, lambda pts: np.ones(len(pts)), [ChartPoint(0.1, 0.2)])
+    [val] = evaluate_discrete(TorusMetric.flat(), s, 0.5, lambda pts: np.ones(len(pts)),
+                              [ChartPoint(0.1, 0.2)])
     assert val == 0.0
 
 
@@ -456,9 +473,8 @@ def test_discrete_single_coincident_sample():
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
     s = sample_points(p, TorusMetric.flat(), 1, 3)
-    dop = DiscreteOperator(s, 0.5, IntrinsicKernel(TorusMetric.flat()))
-    x = ChartPoint(s.points[0, 0], s.points[0, 1])
-    [val] = evaluate_discrete(dop, lambda pts: np.cos(pts[:, 0]), [x])
+    x = ChartPoint(s[0, 0], s[0, 1])
+    [val] = evaluate_discrete(TorusMetric.flat(), s, 0.5, lambda pts: np.cos(pts[:, 0]), [x])
     assert val == 0.0
 
 
@@ -470,15 +486,14 @@ def test_discrete_value_near_continuous_value():
     p = normalize_density(UniformDensity(), rule)
     f = lambda pts: np.cos(pts[:, 0])
     x = ChartPoint(0.0, 0.0)
-    ref = continuous_value(IntrinsicKernel(metric), p, rule, 0.5, f, x)
+    ref = continuous_value(metric, p, rule, 0.5, f, x)
 
     s = sample_points(p, metric, 100_000, 1234)
-    dop = DiscreteOperator(s, 0.5, IntrinsicKernel(metric))
-    [val] = evaluate_discrete(dop, f, [x])
+    [val] = evaluate_discrete(metric, s, 0.5, f, [x])
     # standard error from the empirical variance of the summed terms
-    d2 = kernel_sq_dist(dop.mode, x.as_array()[None, :], s.points)[0]
-    terms = np.exp(d2 / -dop.t) * (f(x.as_array()[None, :])[0] - f(s.points)) / dop.t**2
-    se = float(terms.std(ddof=1) / math.sqrt(s.n))
+    d2 = sq_dist(metric, x.as_array()[None, :], s)[0]
+    terms = np.exp(d2 / -0.5) * (f(x.as_array()[None, :])[0] - f(s)) / 0.5**2
+    se = float(terms.std(ddof=1) / math.sqrt(len(s)))
     assert abs(val - ref) < 3.0 * se
     assert se < 1e-3
 
@@ -487,37 +502,39 @@ def test_discrete_bandwidth_validation():
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
     s = sample_points(p, TorusMetric.flat(), 10, 3)
-    with pytest.raises(InvalidParameterError):
-        DiscreteOperator(s, -1.0, IntrinsicKernel(TorusMetric.flat()))
+    calls = []
+    for t in (-1.0, 0.0, math.nan, 1e-200, 1e160):
+        with pytest.raises(InvalidParameterError):
+            evaluate_discrete(TorusMetric.flat(), s, t, calls.append, [ChartPoint(0.1, 0.2)])
+    assert calls == []  # refused before f is evaluated
 
 
-def _evaluate_one(dop, f, x):
+def _evaluate_one(space, pts, t, f, x):
     """The single-point Monte-Carlo evaluator as it stood before it took many
     points: f over the whole cloud and fresh temporaries on every call."""
-    pts = dop.samples.points
     p = x.as_array()[None, :]
-    d2 = kernel_sq_dist(dop.mode, p, pts)[0]
+    d2 = sq_dist(space, p, pts)[0]
     fx = float(np.asarray(f(p))[0])
-    terms = np.exp(d2 / -dop.t) * (fx - np.asarray(f(pts)))
-    return float(terms.sum() / (dop.samples.n * dop.t**2))
+    terms = np.exp(d2 / -t) * (fx - np.asarray(f(pts)))
+    return float(terms.sum() / (len(pts) * t**2))
 
 
 @pytest.mark.parametrize("case", ["flat_torus", "sphere", "clifford"])
 def test_discrete_many_points_match_single_point_bits(case):
     flat, sphere = TorusMetric.flat(), SphereMetric(1.0)
-    metric, mode = {
-        "flat_torus": (flat, IntrinsicKernel(flat)),
-        "sphere": (sphere, IntrinsicKernel(sphere)),
-        "clifford": (flat, ExtrinsicKernel(CliffordTorus())),
+    metric, space = {
+        "flat_torus": (flat, flat),
+        "sphere": (sphere, sphere),
+        "clifford": (flat, CliffordTorus()),
     }[case]
     p = normalize_density(CosineBump(0.4, "v"), build_grid(metric, 16))
-    dop = DiscreteOperator(sample_points(p, metric, 3000, 17), 0.3, mode)
+    pts = sample_points(p, metric, 3000, 17)
     gen = np.random.default_rng(5)
     points = [ChartPoint(u, v) for u, v in zip(gen.uniform(0.3, 2.8, 8),
                                                gen.uniform(0.0, 2 * math.pi, 8))]
     f = lambda pts: np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
-    got = evaluate_discrete(dop, f, points)
-    want = np.array([_evaluate_one(dop, f, x) for x in points])
+    got = evaluate_discrete(space, pts, 0.3, f, points)
+    want = np.array([_evaluate_one(space, pts, 0.3, f, x) for x in points])
     assert got.shape == (8,)
     assert got.tobytes() == want.tobytes()
 
@@ -525,15 +542,15 @@ def test_discrete_many_points_match_single_point_bits(case):
 def test_discrete_evaluates_f_on_the_cloud_once():
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
-    dop = DiscreteOperator(sample_points(p, TorusMetric.flat(), 200, 3), 0.5,
-                           IntrinsicKernel(TorusMetric.flat()))
+    pts = sample_points(p, TorusMetric.flat(), 200, 3)
     sizes = []
 
     def f(pts):
         sizes.append(len(pts))
         return np.cos(pts[:, 0])
 
-    evaluate_discrete(dop, f, [ChartPoint(0.1 * k, 0.2) for k in range(5)])
+    points = [ChartPoint(0.1 * k, 0.2) for k in range(5)]
+    evaluate_discrete(TorusMetric.flat(), pts, 0.5, f, points)
     assert sorted(sizes) == [1] * 5 + [200]
 
 
@@ -544,15 +561,15 @@ def test_discrete_peak_memory_is_five_rows():
 
     metric = TorusMetric.flat()
     p = normalize_density(UniformDensity(), build_grid(metric, 16))
-    dop = DiscreteOperator(sample_points(p, metric, 64_000, 1234), 0.5, IntrinsicKernel(metric))
+    pts = sample_points(p, metric, 64_000, 1234)
     points = [ChartPoint(0.3 * k, 0.7) for k in range(8)]
     tracemalloc.start()
     try:
-        evaluate_discrete(dop, lambda pts: np.cos(pts[:, 0]), points)
+        evaluate_discrete(metric, pts, 0.5, lambda pts: np.cos(pts[:, 0]), points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    row = 8 * dop.samples.n
+    row = 8 * len(pts)
     assert peak <= 5.25 * row, peak / row
 
 
@@ -572,19 +589,19 @@ def test_operator_round_trip(tmp_path):
         assert back.t == op.t
         assert back.grid_shape == op.grid_shape
         assert back.spacing == op.spacing
-        assert type(back.mode) is type(op.mode)
+        assert back.space == op.space
 
 
 def test_operator_round_trip_extrinsic_sphere(tmp_path):
     sphere = SphereMetric(1.0)
     rule = build_grid(sphere, 8)
     p = normalize_density(UniformDensity(), rule)
-    op = assemble_continuous(ExtrinsicKernel(UnitSphere()), p, rule, 0.5)
+    op = assemble_continuous(UnitSphere(), p, rule, 0.5)
     path = tmp_path / "op.llop"
     save_operator(op, path)
     back = load_operator(path)
     assert np.array_equal(back.entries, op.entries)
-    assert isinstance(back.mode, ExtrinsicKernel)
+    assert back.space == UnitSphere()
 
 
 def test_load_rejects_truncated_file(tmp_path):
@@ -623,7 +640,7 @@ def test_load_rejects_unknown_mode_tag(tmp_path, tag):
 
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
-    op = assemble_continuous(ExtrinsicKernel(CliffordTorus()), p, rule, 0.5)
+    op = assemble_continuous(CliffordTorus(), p, rule, 0.5)
     path = tmp_path / "op.llop"
     save_operator(op, path)
     blob = bytearray(path.read_bytes())

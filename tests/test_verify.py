@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from laplab import verify
 from laplab.discretization import UniformDensity, build_grid, normalize_density, sample_points
 from laplab.errors import InvalidParameterError
-from laplab.geometry import TorusMetric
-from laplab.operators import DiscreteOperator, IntrinsicKernel, continuous_value, kernel_sq_dist
+from laplab.geometry import TorusMetric, sq_dist
+from laplab.operators import continuous_value
 from laplab.verify import (
     ScenarioConfig,
     _eval_points,
@@ -183,22 +183,19 @@ def test_reference_cache_reused(tmp_path):
 def test_convergence_per_seed_bits_match_single_point_loop():
     # the study's loop as it stood with a single-point evaluator
     metric = TorusMetric.flat()
-    kernel = IntrinsicKernel(metric)
     rule = build_grid(metric, 128)
     density = normalize_density(UniformDensity(), rule)
     points = _eval_points()
-    ref = np.array([continuous_value(kernel, density, rule, 0.5, _f_cos_u, x)
+    ref = np.array([continuous_value(metric, density, rule, 0.5, _f_cos_u, x)
                     for x in points])
     n_values, want = (250, 500, 1000), np.empty((5, 3))
     for i in range(5):
         for j, n in enumerate(n_values):
-            dop = DiscreteOperator(sample_points(density, metric, n, 1234 + 1000003 * i + n),
-                                   0.5, kernel)
-            pts = dop.samples.points
+            pts = sample_points(density, metric, n, 1234 + 1000003 * i + n)
             vals = []
             for x in points:
                 p = x.as_array()[None, :]
-                d2 = kernel_sq_dist(kernel, p, pts)[0]
+                d2 = sq_dist(metric, p, pts)[0]
                 terms = np.exp(d2 / -0.5) * (float(_f_cos_u(p)[0]) - _f_cos_u(pts))
                 vals.append(float(terms.sum() / (n * 0.5**2)))
             want[i, j] = np.sqrt(np.mean((np.array(vals) - ref) ** 2))
