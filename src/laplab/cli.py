@@ -10,9 +10,11 @@ Subcommands:
 Exit codes: 0 success / all scenarios pass, 1 scenario failure,
 2 bad usage or invalid parameters, 3 numerical failure during recovery.
 
---threads caps the numeric thread pools (env vars for pools not yet
-started, threadpoolctl for ones that are).  --config points at a JSON
-file whose keys fill in defaults; flags given on the command line win.
+--threads caps the numeric thread pools through threadpoolctl; they are
+sized when numpy loads, so without threadpoolctl installed it caps nothing
+(set OPENBLAS_NUM_THREADS and OMP_NUM_THREADS before starting instead).
+--config points at a JSON file whose keys fill in defaults; flags given on
+the command line win.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "assembly, recovery, scenario verification",
     )
     ap.add_argument("--config", help="JSON file with default values for flags")
-    ap.add_argument("--threads", type=int, help="cap BLAS/OpenMP thread pools")
+    ap.add_argument("--threads", type=int,
+                    help="cap BLAS/OpenMP thread pools through threadpoolctl "
+                    "(no effect without it)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("assemble", help="build and save one operator matrix")
@@ -198,25 +202,28 @@ def _cmd_recover(args) -> int:
     from .operators import load_operator
     from .verify import write_json
 
+    out_dir, name = _out_file(args.out)
     op = load_operator(args.operator)
     report = run_recovery(op, refine=args.refine)
-    with _staged(args.externalize) as stage:
-        payload = report_payload(report, externalize_dir=stage)
-        write_json(payload, args.out)
+    with _staged(out_dir, args.externalize) as (stage, mx):
+        payload = report_payload(report, externalize_dir=mx)
+        write_json(payload, os.path.join(stage, name))
     print(f"wrote {args.out}: {payload['n']} nodes, "
           f"{len(payload['metric']['indices'])} recovered tensors")
     return 0
 
 
-@contextlib.contextmanager
-def _staged(out):
-    """Yield a staging directory for the files a command writes to directory
-    out, and move them into out (making it) only when the body returns.  A
-    command that fails leaves out as it was; None stages nothing.  An empty
-    out, an existing file or a path under one is refused before the body runs."""
-    if out is None:
-        yield None
-        return
+def _out_file(out: str) -> tuple[str, str]:
+    """--out as (directory, file name); a path ending in a separator is refused."""
+    name = os.path.basename(out)
+    if not name:
+        raise ValueError(f"--out {out} names a directory, not a file")
+    return os.path.dirname(os.path.abspath(out)), name
+
+
+def _existing_dir(out: str) -> str:
+    """The nearest existing directory at or above out; an empty out, an
+    existing file or a path under one is refused."""
     if not out:
         raise FileNotFoundError("empty output directory name")
     parent = os.path.abspath(out)
@@ -224,18 +231,39 @@ def _staged(out):
         parent = os.path.dirname(parent)
     if not os.path.isdir(parent):
         raise NotADirectoryError(f"{parent} is not a directory")
-    stage = tempfile.mkdtemp(prefix=".laplab-", dir=parent)
+    return parent
+
+
+@contextlib.contextmanager
+def _staged(*outs):
+    """Yield one staging directory per directory in outs, for the files a
+    command writes there, and move them into their out (making it) only when
+    the body returns.  Every destination of every stage is checked before the
+    first move, so a command that fails leaves each out as it was.  A None
+    out stages nothing and gets None.  An empty out, an existing file or a
+    path under one is refused before the body runs."""
+    parents = [None if out is None else _existing_dir(out) for out in outs]
+    stages = []
     try:
-        yield stage
-        os.makedirs(out, exist_ok=True)
-        names = sorted(os.listdir(stage))
-        for name in names:  # refuse before the first move: all files land or none
-            if os.path.isdir(os.path.join(out, name)):
-                raise IsADirectoryError(f"{os.path.join(out, name)} is a directory")
-        for name in names:
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        for parent in parents:
+            stages.append(None if parent is None
+                          else tempfile.mkdtemp(prefix=".laplab-", dir=parent))
+        yield tuple(stages)
+        moves = [(os.path.join(stage, name), os.path.join(out, name))
+                 for out, stage in zip(outs, stages) if stage
+                 for name in sorted(os.listdir(stage))]
+        for _, dst in moves:  # refuse before the first move: all files land or none
+            if os.path.isdir(dst):
+                raise IsADirectoryError(f"{dst} is a directory")
+        for out, stage in zip(outs, stages):
+            if stage:
+                os.makedirs(out, exist_ok=True)
+        for src, dst in moves:
+            os.replace(src, dst)
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        for stage in stages:
+            if stage:
+                shutil.rmtree(stage, ignore_errors=True)
 
 
 def _cmd_verify(args) -> int:
@@ -251,7 +279,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
     )
     ok = True
-    with _staged(args.out) as stage:
+    with _staged(args.out) as (stage,):
         for sid in wanted:
             result = run_scenario(dataclasses.replace(base, scenario=sid, out_dir=stage))
             status = "pass" if result.passed else "FAIL"
@@ -267,9 +295,8 @@ def _cmd_converge(args) -> int:
     from .verify import convergence_study
 
     n_values = tuple(int(s) for s in str(args.n).split(",") if s)
-    if not os.path.basename(args.out):
-        raise ValueError(f"--out {args.out} names a directory, not a file")
-    with _staged(os.path.dirname(os.path.abspath(args.out))) as stage:
+    out_dir, name = _out_file(args.out)
+    with _staged(out_dir) as (stage,):
         study = convergence_study(
             n_values=n_values,
             n_seeds=args.seeds,
@@ -277,21 +304,17 @@ def _cmd_converge(args) -> int:
             seed=args.seed,
             out_dir=stage,
         )
-        study.to_csv(os.path.join(stage, os.path.basename(args.out)))
+        study.to_csv(os.path.join(stage, name))
     print(f"wrote {args.out}: slope {study.slope:.3f}")
     return 0
 
 
 def _cap_threads(count: int) -> None:
-    """Bound numeric thread pools to `count`.
+    """Bound numeric thread pools to `count` through threadpoolctl.
 
-    Env vars cover pools not yet started (and subprocesses); pools the
-    linear-algebra libraries already opened are resized through
-    threadpoolctl when it is installed.
+    The pools are sized when numpy loads, before any flag is read, so
+    without threadpoolctl installed this caps nothing.
     """
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(count)
     try:
         import threadpoolctl
 

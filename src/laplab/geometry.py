@@ -420,18 +420,3 @@ def sq_dist(space: Space, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return sphere_sq_geodesic(space.radius, p, q)
     return ambient_sq_dist(space, p, q)
 
-
-def induced_metric(embedding: Embedding, x: ChartPoint, h: float = 1e-4) -> np.ndarray:
-    """First fundamental form J^T J from a central-difference Jacobian.
-
-    h is the chart step of the central differences; must satisfy 0 < h <= 1e-3.
-    """
-    if not (0.0 < h <= 1e-3):
-        raise InvalidParameterError(f"difference step must be in (0, 1e-3], got {h}")
-    cols = []
-    for du, dv in ((h, 0.0), (0.0, h)):
-        plus = embed_many(embedding, np.array([[x.u + du, x.v + dv]]))[0]
-        minus = embed_many(embedding, np.array([[x.u - du, x.v - dv]]))[0]
-        cols.append((plus - minus) / (2.0 * h))
-    jac = np.column_stack(cols)
-    return jac.T @ jac

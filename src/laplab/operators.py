@@ -30,6 +30,7 @@ float64 entries, little-endian throughout); see save_operator for the layout.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -242,68 +243,44 @@ _PARAM = struct.Struct("<Bddd")
 # everything before the nodes
 _PREAMBLE = _HEAD.size + _BAND.size + 2 * _PARAM.size
 
-_KIND_TORUS_METRIC = 0
-_KIND_SPHERE_METRIC = 1
-_KIND_CLIFFORD = 10
-_KIND_DONUT = 11
-_KIND_UNIT_SPHERE = 12
+# kind byte of a parameter block: metrics below 10, embeddings from 10 on
+_KINDS = {TorusMetric: 0, SphereMetric: 1, CliffordTorus: 10, DonutTorus: 11, UnitSphere: 12}
+_SPACES = {kind: cls for cls, kind in _KINDS.items()}
 
 
-def _pack_metric(metric: Metric) -> bytes:
-    if isinstance(metric, TorusMetric):
-        return _PARAM.pack(_KIND_TORUS_METRIC, metric.E, metric.F, metric.G)
-    return _PARAM.pack(_KIND_SPHERE_METRIC, metric.radius, 0.0, 0.0)
+def _pack(space: Space) -> bytes:
+    """A parameter block: the space's kind, then its fields padded with 0.0 to three."""
+    return _PARAM.pack(_KINDS[type(space)], *(dataclasses.astuple(space) + (0.0,) * 3)[:3])
 
 
-def _unpack_metric(blob: bytes) -> Metric:
-    kind, p1, p2, p3 = _PARAM.unpack(blob)
-    if kind == _KIND_TORUS_METRIC:
-        return TorusMetric(p1, p2, p3)
-    if kind == _KIND_SPHERE_METRIC:
-        return SphereMetric(p1)
-    raise MalformedOperatorError(f"unknown metric kind {kind} in operator file")
-
-
-def _pack_mode(space: Space) -> bytes:
-    if isinstance(space, Metric):
-        return _pack_metric(space)
-    if isinstance(space, CliffordTorus):
-        return _PARAM.pack(_KIND_CLIFFORD, 0.0, 0.0, 0.0)
-    if isinstance(space, DonutTorus):
-        return _PARAM.pack(_KIND_DONUT, space.major, space.minor, 0.0)
-    return _PARAM.pack(_KIND_UNIT_SPHERE, 0.0, 0.0, 0.0)
-
-
-def _unpack_mode(mode_tag: int, blob: bytes) -> Space:
-    kind, p1, p2, _ = _PARAM.unpack(blob)
-    if mode_tag == 0:
-        return _unpack_metric(blob)
-    if kind == _KIND_CLIFFORD:
-        return CliffordTorus()
-    if kind == _KIND_DONUT:
-        return DonutTorus(p1, p2)
-    if kind == _KIND_UNIT_SPHERE:
-        return UnitSphere()
-    raise MalformedOperatorError(f"unknown embedding kind {kind} in operator file")
+def _unpack(blob: bytes, metric: bool) -> Space:
+    """The space of a parameter block, which must hold a metric kind iff metric."""
+    kind, *params = _PARAM.unpack(blob)
+    cls = _SPACES.get(kind)
+    if cls is None or (kind < 10) != metric:
+        raise MalformedOperatorError(
+            f"unknown {'metric' if metric else 'embedding'} kind {kind} in operator file")
+    return cls(*params[:len(dataclasses.fields(cls))])
 
 
 def save_operator(op: OperatorMatrix, path) -> None:
     """Write the binary operator format.
 
     Layout, little-endian: magic 'LLOP', u16 version, u8 mode tag
-    (0 intrinsic / 1 extrinsic), u8 chart tag (0 torus / 1 sphere), u32 node
-    count, u32 x 2 grid shape; f64 bandwidth and the two chart spacings; one
-    kernel parameter block and one measure-metric block (u8 kind + 3 f64);
-    then the nodes as n x 2 f64 and the entries as n x n row-major f64.
+    (0 intrinsic / 1 extrinsic), u8 chart tag (the measure block's kind:
+    0 torus / 1 sphere), u32 node count, u32 x 2 grid shape; f64 bandwidth
+    and the two chart spacings; one kernel parameter block and one
+    measure-metric block (u8 kind from _KINDS + 3 f64); then the nodes as
+    n x 2 f64 and the entries as n x n row-major f64.
     """
-    chart = 0 if isinstance(op.measure_metric, TorusMetric) else 1
-    mode_tag = 0 if isinstance(op.space, Metric) else 1
+    kernel = _pack(op.space)
     with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(_MAGIC, _VERSION, mode_tag, chart,
+        fh.write(_HEAD.pack(_MAGIC, _VERSION, int(kernel[0] >= 10),
+                            _KINDS[type(op.measure_metric)],
                             op.n, op.grid_shape[0], op.grid_shape[1]))
         fh.write(_BAND.pack(op.t, op.spacing[0], op.spacing[1]))
-        fh.write(_pack_mode(op.space))
-        fh.write(_pack_metric(op.measure_metric))
+        fh.write(kernel)
+        fh.write(_pack(op.measure_metric))
         fh.write(np.ascontiguousarray(op.nodes, dtype="<f8"))
         fh.write(np.ascontiguousarray(op.entries, dtype="<f8"))
 
@@ -342,11 +319,11 @@ def load_operator(path) -> OperatorMatrix:
             raise MalformedOperatorError(f"spacings must be finite and positive, got {du}, {dv}")
         try:
             _check_bandwidth(t)
-            space = _unpack_mode(mode_tag, head[-2 * _PARAM.size:-_PARAM.size])
-            measure = _unpack_metric(head[-_PARAM.size:])
+            space = _unpack(head[-2 * _PARAM.size:-_PARAM.size], mode_tag == 0)
+            measure = _unpack(head[-_PARAM.size:], True)
         except InvalidParameterError as exc:
             raise MalformedOperatorError(f"operator file: {exc}") from None
-        if (0 if isinstance(measure, TorusMetric) else 1) != chart:
+        if _KINDS[type(measure)] != chart:
             raise MalformedOperatorError("chart tag contradicts the measure metric")
         nodes = np.empty((n, 2), dtype="<f8")
         entries = np.empty((n, n), dtype="<f8")
@@ -367,20 +344,17 @@ _MX_MAGIC = b"LLMX"
 _MX_HEAD = struct.Struct("<4sHII")
 
 
-def save_matrix(m, path, shape=None) -> None:
+def save_matrix(blocks, path, shape) -> None:
     """Bare binary matrix: magic 'LLMX', u16 version, u32 rows, u32 cols,
     then row-major little-endian float64.
 
-    m is a matrix, or, with shape=(rows, cols), an iterable of row blocks
-    that fill it from the top; each block is written as it arrives, so the
-    whole matrix never needs to be in memory.
+    blocks is an iterable of row blocks that fill the (rows, cols) matrix
+    shape from the top; each block is written as it arrives, so the whole
+    matrix never needs to be in memory.
     """
-    if shape is None:
-        m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-        shape, m = m.shape, (m,)
     with open(path, "wb") as fh:
         fh.write(_MX_HEAD.pack(_MX_MAGIC, _VERSION, *shape))
-        for block in m:
+        for block in blocks:
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 

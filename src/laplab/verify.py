@@ -2,10 +2,10 @@
 
 Each scenario builds its own operators, runs whatever recovery it needs,
 reduces the outcome to a few named discrepancy numbers, and compares them
-against thresholds.  Thresholds carry a bucket label: "identity-exact" for
-quantities that agree to rounding by construction, "asymptotic" for
-quantities limited by grid resolution or sample size.  A scenario passes iff
-every thresholded discrepancy is within bounds.
+against thresholds.  Each threshold carries a bucket label:
+"identity-exact" for quantities that agree to rounding by construction,
+"asymptotic" for quantities limited by grid resolution or sample size.  A
+scenario passes iff every thresholded discrepancy is within bounds.
 
     S1  distinct metrics, equal volume form: intrinsic operators differ,
         and the gap grows with anisotropy.
@@ -80,49 +80,37 @@ BUMP_ALPHA = 0.5
 SCALE = 1.5
 
 
-@dataclass(frozen=True)
-class Threshold:
-    limit: object  # float, or (lo, hi) for op == "range"
-    op: str        # "le", "gt", "range"
-    bucket: str    # "identity-exact" or "asymptotic"
+# Each threshold is (limit, op, bucket); a value passes iff _PASSES[op](value, limit).
+_PASSES = {
+    "le": lambda value, limit: value <= limit,
+    "gt": lambda value, limit: value > limit,
+    "range": lambda value, limit: limit[0] <= value <= limit[1],
+}
 
-    def check(self, value: float) -> bool:
-        if self.op == "le":
-            return value <= self.limit
-        if self.op == "gt":
-            return value > self.limit
-        lo, hi = self.limit
-        return lo <= value <= hi
-
-    def payload(self) -> dict:
-        limit = list(self.limit) if self.op == "range" else self.limit
-        return {"limit": limit, "op": self.op, "bucket": self.bucket}
-
-
-THRESHOLDS: dict[str, dict[str, Threshold]] = {
+THRESHOLDS: dict[str, dict[str, tuple]] = {
     "S1": {
-        "operator_distance": Threshold(1e-3, "gt", "asymptotic"),
-        "monotonicity_margin": Threshold(0.0, "gt", "asymptotic"),
+        "operator_distance": (1e-3, "gt", "asymptotic"),
+        "monotonicity_margin": (0.0, "gt", "asymptotic"),
     },
     "S2": {
-        "metric_max_error": Threshold(1e-3, "le", "identity-exact"),
-        "density_max_rel_error": Threshold(1e-3, "le", "identity-exact"),
+        "metric_max_error": (1e-3, "le", "identity-exact"),
+        "density_max_rel_error": (1e-3, "le", "identity-exact"),
     },
     "S3": {
-        "extrinsic_distance": Threshold(1e-14, "le", "identity-exact"),
-        "intrinsic_distance": Threshold(1e-3, "gt", "asymptotic"),
+        "extrinsic_distance": (1e-14, "le", "identity-exact"),
+        "intrinsic_distance": (1e-3, "gt", "asymptotic"),
     },
     "S4": {
-        "extrinsic_distance": Threshold(1e-12, "le", "identity-exact"),
-        "mass_max_diff": Threshold(1e-8, "le", "identity-exact"),
+        "extrinsic_distance": (1e-12, "le", "identity-exact"),
+        "mass_max_diff": (1e-8, "le", "identity-exact"),
     },
     "S5": {
-        "slope": Threshold((-0.65, -0.35), "range", "asymptotic"),
+        "slope": ([-0.65, -0.35], "range", "asymptotic"),
     },
     "S6": {
-        "clifford_metric_max_error": Threshold(1e-3, "le", "asymptotic"),
-        "sphere_equator_max_error": Threshold(5e-3, "le", "asymptotic"),
-        "donut_tube_max_error": Threshold(1e-2, "le", "asymptotic"),
+        "clifford_metric_max_error": (1e-3, "le", "asymptotic"),
+        "sphere_equator_max_error": (5e-3, "le", "asymptotic"),
+        "donut_tube_max_error": (1e-2, "le", "asymptotic"),
     },
 }
 
@@ -178,9 +166,9 @@ def _finish(cfg: ScenarioConfig, discrepancies, measurements, artifacts) -> Scen
     table = {}
     passed = True
     for name, value in discrepancies.items():
-        th = THRESHOLDS[cfg.scenario][name]
-        table[name] = th.payload()
-        passed = passed and th.check(value)
+        limit, op, bucket = THRESHOLDS[cfg.scenario][name]
+        table[name] = {"limit": limit, "op": op, "bucket": bucket}
+        passed = passed and _PASSES[op](value, limit)
     result = ScenarioResult(
         scenario=cfg.scenario,
         passed=passed,

@@ -278,6 +278,32 @@ def test_failed_externalized_recover_leaves_its_directory_as_it_was(tmp_path, ca
     assert sorted(os.listdir(tmp_path)) == ["ext", "op.llop", "outdir", "r.json"]
 
 
+def test_recover_whose_matrices_cannot_land_writes_no_report(tmp_path, capsys):
+    # the clash shows only when the matrices move; the report is held back too
+    op_path, ext, out = tmp_path / "op.llop", tmp_path / "ext", tmp_path / "r.json"
+    assert main(["assemble", "--grid", "8", "--out", str(op_path)]) == 0
+    (ext / "recovery_kernel.llmx").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["recover", "--operator", str(op_path), "--externalize", str(ext),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and ".laplab-" not in err
+    assert sorted(os.listdir(tmp_path)) == ["ext", "op.llop"]
+    assert os.listdir(ext) == ["recovery_kernel.llmx"]
+    assert os.listdir(ext / "recovery_kernel.llmx") == []
+
+
+def test_recover_out_ending_in_a_separator_exits_two(tmp_path, capsys):
+    op_path = tmp_path / "op.llop"
+    assert main(["assemble", "--grid", "8", "--out", str(op_path)]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--operator", str(op_path),
+                 "--out", str(tmp_path / "d") + os.sep]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["op.llop"]
+
+
 def test_recovery_numerical_failure_exits_three(tmp_path):
     op_path = tmp_path / "op.llop"
     assert main(["assemble", "--metric", "flat", "--density", "uniform",
@@ -541,6 +567,16 @@ def test_threads_flag_validated():
 def test_threads_flag_accepted(tmp_path):
     assert main(["--threads", "1", "verify", "--scenario", "S4",
                  "--grid", "16", "--out", str(tmp_path)]) == 0
+
+
+def test_threads_flag_leaves_the_environment_alone(tmp_path, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    assert main(["--threads", "1", "assemble", "--grid", "8",
+                 "--out", str(tmp_path / "op.llop")]) == 0
+    assert dict(os.environ) == before
 
 
 # --- fuzzing: exit code in {0, 2, 3}, never a traceback -------------------------------

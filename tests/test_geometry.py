@@ -24,7 +24,6 @@ from laplab.geometry import (
     UnitSphere,
     ambient_sq_dist,
     embed_many,
-    induced_metric,
     sphere_sq_geodesic,
     sq_dist,
     torus_grid_rows,
@@ -465,35 +464,19 @@ def test_sphere_distance_is_bitwise_out_of_place_expression(radius):
                           _sphere_sq_reference(radius, pts[:1], pts))
 
 
-# --- induced metrics --------------------------------------------------------
+# --- closed-form embedding maps --------------------------------------------
 
 
-@given(chart_points())
-def test_clifford_induced_metric_is_identity(p):
-    g = induced_metric(CliffordTorus(), p)
-    assert np.max(np.abs(g - np.eye(2))) < 1e-8
-
-
-def test_sphere_induced_metric_at_equator():
-    g = induced_metric(UnitSphere(), ChartPoint(math.pi / 2, 0.0))
-    assert np.max(np.abs(g - np.diag([1.0, 1.0]))) < 1e-8
-
-
-def test_donut_induced_metric_outer_circle():
-    g = induced_metric(DonutTorus(2.0, 1.0), ChartPoint(0.0, 0.0))
-    assert np.max(np.abs(g - np.diag([1.0, 9.0]))) < 1e-6
-
-
-def test_donut_induced_metric_matches_first_fundamental_form():
-    emb = DonutTorus(2.0, 1.0)
-    for u in (0.5, 2.0, 4.0):
-        g = induced_metric(emb, ChartPoint(u, 1.0))
-        expected = np.diag([1.0, (2.0 + math.cos(u)) ** 2])
-        assert np.max(np.abs(g - expected)) < 1e-6
-
-
-def test_induced_metric_step_validation():
-    with pytest.raises(InvalidParameterError):
-        induced_metric(CliffordTorus(), ChartPoint(0, 0), h=0.0)
-    with pytest.raises(InvalidParameterError):
-        induced_metric(CliffordTorus(), ChartPoint(0, 0), h=0.1)
+@given(st.lists(chart_points(), min_size=1, max_size=8))
+def test_embeddings_are_their_closed_form_maps(pts):
+    # the first fundamental forms S6 compares against follow from these maps
+    p = np.array([[x.u, x.v] for x in pts])
+    cu, su, cv, sv = np.cos(p[:, 0]), np.sin(p[:, 0]), np.cos(p[:, 1]), np.sin(p[:, 1])
+    ring = 3.0 + 0.5 * cu
+    maps = {
+        CliffordTorus(): [cu, su, cv, sv],
+        DonutTorus(3.0, 0.5): [ring * cv, ring * sv, 0.5 * su],
+        UnitSphere(): [su * cv, su * sv, cu],
+    }
+    for emb, cols in maps.items():
+        assert np.array_equal(embed_many(emb, p), np.column_stack(cols))

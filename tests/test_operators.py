@@ -7,6 +7,7 @@ that formula and from hand-evaluated distances.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -604,6 +605,31 @@ def test_operator_round_trip_extrinsic_sphere(tmp_path):
     assert back.space == UnitSphere()
 
 
+# (metric, embedding) and the kind and parameters of the kernel and measure blocks
+_GOLDEN_BLOCKS = {
+    "coupled_torus": (TorusMetric(2, 0.7, 1), None, (0, 2.0, 0.7, 1.0), (0, 2.0, 0.7, 1.0)),
+    "sphere": (SphereMetric(2.5), None, (1, 2.5, 0.0, 0.0), (1, 2.5, 0.0, 0.0)),
+    "donut": (TorusMetric.flat(), DonutTorus(3, 0.5), (11, 3.0, 0.5, 0.0), (0, 1.0, 0.0, 1.0)),
+    "clifford": (TorusMetric.flat(), CliffordTorus(), (10, 0.0, 0.0, 0.0), (0, 1.0, 0.0, 1.0)),
+    "unit_sphere": (SphereMetric(1.0), UnitSphere(), (12, 0.0, 0.0, 0.0), (1, 1.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_BLOCKS))
+def test_parameter_blocks_are_golden_bytes(tmp_path, case):
+    metric, emb, kernel, measure = _GOLDEN_BLOCKS[case]
+    op, _, _ = build_operator(metric, UniformDensity(), 4, 0.5, emb)
+    path = tmp_path / "op.llop"
+    save_operator(op, path)
+    blob = path.read_bytes()
+    # header 20 bytes, bandwidth and spacings 24, then two u8 + 3 f64 blocks
+    assert blob[44:94] == struct.pack("<Bddd", *kernel) + struct.pack("<Bddd", *measure)
+    assert blob[6:8] == bytes([emb is not None, measure[0]])  # mode and chart tags
+    back = load_operator(path)
+    assert back.space == (metric if emb is None else emb)
+    assert back.measure_metric == metric
+
+
 def test_load_rejects_truncated_file(tmp_path):
     from laplab.errors import MalformedOperatorError
 
@@ -655,7 +681,8 @@ def test_load_matrix_rejects_size_mismatch(tmp_path):
     from laplab.errors import MalformedOperatorError
 
     path = tmp_path / "m.llmx"
-    save_matrix(np.ones((3, 4)), path)
+    m = np.ones((3, 4))
+    save_matrix([m], path, m.shape)
     blob = path.read_bytes()
     for bad in (blob + b"\0", blob[:-1]):
         path.write_bytes(bad)
@@ -667,7 +694,7 @@ def test_matrix_round_trip(tmp_path):
     m = np.arange(12, dtype=np.float64).reshape(3, 4)
     m[1, 2] = np.nan
     path = tmp_path / "m.llmx"
-    save_matrix(m, path)
+    save_matrix([m], path, m.shape)
     back = load_matrix(path)
     assert back.shape == m.shape
     assert np.array_equal(np.isnan(back), np.isnan(m))

@@ -160,7 +160,7 @@ def test_doubling_n_changes_the_error():
     assert a != b
 
 
-def test_reference_cache_reused(tmp_path):
+def test_reference_record_is_rewritten_never_read(tmp_path):
     def study():
         return convergence_study(n_values=(250, 500, 1000), n_seeds=5, seed=5,
                                  reference_grid=64, out_dir=str(tmp_path))
