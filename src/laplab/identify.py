@@ -25,17 +25,18 @@ is O(h^2) with a visible constant at practical grid sizes, so run_recovery
 adds one Richardson step (stencils at spacing h and 2h) whenever the operator
 is extrinsic, pushing it to O(h^4).
 
-No copy of W is made: extraction checks the operator and builds the edge
-mask in one pass over 64-row blocks of its entries, and every later reader
-scales the entries it needs by the same formula (WeightedKernel.w).  The
-stencil reads distances only at O(n) neighbor pairs, so run_recovery
-computes them only there.  The n x n kernel and distance matrices come 64
-rows at a time from _kernel_rows and _distance_rows: an externalized report
-streams them into its .llmx files and never holds either whole, while an
-embedded report and library reads of RecoveryReport.kernel / .distance fill
-whole arrays from the same blocks.  Index pairs and row blocks both go
-through one map from kernel value to one-way distance, _kernel_distance, so
-the stencil, the arrays and the files share its bits.
+No copy of W and no edge matrix is made: extraction checks the operator in
+one pass over 64-row blocks of its entries, and every later reader scales
+the entries it needs by the same formula (WeightedKernel.w) and tests them
+against EDGE_THRESHOLD where it reads them.  The stencil reads distances
+only at O(n) neighbor pairs, so run_recovery computes them only there.  The
+n x n kernel and distance matrices come 64 rows at a time from _kernel_rows
+and _distance_rows: an externalized report streams them into its .llmx
+files and never holds either whole, while an embedded report and library
+reads of RecoveryReport.kernel / .distance fill whole arrays from the same
+blocks.  Index pairs and row blocks both go through one map from W to
+one-way distance, _one_way, so the stencil, the arrays and the files share
+its bits.
 """
 
 from __future__ import annotations
@@ -81,24 +82,25 @@ def _tiles(n: int, size: int = _TILE) -> list[slice]:
 
 @dataclass(frozen=True, eq=False)
 class WeightedKernel:
-    """Off-diagonal kernel weights W_ij = K_ij m_j with an edge mask.
+    """Off-diagonal kernel weights W_ij = K_ij m_j, read off the operator.
 
     entries is the operator's own matrix, never copied and never written;
-    w(*index) returns W at any index of it.  mask is True where an entry is
-    usable, always False on the diagonal (W_ii is unknown by construction,
-    and w returns no meaningful value there); sym is True where both
-    directions are.  colmax holds each column's largest masked W, -inf
-    where a column has no edge.
+    w(*index) returns W at any index of it, and edge(*index) whether an
+    entry is usable (W > EDGE_THRESHOLD).  The diagonal has no meaningful
+    W (W_ii is unknown by construction), and every reader overwrites or
+    skips it.  No edge matrix is stored: mask (usable entries) and sym
+    (usable both ways) build n x n boolean arrays, False on the diagonal,
+    on each read.  colmax holds each column's largest usable W, -inf where
+    a column has no edge.
     """
 
     entries: np.ndarray
-    mask: np.ndarray
     t: float
     colmax: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.mask.shape[0]
+        return self.entries.shape[0]
 
     def w(self, *index) -> np.ndarray:
         """W at entries[index]: the entries times -t^2, with the tiny negative
@@ -107,7 +109,19 @@ class WeightedKernel:
         x[x < 0.0] = 0.0
         return x
 
-    @cached_property
+    def edge(self, *index) -> np.ndarray:
+        """Whether W at entries[index] is an edge: above EDGE_THRESHOLD."""
+        return self.entries[index] * (-self.t**2) > EDGE_THRESHOLD
+
+    @property
+    def mask(self) -> np.ndarray:
+        mask = np.empty((self.n, self.n), dtype=bool)
+        for r in _tiles(self.n):
+            mask[r] = self.edge(r)
+        np.fill_diagonal(mask, False)
+        return mask
+
+    @property
     def sym(self) -> np.ndarray:
         # boolean tiles are small: 256 x 256 keeps a tile and its mirror in
         # cache with 16 times fewer calls than 64 x 64
@@ -173,13 +187,12 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
     Checks: every entry is finite, row sums vanish to 1e-10, off-diagonal
     entries have the right sign (tiny negatives from rounding are clipped),
     no row is entirely disconnected.  One pass over 64-row blocks of the
-    entries gathers what every check needs, the edge mask and the column
-    maxima; the checks then raise in that order, on values of the whole
-    operator.
+    entries gathers what every check needs and the column maxima; the
+    checks then raise in that order, on values of the whole operator.  No
+    edge mask is written: readers test W where they read it.
     """
     e, n = op.entries, len(op.entries)
     sums, ones = np.empty(n), np.ones(n)
-    mask = np.empty((n, n), dtype=bool)
     colmax = np.full(n, -np.inf)
     low, live = np.inf, True
     for r in _tiles(n):
@@ -190,7 +203,6 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
         # the NaN diagonal fails every comparison below, and fmin skips it
         np.fill_diagonal(x[:, r], np.nan)
         low = np.fmin(low, np.fmin.reduce(x, axis=None))
-        np.greater(x, EDGE_THRESHOLD, out=mask[r])
         live = live and bool((x > 0.0).any(axis=1).all())
         np.fmax(colmax, np.fmax.reduce(x, axis=0), out=colmax)
     worst = float(np.max(np.abs(sums)))
@@ -207,40 +219,44 @@ def extract_weighted_kernel(op: OperatorMatrix) -> WeightedKernel:
         )
     if not live:
         raise MalformedOperatorError("a node has an all-zero kernel row")
-    # a column maximum above the threshold is a masked W; any other column has no edge
+    # a column maximum above the threshold is an edge's W; any other column has no edge
     colmax[~(colmax > EDGE_THRESHOLD)] = -np.inf
-    return WeightedKernel(entries=e, mask=mask, t=op.t, colmax=colmax)
+    return WeightedKernel(entries=e, t=op.t, colmax=colmax)
 
 
 def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     """Node masses m_j = p(x_j) w_j up to normalization sum(m) = 1.
 
     Propagates log-mass differences log(W_ij / W_ji) over a breadth-first
-    spanning tree of the symmetric edge mask.  With refine=True the tree
-    solution is replaced by the least-squares fit over all masked edges
+    spanning tree of the edges usable both ways, visiting neighbors in
+    ascending order.  The search keeps the unseen nodes in an ascending
+    array, tests a popped node's row against them and its column only at
+    the row's hits, and stops once every node is seen.  With refine=True the
+    tree solution is replaced by the least-squares fit over all such edges
     (normal equations on the edge graph; O(n^3) dense solve).
     """
-    n, sym = wk.n, wk.sym
+    n = wk.n
     logm = np.full(n, np.nan)
     logm[0] = 0.0
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    unseen = np.arange(1, n)
     queue = deque([0])
-    while queue:
+    while queue and unseen.size:
         i = queue.popleft()
-        nbrs = np.flatnonzero(sym[i] & ~seen)
-        if nbrs.size == 0:
+        hits = np.flatnonzero(wk.edge(i, unseen))
+        hits = hits[wk.edge(unseen[hits], i)]
+        if hits.size == 0:
             continue
+        nbrs = unseen[hits]
         logm[nbrs] = logm[i] + (np.log(wk.w(i, nbrs)) - np.log(wk.w(nbrs, i)))
-        seen[nbrs] = True
+        unseen = np.delete(unseen, hits)
         queue.extend(nbrs.tolist())
-    if not seen.all():
-        missing = int((~seen).sum())
+    if unseen.size:
         raise UnrecoverableMassError(
-            f"kernel graph is disconnected; {missing} nodes unreachable from node 0"
+            f"kernel graph is disconnected; {unseen.size} nodes unreachable from node 0"
         )
 
     if refine:
+        sym = wk.sym
         # log W on symmetric edges, 0 elsewhere (log 1), a row block at a time
         logw = np.empty((n, n))
         for r in _tiles(n):
@@ -261,21 +277,22 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     return m / m.sum()
 
 
-def _kernel_distance(k: np.ndarray, sym: np.ndarray, t: float):
-    """Clamp kernel values k to 1 in place where sym holds, and return the
-    one-way distances sqrt(max(-t log k, 0)) there, NaN elsewhere."""
-    np.minimum(k, 1.0, out=k, where=sym)
-    d = np.full(k.shape, np.nan)
-    np.log(k, out=d, where=sym)
+def _one_way(w: np.ndarray, m, sym: np.ndarray, t: float) -> np.ndarray:
+    """One-way distances f(w / m) = sqrt(max(-t log min(w / m, 1), 0)) where
+    sym holds, NaN elsewhere; w is divided and clamped in place."""
+    w /= m
+    np.minimum(w, 1.0, out=w, where=sym)
+    d = np.full(w.shape, np.nan)
+    np.log(w, out=d, where=sym)
     d *= -t
     return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
 
 
 def _check_kernel_bound(wk: WeightedKernel, mass: np.ndarray) -> None:
-    """Raise if a masked W_ij / m_j exceeds 1 + KERNEL_SLACK (not a kernel operator).
+    """Raise if an edge's W_ij / m_j exceeds 1 + KERNEL_SLACK (not a kernel operator).
 
     Rounded division by a positive m_j is monotone, so colmax_j / m_j is the
-    largest masked W_ij / m_j of column j, bit for bit; O(n) work.
+    largest W_ij / m_j over the edges of column j, bit for bit; O(n) work.
     """
     high = float(np.max(wk.colmax / mass))
     if high > 1.0 + KERNEL_SLACK:
@@ -286,34 +303,30 @@ def _check_kernel_bound(wk: WeightedKernel, mass: np.ndarray) -> None:
 
 def _kernel_rows(wk: WeightedKernel, mass: np.ndarray):
     """Row blocks (r, K[r]) of the kernel matrix, 64 rows at a time: W[r] / m,
-    clamped to 1 where masked, diagonal 1.  Values above 1 + KERNEL_SLACK are
+    clamped to 1 on edges, diagonal 1.  Values above 1 + KERNEL_SLACK are
     not checked here; _check_kernel_bound checks them."""
     for r in _tiles(wk.n):
         k = wk.w(r)
+        edge = k > EDGE_THRESHOLD
         k /= mass
-        np.minimum(k, 1.0, out=k, where=wk.mask[r])
+        np.minimum(k, 1.0, out=k, where=edge)
         np.fill_diagonal(k[:, r], 1.0)
         yield r, k
-
-
-def _one_way(wk: WeightedKernel, mass: np.ndarray, i, j) -> np.ndarray:
-    """One-way distances f(W[i, j] / m[j]) at any index (i, j), f = _kernel_distance."""
-    k = wk.w(i, j)
-    k /= mass[j]
-    return _kernel_distance(k, wk.sym[i, j], wk.t)
 
 
 def _distance_rows(wk: WeightedKernel, mass: np.ndarray):
     """Row blocks (r, D[r]) of the distance matrix, 64 rows at a time.
 
-    D[r] = (f(K[r, :]) + f(K[:, r]).T) / 2, zero on the diagonal.  A block maps
-    the row strip from its diagonal rightwards and the column strip below it,
-    gathered as it lies (n x 64), and adds the latter transposed one 64 x 64
-    tile at a time.  D is symmetric, so the tiles left of the diagonal are the
-    mirrors of tiles that earlier blocks built: each is kept until its row
-    block comes (at most n^2 / 4 entries at once), and every one-way distance
-    is mapped once.  Kernel values above 1 are not checked here;
-    _check_kernel_bound checks them.
+    D[r] = (f(K[r, :]) + f(K[:, r]).T) / 2, zero on the diagonal.  A block
+    gathers the row strip of W from its diagonal rightwards and the column
+    strip below it, as it lies (n x 64), tests both against the threshold
+    once for the pairs that are edges both ways, maps each strip there, and
+    adds the column's distances transposed one 64 x 64 tile at a time.  D is
+    symmetric, so the tiles left of the diagonal are the mirrors of tiles
+    that earlier blocks built: each is kept until its row block comes (at
+    most n^2 / 4 entries at once), and every one-way distance is mapped
+    once.  Kernel values above 1 are not checked here; _check_kernel_bound
+    checks them.
     """
     tiles, kept = _tiles(wk.n), {}
     for a, r in enumerate(tiles):
@@ -321,8 +334,12 @@ def _distance_rows(wk: WeightedKernel, mass: np.ndarray):
         for b, c in enumerate(tiles[:a]):
             d[:, c] = kept.pop((a, b))
         right = slice(r.start, wk.n)
-        d[:, right] = _one_way(wk, mass, r, right)
-        col = _one_way(wk, mass, right, r)
+        row, col = wk.w(r, right), wk.w(right, r)
+        sym = row > EDGE_THRESHOLD
+        sym &= col.T > EDGE_THRESHOLD
+        d[:, right] = _one_way(row, mass[right], sym, wk.t)
+        del row
+        col = _one_way(col, mass[r], sym.T, wk.t)
         for b, c in enumerate(tiles[a:], a):
             s = d[:, c]
             s += col[c.start - r.start:c.stop - r.start].T
@@ -338,11 +355,11 @@ def recover_kernel_distance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Kernel values and pairwise distances implied by W and the masses.
 
-    K_ij = W_ij / m_j on masked entries, clamped into (0, 1], diagonal set
-    to 1.  Distances d_ij = sqrt(-t log K_ij) where both directions are
-    masked, symmetrized by averaging; NaN elsewhere, zero diagonal.
-    Masked kernel values above 1 + 1e-8 mean the matrix was not a kernel
-    operator and raise an inconsistency error.
+    K_ij = W_ij / m_j on edges, clamped into (0, 1], diagonal set to 1.
+    Distances d_ij = sqrt(-t log K_ij) where both directions are edges,
+    symmetrized by averaging; NaN elsewhere, zero diagonal.  Kernel values
+    on edges above 1 + 1e-8 mean the matrix was not a kernel operator and
+    raise an inconsistency error.
     """
     _check_kernel_bound(wk, mass)
     khat, d = np.empty((wk.n, wk.n)), np.empty((wk.n, wk.n))
@@ -366,7 +383,10 @@ class _PairDistances:
 
     def __getitem__(self, pairs):
         i, j = np.broadcast_arrays(*pairs)
-        d = _one_way(self.wk, self.mass, i, j) + _one_way(self.wk, self.mass, j, i)
+        wk, mass = self.wk, self.mass
+        wij, wji = wk.w(i, j), wk.w(j, i)
+        sym = (wij > EDGE_THRESHOLD) & (wji > EDGE_THRESHOLD)
+        d = _one_way(wij, mass[j], sym, wk.t) + _one_way(wji, mass[i], sym, wk.t)
         d *= 0.5
         d[i == j] = 0.0
         return d

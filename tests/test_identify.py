@@ -14,6 +14,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from laplab.discretization import (
     CosineBump,
@@ -276,10 +278,11 @@ def test_mass_does_not_depend_on_kernel_mode():
 def test_disconnected_graph_raises():
     op, _, _ = _op(n=8)
     wk = extract_weighted_kernel(op)
-    cut = wk.mask.copy()
-    cut[0, :] = False
-    cut[:, 0] = False
-    wk2 = dataclasses.replace(wk, mask=cut)
+    # W = 0 between node 0 and every other node, both ways
+    cut = op.entries.copy()
+    cut[0, 1:] = 0.0
+    cut[1:, 0] = 0.0
+    wk2 = dataclasses.replace(wk, entries=cut)
     with pytest.raises(UnrecoverableMassError):
         recover_mass(wk2)
 
@@ -715,6 +718,134 @@ def test_recovery_report_peak_memory_holds_no_dense_float_matrix(externalize, bo
     finally:
         tracemalloc.stop()
     assert peak <= bound * 8 * rule.n**2
+
+
+# --- no edge matrix: every reader tests W against the threshold where it reads it ---
+
+
+def test_recovery_peak_memory_holds_no_edge_matrix():
+    # in bytes per node pair: an n x n boolean edge mask kept for the whole
+    # recovery adds 1.0, and the mask with its symmetric part 2.0
+    op, rule, _ = _op(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), n=32)
+    tracemalloc.start()
+    try:
+        report = run_recovery(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rule.n**2
+    for f in dataclasses.fields(report.wk):
+        value = getattr(report.wk, f.name)
+        square = isinstance(value, np.ndarray) and value.shape == (rule.n, rule.n)
+        assert square == (f.name == "entries"), f.name
+
+
+def _dense_mask_tree_masses(w):
+    """recover_mass's tree search over a dense edge mask, as it ran before the
+    mask was dropped: sym = mask & mask.T, neighbors flatnonzero(sym[i] & ~seen)."""
+    mask = w > EDGE_THRESHOLD  # the NaN diagonal is no edge
+    sym = mask & mask.T
+    n = w.shape[0]
+    logm = np.full(n, np.nan)
+    logm[0] = 0.0
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    queue = [0]
+    while queue:
+        i = queue.pop(0)
+        nbrs = np.flatnonzero(sym[i] & ~seen)
+        if nbrs.size == 0:
+            continue
+        logm[nbrs] = logm[i] + (np.log(w[i, nbrs]) - np.log(w[nbrs, i]))
+        seen[nbrs] = True
+        queue.extend(nbrs.tolist())
+    if not seen.all():
+        missing = int((~seen).sum())
+        raise UnrecoverableMassError(
+            f"kernel graph is disconnected; {missing} nodes unreachable from node 0"
+        )
+    m = np.exp(logm - logm.max())
+    return m / m.sum()
+
+
+def _masses_or_message(recover, arg):
+    try:
+        return recover(arg).tobytes(), None
+    except UnrecoverableMassError as exc:
+        return None, str(exc)
+
+
+# W values at and next to the threshold; t = 1/8 makes -t^2 a power of two,
+# so an entry -W / t^2 scales back to W exactly
+_NEAR = (np.nextafter(EDGE_THRESHOLD, 0.0), EDGE_THRESHOLD,
+         np.nextafter(EDGE_THRESHOLD, 1.0), EDGE_THRESHOLD * (1.0 + 1e-15))
+_SPARSE = _op(n=8, t=0.125)[0]
+
+
+@given(
+    cuts=st.lists(st.tuples(st.integers(0, 63), st.integers(-2, 2), st.integers(-2, 2),
+                            st.sampled_from(_NEAR)), max_size=60),
+    isolated=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(_NEAR[:2])), max_size=2),
+)
+def test_tree_masses_match_dense_mask_search_bitwise(cuts, isolated):
+    # one-way cuts set W_ij at or next to the threshold for a grid neighbor j
+    # of i within two steps; an isolated node's row keeps no W above it, so no
+    # edge of that node is usable both ways and the graph falls apart
+    op, t2 = _SPARSE, _SPARSE.t**2
+    entries = op.entries.copy()
+    for i, du, dv, w in cuts:
+        j = (i // 8 + du) % 8 * 8 + (i % 8 + dv) % 8
+        if j != i:
+            entries[i, j] = -w / t2
+    for i, w in isolated:
+        row = entries[i] * -t2
+        entries[i, row > EDGE_THRESHOLD] = -w / t2
+    for i in {i for i, *_ in cuts} | {i for i, _ in isolated}:
+        entries[i, i] = 0.0
+        entries[i, i] = -entries[i].sum()
+    cut = dataclasses.replace(op, entries=entries)
+    got = _masses_or_message(recover_mass, extract_weighted_kernel(cut))
+    assert got == _masses_or_message(_dense_mask_tree_masses, _reference_w(cut))
+
+
+def test_diagonal_above_threshold_is_no_edge():
+    # row 5 keeps one W above the threshold and 254 tiny negative ones: the
+    # rebalanced diagonal reads -t^2 L_55 = 1.04e-12 > EDGE_THRESHOLD
+    op, _, _ = _op()
+    entries = op.entries.copy()
+    w = np.full(op.n, -1e-14)
+    w[6] = 1.5e-12
+    entries[5] = w / -op.t**2
+    entries[5, 5] = 0.0
+    entries[5, 5] = -entries[5].sum()
+    bad = dataclasses.replace(op, entries=entries)
+    assert entries[5, 5] * -op.t**2 > EDGE_THRESHOLD
+    wk = extract_weighted_kernel(bad)
+    assert not np.diag(wk.mask).any() and not np.diag(wk.sym).any()
+    # the recovery ends as it did over the dense mask: node 5's mass blows
+    # up through its one edge, and the kernel bound catches it
+    ref = _reference_w(bad)
+    k = ref / _dense_mask_tree_masses(ref)
+    high = float(k[ref > EDGE_THRESHOLD].max())
+    message = re.escape(f"recovered kernel value {high} exceeds 1; not a Gaussian kernel operator")
+    with pytest.raises(InconsistencyError, match=f"^{message}$"):
+        run_recovery(bad)
+
+
+def test_traced_edge_counter_reads_the_edge_count():
+    # the benchmark tracer counts edges through WeightedKernel.mask
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    op, _, _ = _op(TorusMetric.anisotropic(1.5))
+    wk = extract_weighted_kernel(op)
+    counts = tracing.COUNTERS["identify.extract_weighted_kernel"]((op,), {}, wk)
+    assert counts == {"identify.edges": 42240, "identify.offdiag": 256 * 255}
+    assert int((_reference_w(op) > EDGE_THRESHOLD).sum()) == 42240
 
 
 # --- one path per job: removed duplicate entry points stay removed -----------------
