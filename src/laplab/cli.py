@@ -138,11 +138,19 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
     return args
 
 
+def _bare(text: str) -> None:
+    """Refuse a selector that takes no parameter but came with one."""
+    name, sep, _ = text.partition(":")
+    if sep:
+        raise ValueError(f"{name} takes no parameter, got {text!r}")
+
+
 def _parse_metric(text: str):
     from .geometry import SphereMetric, TorusMetric
 
     name, _, rest = text.partition(":")
     if name == "flat":
+        _bare(text)
         return TorusMetric.flat()
     if name == "aniso":
         return TorusMetric.anisotropic(float(rest))
@@ -158,11 +166,13 @@ def _parse_embedding(text: str):
 
     name, _, rest = text.partition(":")
     if name == "clifford":
+        _bare(text)
         return CliffordTorus()
     if name == "donut":
         major, _, minor = rest.partition(":")
         return DonutTorus(float(major), float(minor))
     if name == "sphere":
+        _bare(text)
         return UnitSphere()
     raise ValueError(f"unknown embedding {text!r}")
 
@@ -172,6 +182,7 @@ def _parse_density(text: str):
 
     name, _, rest = text.partition(":")
     if name == "uniform":
+        _bare(text)
         return UniformDensity()
     if name == "cosine":
         alpha, _, axis = rest.partition(":")
@@ -182,15 +193,17 @@ def _parse_density(text: str):
 def _cmd_assemble(args) -> int:
     from .operators import build_operator, save_operator
 
+    out_dir, name = _out_file(args.out)
     metric = _parse_metric(args.metric)
     if args.mode == "extrinsic" and args.embedding is None:
         raise ValueError("extrinsic mode needs --embedding")
     if args.mode == "intrinsic" and args.embedding is not None:
         raise ValueError("--embedding applies to extrinsic mode only")
     embedding = None if args.embedding is None else _parse_embedding(args.embedding)
-    op, _, _ = build_operator(metric, _parse_density(args.density), args.grid,
-                              args.bandwidth, embedding)
-    save_operator(op, args.out)
+    density = _parse_density(args.density)
+    with _staged(out_dir) as (stage,):
+        op, _, _ = build_operator(metric, density, args.grid, args.bandwidth, embedding)
+        save_operator(op, os.path.join(stage, name))
     print(f"wrote {args.out}: {op.n} nodes, t={op.t}, mode={args.mode}")
     if op.warning:
         print(f"warning: {op.warning}", file=sys.stderr)

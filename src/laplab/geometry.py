@@ -1,14 +1,14 @@
 """Closed-form geometry on two charts: the square torus and the round sphere.
 
-Chart coordinates are angle pairs (u, v), reduced modulo 2*pi once at
-construction of a ChartPoint and never again.  Torus metrics have constant
-coefficients, so geodesics lift to straight lines in the universal cover and
-distance is a minimum of one quadratic form over lattice shifts: a coupled
-form searches a square of shifts, a diagonal one evaluates each axis's term
-once, at the shorter way round the circle.  Sphere
-distances come from the ambient angle formula on the colatitude/longitude
-chart, which degenerates at the poles; the grid and the sampler keep their
-points out of a small guard band around them.
+Chart coordinates are angle pairs (u, v), and a point set is an (n, 2)
+float64 array of them.  Torus metrics have constant coefficients, so
+geodesics lift to straight lines in the universal cover and distance is a
+minimum of one quadratic form over lattice shifts: a coupled form searches a
+square of shifts, a diagonal one evaluates each axis's term once, at the
+shorter way round the circle.  Sphere distances come from the ambient angle
+formula on the colatitude/longitude chart, which degenerates at the poles;
+the grid and the sampler keep their points out of a small guard band around
+them.
 
 Everything here is exact up to rounding: no geometry is discretized in this
 module.  Each squared distance has one row-block kernel, which sq_dist_rows
@@ -39,21 +39,6 @@ POLE_GUARD = 1e-6
 # finish each block while it sits in L2.  BLAS rounding depends on a call's
 # shape, so the sphere's a . b stays one 512-row product, sliced into blocks.
 _ROWS, _DOT_ROWS = 16, 512
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point on a 2*pi-periodic chart. Coordinates are reduced on entry."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u) % TWO_PI)
-        object.__setattr__(self, "v", float(self.v) % TWO_PI)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

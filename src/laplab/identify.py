@@ -76,8 +76,8 @@ _NEGATIVE_TOL = 1e-14
 _TILE = 64
 
 
-def _tiles(n: int, size: int = _TILE) -> list[slice]:
-    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
+def _tiles(n: int) -> list[slice]:
+    return [slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +85,12 @@ class WeightedKernel:
     """Off-diagonal kernel weights W_ij = K_ij m_j, read off the operator.
 
     entries is the operator's own matrix, never copied and never written;
-    w(*index) returns W at any index of it, and edge(*index) whether an
-    entry is usable (W > EDGE_THRESHOLD).  The diagonal has no meaningful
+    w(*index) returns W at any index of it, and an entry is usable (an
+    edge) where that W > EDGE_THRESHOLD.  The diagonal has no meaningful
     W (W_ii is unknown by construction), and every reader overwrites or
-    skips it.  No edge matrix is stored: mask (usable entries) and sym
-    (usable both ways) build n x n boolean arrays, False on the diagonal,
-    on each read.  colmax holds each column's largest usable W, -inf where
-    a column has no edge.
+    skips it.  No edge matrix is stored: mask builds the n x n boolean
+    array of usable entries, False on the diagonal, on each read.  colmax
+    holds each column's largest usable W, -inf where a column has no edge.
     """
 
     entries: np.ndarray
@@ -109,28 +108,13 @@ class WeightedKernel:
         x[x < 0.0] = 0.0
         return x
 
-    def edge(self, *index) -> np.ndarray:
-        """Whether W at entries[index] is an edge: above EDGE_THRESHOLD."""
-        return self.entries[index] * (-self.t**2) > EDGE_THRESHOLD
-
     @property
     def mask(self) -> np.ndarray:
         mask = np.empty((self.n, self.n), dtype=bool)
         for r in _tiles(self.n):
-            mask[r] = self.edge(r)
+            mask[r] = self.w(r) > EDGE_THRESHOLD
         np.fill_diagonal(mask, False)
         return mask
-
-    @property
-    def sym(self) -> np.ndarray:
-        # boolean tiles are small: 256 x 256 keeps a tile and its mirror in
-        # cache with 16 times fewer calls than 64 x 64
-        mask, tiles = self.mask, _tiles(self.n, 256)
-        sym = np.empty_like(mask)
-        for a in tiles:
-            for b in tiles:
-                np.logical_and(mask[a, b], mask[b, a].T, out=sym[a, b])
-        return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,12 +226,15 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
     queue = deque([0])
     while queue and unseen.size:
         i = queue.popleft()
-        hits = np.flatnonzero(wk.edge(i, unseen))
-        hits = hits[wk.edge(unseen[hits], i)]
+        row = wk.w(i, unseen)
+        hits = np.flatnonzero(row > EDGE_THRESHOLD)
+        col = wk.w(unseen[hits], i)
+        both = col > EDGE_THRESHOLD
+        hits = hits[both]
         if hits.size == 0:
             continue
         nbrs = unseen[hits]
-        logm[nbrs] = logm[i] + (np.log(wk.w(i, nbrs)) - np.log(wk.w(nbrs, i)))
+        logm[nbrs] = logm[i] + (np.log(row[hits]) - np.log(col[both]))
         unseen = np.delete(unseen, hits)
         queue.extend(nbrs.tolist())
     if unseen.size:
@@ -256,7 +243,8 @@ def recover_mass(wk: WeightedKernel, refine: bool = False) -> np.ndarray:
         )
 
     if refine:
-        sym = wk.sym
+        sym = wk.mask
+        sym &= sym.T  # numpy reads an operand that overlaps out as a copy
         # log W on symmetric edges, 0 elsewhere (log 1), a row block at a time
         logw = np.empty((n, n))
         for r in _tiles(n):

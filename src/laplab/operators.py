@@ -22,7 +22,8 @@ that, and for reference values at arbitrary chart points, `continuous_value`
 evaluates single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
 normalized by 1/(n t^2): it evaluates f on the cloud once and takes one 1 x n
-distance row per evaluation point.
+distance row per evaluation point.  Both evaluators take their points as an
+(m, 2) array, reduce it into [0, 2 pi) once on entry, and return m values.
 
 Operators serialize to a small binary format (header + nodes + row-major
 float64 entries, little-endian throughout); see save_operator for the layout.
@@ -35,7 +36,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .discretization import (Density, QuadratureRule, build_grid, density_values
                              normalize_density)
 from .errors import InvalidParameterError, MalformedOperatorError, NodeMismatchError
 from .geometry import (
-    ChartPoint,
+    TWO_PI,
     CliffordTorus,
     DonutTorus,
     Embedding,
@@ -173,25 +174,34 @@ def operator_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
     return float(np.max(np.abs(a.entries - b.entries)))
 
 
+def _chart_points(points) -> np.ndarray:
+    """points as an (m, 2) float64 array reduced into [0, 2 pi), as Python's % reduces."""
+    return np.remainder(np.atleast_2d(np.asarray(points, dtype=np.float64)), TWO_PI)
+
+
 def continuous_value(
     space: Space,
     density: Density,
     rule: QuadratureRule,
     t: float,
     f: Callable[[np.ndarray], np.ndarray],
-    x: ChartPoint,
-) -> float:
-    """One matrix-free row: the quadrature operator applied to f at point x.
+    points: np.ndarray,
+) -> np.ndarray:
+    """Matrix-free rows: the quadrature operator applied to f at each point.
 
-    x need not be a grid node.  f maps (n, 2) chart coordinates to values.
+    points is an (m, 2) array of chart coordinates, reduced into [0, 2 pi) on
+    entry; they need not be grid nodes.  f maps (n, 2) chart coordinates to
+    values.  Returns m values, each with the bits of a one-point call.
     """
     _check_bandwidth(t)
-    p = x.as_array()[None, :]
-    d2 = sq_dist(space, p, rule.nodes)[0]
-    k = np.exp(d2 / -t)
+    points = _chart_points(points)
     pw = density_values(density, rule.nodes) * rule.weights
-    fx = float(np.asarray(f(p))[0])
-    return float(t ** -2.0 * np.dot(k * pw, fx - np.asarray(f(rule.nodes))))
+    f_nodes = np.asarray(f(rule.nodes))
+    values = np.empty(len(points))
+    for i, p in enumerate(points[:, None]):  # p is one (1, 2) row
+        k = np.exp(sq_dist(space, p, rule.nodes)[0] / -t)
+        values[i] = t ** -2.0 * np.dot(k * pw, float(np.asarray(f(p))[0]) - f_nodes)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +214,22 @@ def evaluate_discrete(
     points: np.ndarray,
     t: float,
     f: Callable[[np.ndarray], np.ndarray],
-    eval_points: Sequence[ChartPoint],
+    eval_points: np.ndarray,
 ) -> np.ndarray:
     """(1/(n t^2)) sum_j exp(-dist(x, X_j)^2/t) (f(x) - f(X_j)) at each x in eval_points.
 
     points is the (n, 2) sample X_1..X_n and dist is measured in space; t
-    must pass _check_bandwidth.  f is evaluated on the sample once per call.
-    Each evaluation point takes its own 1 x n row of squared distances and
-    turns it into the terms in place.  Sample points coinciding with x
-    contribute zero terms.
+    must pass _check_bandwidth.  eval_points is an (m, 2) array of chart
+    coordinates, reduced into [0, 2 pi) on entry.  f is evaluated on the
+    sample once per call.  Each evaluation point takes its own 1 x n row of
+    squared distances and turns it into the terms in place.  Sample points
+    coinciding with x contribute zero terms.
     """
     _check_bandwidth(t)
+    eval_points = _chart_points(eval_points)
     f_pts = np.asarray(f(points))
     values = np.empty(len(eval_points))
-    for i, x in enumerate(eval_points):
-        p = x.as_array()[None, :]
+    for i, p in enumerate(eval_points[:, None]):  # p is one (1, 2) row
         terms = sq_dist(space, p, points)[0]
         terms /= -t
         np.exp(terms, out=terms)

@@ -49,7 +49,6 @@ from .discretization import (
 from .errors import InsufficientMaskError, InvalidParameterError, NumericalError
 from .geometry import (
     TWO_PI,
-    ChartPoint,
     CliffordTorus,
     DonutTorus,
     SphereMetric,
@@ -355,13 +354,11 @@ def _f_cos_u(pts: np.ndarray) -> np.ndarray:
     return np.cos(np.atleast_2d(pts)[:, 0])
 
 
-def _eval_points(count: int = 8) -> list[ChartPoint]:
-    """Deterministic, well-spread chart points (golden-ratio lattice)."""
+def _eval_points(count: int = 8) -> np.ndarray:
+    """Deterministic, well-spread chart points (golden-ratio lattice), (count, 2)."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
-    return [
-        ChartPoint(TWO_PI * ((k * phi) % 1.0), TWO_PI * ((k * phi * phi) % 1.0))
-        for k in range(1, count + 1)
-    ]
+    return np.array([[TWO_PI * ((k * phi) % 1.0), TWO_PI * ((k * phi * phi) % 1.0)]
+                     for k in range(1, count + 1)])
 
 
 @dataclass(frozen=True)
@@ -398,15 +395,12 @@ def _s5_reference(rule, density, t, points):
             "t": t,
             "grid": list(rule.grid_shape),
             "f": "cos_u",
-            "points": [[p.u, p.v] for p in points],
+            "points": points.tolist(),
         },
         sort_keys=True,
     )
     key = hashlib.sha256(key_src.encode()).hexdigest()
-    values = np.array(
-        [continuous_value(rule.metric, density, rule, t, _f_cos_u, x) for x in points]
-    )
-    return values, key
+    return continuous_value(rule.metric, density, rule, t, _f_cos_u, points), key
 
 
 def convergence_study(

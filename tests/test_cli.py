@@ -148,6 +148,82 @@ def test_embedding_in_intrinsic_mode_exits_two(tmp_path, capsys, embedding):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["--metric", "flat:junk"],
+    ["--mode", "extrinsic", "--embedding", "clifford:x"],
+    ["--mode", "extrinsic", "--embedding", "sphere:x"],
+    ["--density", "uniform:zzz"],
+], ids=lambda argv: argv[-1])
+def test_selector_without_parameters_refuses_a_suffix(tmp_path, capsys, monkeypatch, argv):
+    from laplab import operators
+
+    def build_operator(*args, **kwargs):
+        raise AssertionError("build_operator ran")
+
+    monkeypatch.setattr(operators, "build_operator", build_operator)
+    rc = main(["assemble", "--grid", "4", *argv, "--out", str(tmp_path / "x.llop")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and argv[-1] in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_assemble_write_leaves_the_old_operator(tmp_path, capsys, monkeypatch):
+    # the disk fills while the entries are written: the old file keeps its bytes
+    import errno
+
+    from laplab import operators
+
+    out = tmp_path / "op.llop"
+    assert main(["assemble", "--grid", "8", "--out", str(out)]) == 0
+    old = out.read_bytes()
+    calls = []
+    contiguous = np.ascontiguousarray
+
+    def fill_the_disk(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return contiguous(*args, **kwargs)
+
+    save = operators.save_operator
+
+    def save_until_the_disk_fills(op, path):
+        with monkeypatch.context() as m:
+            m.setattr(np, "ascontiguousarray", fill_the_disk)
+            save(op, path)
+
+    monkeypatch.setattr(operators, "save_operator", save_until_the_disk_fills)
+    capsys.readouterr()
+    rc = main(["assemble", "--grid", "16", "--out", str(out)])
+    assert rc == 2 and len(calls) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and ".laplab-" not in err
+    assert out.read_bytes() == old
+    assert os.listdir(tmp_path) == ["op.llop"]  # no staging directory left
+
+
+def test_assemble_out_ending_in_a_separator_exits_two_before_building(tmp_path, capsys,
+                                                                      monkeypatch):
+    from laplab import operators
+
+    def build_operator(*args, **kwargs):
+        raise AssertionError("build_operator ran")
+
+    monkeypatch.setattr(operators, "build_operator", build_operator)
+    rc = main(["assemble", "--grid", "4", "--out", str(tmp_path / "d") + os.sep])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_assemble_makes_a_missing_output_directory(tmp_path):
+    out = tmp_path / "a" / "b" / "op.llop"
+    assert main(["assemble", "--grid", "4", "--out", str(out)]) == 0
+    assert os.listdir(out.parent) == ["op.llop"]
+
+
 # --- verify exit codes -----------------------------------------------------------
 
 

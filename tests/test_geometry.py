@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from laplab.discretization import build_grid
 from laplab.errors import InvalidParameterError
 from laplab.geometry import (
-    ChartPoint,
     CliffordTorus,
     DonutTorus,
     SphereMetric,
@@ -30,6 +29,7 @@ from laplab.geometry import (
     torus_sq_geodesic,
     _wrap_min,
 )
+from laplab.operators import _chart_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,8 +37,8 @@ TWO_PI = 2.0 * math.pi
 def brute_torus_distance(metric, p, q, reach=8):
     """Wide lattice search; reference for the production shift range."""
     best = math.inf
-    du = p.u - q.u
-    dv = p.v - q.v
+    du = p[0] - q[0]
+    dv = p[1] - q[1]
     for k in range(-reach, reach + 1):
         for l in range(-reach, reach + 1):
             a = du + TWO_PI * k
@@ -50,13 +50,13 @@ def brute_torus_distance(metric, p, q, reach=8):
 
 def geodesic(metric, p, q):
     """Geodesic distance of two chart points, read off the pairwise table."""
-    d2 = sq_dist(metric, p.as_array()[None], q.as_array()[None])
+    d2 = sq_dist(metric, p[None], q[None])
     return math.sqrt(float(d2[0, 0]))
 
 
 def chord(embedding, p, q):
     """Chord distance of two chart points' images, read off the pairwise table."""
-    d2 = ambient_sq_dist(embedding, p.as_array()[None], q.as_array()[None])
+    d2 = ambient_sq_dist(embedding, p[None], q[None])
     return math.sqrt(float(d2[0, 0]))
 
 
@@ -64,10 +64,10 @@ def chord(embedding, p, q):
 
 
 def test_chart_point_wraps_into_base_window():
-    p = ChartPoint(TWO_PI + 0.25, -0.5)
-    assert 0.0 <= p.u < TWO_PI and 0.0 <= p.v < TWO_PI
-    assert p.u == pytest.approx(0.25)
-    assert p.v == pytest.approx(TWO_PI - 0.5)
+    [p] = _chart_points([TWO_PI + 0.25, -0.5])
+    assert 0.0 <= p[0] < TWO_PI and 0.0 <= p[1] < TWO_PI
+    assert p[0] == pytest.approx(0.25)
+    assert p[1] == pytest.approx(TWO_PI - 0.5)
 
 
 def test_torus_metric_validation():
@@ -110,13 +110,13 @@ def test_anisotropic_has_unit_volume_form():
 
 
 def test_flat_torus_half_loop():
-    d = geodesic(TorusMetric.flat(), ChartPoint(0, 0), ChartPoint(math.pi, 0))
+    d = geodesic(TorusMetric.flat(), np.array([0.0, 0.0]), np.array([math.pi, 0.0]))
     assert d == pytest.approx(math.pi, abs=1e-14)
 
 
 def test_anisotropic_half_loop_matches_wide_brute_force():
     m = TorusMetric(4.0, 0.0, 0.25)
-    p, q = ChartPoint(0, 0), ChartPoint(math.pi, 0)
+    p, q = np.array([0.0, 0.0]), np.array([math.pi, 0.0])
     d = geodesic(m, p, q)
     assert d == pytest.approx(2 * math.pi, abs=1e-12)
     assert d == pytest.approx(brute_torus_distance(m, p, q), abs=1e-12)
@@ -124,7 +124,7 @@ def test_anisotropic_half_loop_matches_wide_brute_force():
 
 def test_sphere_quarter_great_circle():
     d = geodesic(
-        SphereMetric(1.0), ChartPoint(math.pi / 2, 0), ChartPoint(math.pi / 2, math.pi / 2)
+        SphereMetric(1.0), np.array([math.pi / 2, 0.0]), np.array([math.pi / 2, math.pi / 2])
     )
     assert d == pytest.approx(math.pi / 2, abs=1e-14)
 
@@ -133,8 +133,8 @@ def test_sphere_near_antipodal_is_stable():
     eps = 1e-9
     d = geodesic(
         SphereMetric(1.0),
-        ChartPoint(math.pi / 2, 0.0),
-        ChartPoint(math.pi / 2 + eps, math.pi),
+        np.array([math.pi / 2, 0.0]),
+        np.array([math.pi / 2 + eps, math.pi]),
     )
     assert abs(d - math.pi) < 1e-8
 
@@ -158,10 +158,10 @@ def torus_metrics(draw):
 
 @st.composite
 def chart_points(draw):
-    return ChartPoint(
+    return np.array([
         draw(st.floats(0.0, TWO_PI, exclude_max=True)),
         draw(st.floats(0.0, TWO_PI, exclude_max=True)),
-    )
+    ])
 
 
 @given(torus_metrics(), chart_points(), chart_points())
@@ -177,7 +177,7 @@ def test_torus_distance_symmetric_and_separating(metric, p, q):
     d_qp = geodesic(metric, q, p)
     assert d_pq == d_qp  # bitwise, not just approximately
     assert geodesic(metric, p, p) == 0.0
-    if (p.u, p.v) != (q.u, q.v):
+    if (p[0], p[1]) != (q[0], q[1]):
         assert d_pq > 0.0
 
 
@@ -198,7 +198,7 @@ def test_torus_triangle_inequality(metric, p, q, r):
 )
 def test_sphere_distance_properties(u1, v1, u2, v2):
     m = SphereMetric(1.5)
-    p, q = ChartPoint(u1, v1), ChartPoint(u2, v2)
+    p, q = np.array([u1, v1]), np.array([u2, v2])
     d_pq = geodesic(m, p, q)
     assert d_pq == geodesic(m, q, p)
     assert 0.0 <= d_pq <= 1.5 * math.pi + 1e-12
@@ -210,8 +210,8 @@ def test_small_torus_distance_matches_metric_form(metric, p, a, b):
     # geodesic distance between nearby points reduces to the quadratic form
     # of the chart difference actually stored, wrapped into (-pi, pi]
     s = 1e-4
-    q = ChartPoint(p.u + s * a, p.v + s * b)
-    du, dv = (math.remainder(d, TWO_PI) for d in (q.u - p.u, q.v - p.v))
+    [q] = _chart_points([p[0] + s * a, p[1] + s * b])
+    du, dv = (math.remainder(d, TWO_PI) for d in (q[0] - p[0], q[1] - p[1]))
     d = geodesic(metric, p, q)
     form = math.sqrt(metric.E * du * du + 2 * metric.F * du * dv + metric.G * dv * dv)
     assert d == pytest.approx(form, abs=1e-16, rel=1e-6)
@@ -385,16 +385,16 @@ def test_donut_radii_limit_is_where_squared_chords_overflow():
 
 def test_clifford_ambient_distances():
     emb = CliffordTorus()
-    p0 = ChartPoint(0, 0)
-    assert chord(emb, p0, ChartPoint(math.pi, 0)) == pytest.approx(2.0, abs=1e-15)
-    assert chord(emb, p0, ChartPoint(0, math.pi)) == pytest.approx(2.0, abs=1e-15)
+    p0 = np.array([0.0, 0.0])
+    assert chord(emb, p0, np.array([math.pi, 0.0])) == pytest.approx(2.0, abs=1e-15)
+    assert chord(emb, p0, np.array([0.0, math.pi])) == pytest.approx(2.0, abs=1e-15)
     assert chord(emb, p0, p0) == 0.0
 
 
 @given(chart_points(), chart_points())
 def test_ambient_sq_dist_symmetric(p, q):
     emb = CliffordTorus()
-    pts = np.array([[p.u, p.v], [q.u, q.v]])
+    pts = np.array([p, q])
     d2 = ambient_sq_dist(emb, pts, pts)
     assert d2[0, 1] == d2[1, 0]
     assert d2[0, 0] == 0.0 and d2[1, 1] == 0.0
@@ -470,7 +470,7 @@ def test_sphere_distance_is_bitwise_out_of_place_expression(radius):
 @given(st.lists(chart_points(), min_size=1, max_size=8))
 def test_embeddings_are_their_closed_form_maps(pts):
     # the first fundamental forms S6 compares against follow from these maps
-    p = np.array([[x.u, x.v] for x in pts])
+    p = np.array(pts)
     cu, su, cv, sv = np.cos(p[:, 0]), np.sin(p[:, 0]), np.cos(p[:, 1]), np.sin(p[:, 1])
     ring = 3.0 + 0.5 * cu
     maps = {

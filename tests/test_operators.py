@@ -23,7 +23,6 @@ from laplab.discretization import (
 )
 from laplab.errors import InvalidParameterError, NodeMismatchError
 from laplab.geometry import (
-    ChartPoint,
     CliffordTorus,
     DonutTorus,
     SphereMetric,
@@ -452,8 +451,8 @@ def test_continuous_value_matches_dense_row():
     f = lambda pts: np.cos(pts[:, 0]) + np.sin(pts[:, 1])
     fv = f(rule.nodes)
     for i in (0, 17, 40):
-        x = ChartPoint(rule.nodes[i, 0], rule.nodes[i, 1])
-        val = continuous_value(TorusMetric.flat(), p, rule, 0.5, f, x)
+        x = rule.nodes[i:i + 1]
+        [val] = continuous_value(TorusMetric.flat(), p, rule, 0.5, f, x)
         dense = float(op.entries[i] @ fv)
         assert val == pytest.approx(dense, abs=1e-12)
 
@@ -466,7 +465,7 @@ def test_discrete_constant_is_exactly_zero():
     p = normalize_density(UniformDensity(), rule)
     s = sample_points(p, TorusMetric.flat(), 500, 3)
     [val] = evaluate_discrete(TorusMetric.flat(), s, 0.5, lambda pts: np.ones(len(pts)),
-                              [ChartPoint(0.1, 0.2)])
+                              np.array([[0.1, 0.2]]))
     assert val == 0.0
 
 
@@ -474,8 +473,8 @@ def test_discrete_single_coincident_sample():
     rule = build_grid(TorusMetric.flat(), 8)
     p = normalize_density(UniformDensity(), rule)
     s = sample_points(p, TorusMetric.flat(), 1, 3)
-    x = ChartPoint(s[0, 0], s[0, 1])
-    [val] = evaluate_discrete(TorusMetric.flat(), s, 0.5, lambda pts: np.cos(pts[:, 0]), [x])
+    x = s[0:1]
+    [val] = evaluate_discrete(TorusMetric.flat(), s, 0.5, lambda pts: np.cos(pts[:, 0]), x)
     assert val == 0.0
 
 
@@ -486,14 +485,14 @@ def test_discrete_value_near_continuous_value():
     rule = build_grid(metric, 128)
     p = normalize_density(UniformDensity(), rule)
     f = lambda pts: np.cos(pts[:, 0])
-    x = ChartPoint(0.0, 0.0)
-    ref = continuous_value(metric, p, rule, 0.5, f, x)
+    x = np.array([[0.0, 0.0]])
+    [ref] = continuous_value(metric, p, rule, 0.5, f, x)
 
     s = sample_points(p, metric, 100_000, 1234)
-    [val] = evaluate_discrete(metric, s, 0.5, f, [x])
+    [val] = evaluate_discrete(metric, s, 0.5, f, x)
     # standard error from the empirical variance of the summed terms
-    d2 = sq_dist(metric, x.as_array()[None, :], s)[0]
-    terms = np.exp(d2 / -0.5) * (f(x.as_array()[None, :])[0] - f(s)) / 0.5**2
+    d2 = sq_dist(metric, x, s)[0]
+    terms = np.exp(d2 / -0.5) * (f(x)[0] - f(s)) / 0.5**2
     se = float(terms.std(ddof=1) / math.sqrt(len(s)))
     assert abs(val - ref) < 3.0 * se
     assert se < 1e-3
@@ -506,14 +505,14 @@ def test_discrete_bandwidth_validation():
     calls = []
     for t in (-1.0, 0.0, math.nan, 1e-200, 1e160):
         with pytest.raises(InvalidParameterError):
-            evaluate_discrete(TorusMetric.flat(), s, t, calls.append, [ChartPoint(0.1, 0.2)])
+            evaluate_discrete(TorusMetric.flat(), s, t, calls.append, np.array([[0.1, 0.2]]))
     assert calls == []  # refused before f is evaluated
 
 
 def _evaluate_one(space, pts, t, f, x):
     """The single-point Monte-Carlo evaluator as it stood before it took many
     points: f over the whole cloud and fresh temporaries on every call."""
-    p = x.as_array()[None, :]
+    p = x[None, :]
     d2 = sq_dist(space, p, pts)[0]
     fx = float(np.asarray(f(p))[0])
     terms = np.exp(d2 / -t) * (fx - np.asarray(f(pts)))
@@ -531,8 +530,7 @@ def test_discrete_many_points_match_single_point_bits(case):
     p = normalize_density(CosineBump(0.4, "v"), build_grid(metric, 16))
     pts = sample_points(p, metric, 3000, 17)
     gen = np.random.default_rng(5)
-    points = [ChartPoint(u, v) for u, v in zip(gen.uniform(0.3, 2.8, 8),
-                                               gen.uniform(0.0, 2 * math.pi, 8))]
+    points = np.column_stack([gen.uniform(0.3, 2.8, 8), gen.uniform(0.0, 2 * math.pi, 8)])
     f = lambda pts: np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
     got = evaluate_discrete(space, pts, 0.3, f, points)
     want = np.array([_evaluate_one(space, pts, 0.3, f, x) for x in points])
@@ -550,7 +548,7 @@ def test_discrete_evaluates_f_on_the_cloud_once():
         sizes.append(len(pts))
         return np.cos(pts[:, 0])
 
-    points = [ChartPoint(0.1 * k, 0.2) for k in range(5)]
+    points = np.array([[0.1 * k, 0.2] for k in range(5)])
     evaluate_discrete(TorusMetric.flat(), pts, 0.5, f, points)
     assert sorted(sizes) == [1] * 5 + [200]
 
@@ -563,7 +561,7 @@ def test_discrete_peak_memory_is_five_rows():
     metric = TorusMetric.flat()
     p = normalize_density(UniformDensity(), build_grid(metric, 16))
     pts = sample_points(p, metric, 64_000, 1234)
-    points = [ChartPoint(0.3 * k, 0.7) for k in range(8)]
+    points = np.array([[0.3 * k, 0.7] for k in range(8)])
     tracemalloc.start()
     try:
         evaluate_discrete(metric, pts, 0.5, lambda pts: np.cos(pts[:, 0]), points)
@@ -572,6 +570,45 @@ def test_discrete_peak_memory_is_five_rows():
         tracemalloc.stop()
     row = 8 * len(pts)
     assert peak <= 5.25 * row, peak / row
+
+
+_SPACES = {
+    "flat_torus": (TorusMetric.flat(), TorusMetric.flat()),
+    "sphere": (SphereMetric(1.0), SphereMetric(1.0)),
+    "clifford": (TorusMetric.flat(), CliffordTorus()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPACES))
+def test_continuous_value_many_points_match_one_row_calls_bitwise(case):
+    metric, space = _SPACES[case]
+    rule = build_grid(metric, 16)
+    p = normalize_density(CosineBump(0.4, "v"), rule)
+    gen = np.random.default_rng(7)
+    points = np.column_stack([gen.uniform(0.3, 2.8, 8), gen.uniform(0.0, 2 * math.pi, 8)])
+    f = lambda pts: np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
+    got = continuous_value(space, p, rule, 0.3, f, points)
+    want = np.concatenate([continuous_value(space, p, rule, 0.3, f, points[i:i + 1])
+                           for i in range(len(points))])
+    assert got.shape == (8,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("evaluator", ["continuous", "discrete"])
+def test_evaluators_reduce_points_as_python_modulo(evaluator):
+    # points outside [0, 2 pi) give the bits of the same points reduced by %
+    metric = TorusMetric.flat()
+    rule = build_grid(metric, 16)
+    p = normalize_density(CosineBump(0.4, "u"), rule)
+    pts = sample_points(p, metric, 500, 9)
+    raw = np.array([[-0.3, 7.1], [1e6, -1e6], [-1e6, 2.0 * math.pi], [-2.0, 13.0]])
+    reduced = np.array([[float(x) % (2.0 * math.pi) for x in row] for row in raw])
+    f = lambda x: np.cos(x[:, 0]) + np.sin(2.0 * x[:, 1])
+    if evaluator == "continuous":
+        run = lambda x: continuous_value(metric, p, rule, 0.5, f, x)
+    else:
+        run = lambda x: evaluate_discrete(metric, pts, 0.5, f, x)
+    assert run(raw).tobytes() == run(reduced).tobytes()
 
 
 # --- serialization --------------------------------------------------------------

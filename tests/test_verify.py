@@ -186,15 +186,15 @@ def test_convergence_per_seed_bits_match_single_point_loop():
     rule = build_grid(metric, 128)
     density = normalize_density(UniformDensity(), rule)
     points = _eval_points()
-    ref = np.array([continuous_value(metric, density, rule, 0.5, _f_cos_u, x)
-                    for x in points])
+    ref = np.array([continuous_value(metric, density, rule, 0.5, _f_cos_u, points[k:k + 1])[0]
+                    for k in range(len(points))])
     n_values, want = (250, 500, 1000), np.empty((5, 3))
     for i in range(5):
         for j, n in enumerate(n_values):
             pts = sample_points(density, metric, n, 1234 + 1000003 * i + n)
             vals = []
-            for x in points:
-                p = x.as_array()[None, :]
+            for k in range(len(points)):
+                p = points[k:k + 1]
                 d2 = sq_dist(metric, p, pts)[0]
                 terms = np.exp(d2 / -0.5) * (float(_f_cos_u(p)[0]) - _f_cos_u(pts))
                 vals.append(float(terms.sum() / (n * 0.5**2)))
