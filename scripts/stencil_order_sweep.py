@@ -41,7 +41,7 @@ def main() -> int:
     ):
         rule = build_grid(metric, 16)
         dist = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
-        g = metric_field_from_distance(dist, rule.grid_shape, rule.spacing).tensor_at(0)
+        g = metric_field_from_distance(dist, rule).tensor_at(0)
         err = float(np.max(np.abs(g - metric.matrix())))
         print(f"  {name:>14}: max error {err:.3e}")
     return 0

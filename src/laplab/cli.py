@@ -202,7 +202,7 @@ def _cmd_assemble(args) -> int:
     embedding = None if args.embedding is None else _parse_embedding(args.embedding)
     density = _parse_density(args.density)
     with _staged(out_dir) as (stage,):
-        op, _, _ = build_operator(metric, density, args.grid, args.bandwidth, embedding)
+        op, _ = build_operator(metric, density, args.grid, args.bandwidth, embedding)
         save_operator(op, os.path.join(stage, name))
     print(f"wrote {args.out}: {op.n} nodes, t={op.t}, mode={args.mode}")
     if op.warning:

@@ -49,6 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
+from .discretization import QuadratureRule
 from .errors import (
     ConditioningError,
     InconsistencyError,
@@ -141,6 +142,7 @@ class RecoveryReport:
     `distance` build both through recover_kernel_distance(wk, mass) on first
     read and cache them, so a report that never reads them never pays for them.
     report_payload streams them into .llmx files without reading either.
+    rule is the operator's quadrature rule, whose grid the report describes.
     """
 
     mass: np.ndarray
@@ -148,8 +150,7 @@ class RecoveryReport:
     metric_field: MetricField
     density: np.ndarray
     t: float
-    grid_shape: tuple[int, int]
-    spacing: tuple[float, float]
+    rule: QuadratureRule
     errors: dict = field(default_factory=dict)
 
     @cached_property
@@ -385,9 +386,10 @@ class _PairDistances:
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_indices(grid_shape, periodic_u: bool, steps: int):
-    """Flat node indices of the four axis neighbors at +-steps, with validity."""
-    nu, nv = grid_shape
+def _neighbor_indices(rule: QuadratureRule, steps: int):
+    """Flat node indices of the four axis neighbors at +-steps, with validity;
+    v wraps on both charts, u on the torus chart only."""
+    (nu, nv), periodic_u = rule.grid_shape, isinstance(rule.metric, TorusMetric)
     a, b = np.divmod(np.arange(nu * nv), nv)
     bp = (b + steps) % nv
     bm = (b - steps) % nv
@@ -408,10 +410,10 @@ def _neighbor_indices(grid_shape, periodic_u: bool, steps: int):
     return up, um, vp, vm, ok
 
 
-def _stencil_tensors(dist, grid_shape, spacing, periodic_u, steps=1):
+def _stencil_tensors(dist, rule: QuadratureRule, steps=1):
     """-1/2 * mixed second difference of squared distance, from 12 distances per node."""
-    hu, hv = spacing[0] * steps, spacing[1] * steps
-    up, um, vp, vm, ok = _neighbor_indices(grid_shape, periodic_u, steps)
+    hu, hv = rule.spacing[0] * steps, rule.spacing[1] * steps
+    up, um, vp, vm, ok = _neighbor_indices(rule, steps)
 
     def sq(i, j):
         d = dist[i, j]
@@ -429,25 +431,22 @@ def _stencil_tensors(dist, grid_shape, spacing, periodic_u, steps=1):
 
 
 def metric_field_from_distance(
-    dist: np.ndarray,
-    grid_shape: tuple[int, int],
-    spacing: tuple[float, float],
-    periodic_u: bool = True,
-    richardson: bool = False,
+    dist: np.ndarray, rule: QuadratureRule, richardson: bool = False
 ) -> MetricField:
-    """Run the cross stencil at every node where the distances exist.
+    """Run the cross stencil at every node of rule's grid where the distances exist.
 
     dist is the n x n distance matrix, or any object with .shape == (n, n)
     whose dist[i, j] on index arrays returns the distances at those pairs;
-    the stencil reads 12 pairs per node (24 with richardson).
+    the stencil reads 12 pairs per node (24 with richardson).  u wraps iff
+    rule.metric is a torus metric.
 
     richardson=True combines stencils at spacing h and 2h as (4 g_h - g_2h)/3,
     canceling the O(h^2) term; used when dist is chord distance of an
     embedding rather than geodesic distance.
     """
-    tensors, valid = _stencil_tensors(dist, grid_shape, spacing, periodic_u, steps=1)
+    tensors, valid = _stencil_tensors(dist, rule, steps=1)
     if richardson:
-        wide, valid2 = _stencil_tensors(dist, grid_shape, spacing, periodic_u, steps=2)
+        wide, valid2 = _stencil_tensors(dist, rule, steps=2)
         tensors = (4.0 * tensors - wide) / 3.0
         valid &= valid2
     idx = np.flatnonzero(valid)
@@ -489,8 +488,8 @@ def report_payload(report: RecoveryReport, externalize_dir=None) -> dict:
     payload: dict = {
         "version": __version__,
         "t": report.t,
-        "grid_shape": list(report.grid_shape),
-        "spacing": list(report.spacing),
+        "grid_shape": list(report.rule.grid_shape),
+        "spacing": list(report.rule.spacing),
         "n": int(report.mass.shape[0]),
         "mass": report.mass,
         "metric": {"indices": indices, "tensors": report.metric_field.tensors},
@@ -522,20 +521,9 @@ def run_recovery(op: OperatorMatrix, refine: bool = False) -> RecoveryReport:
     wk = extract_weighted_kernel(op)
     mass = recover_mass(wk, refine=refine)
     _check_kernel_bound(wk, mass)
-    periodic_u = isinstance(op.measure_metric, TorusMetric)
     richardson = not isinstance(op.space, Metric)
-    metric_field = metric_field_from_distance(
-        _PairDistances(wk, mass), op.grid_shape, op.spacing,
-        periodic_u=periodic_u, richardson=richardson,
-    )
-    cell = op.spacing[0] * op.spacing[1]
-    density = recover_density(mass, metric_field, cell)
+    metric_field = metric_field_from_distance(_PairDistances(wk, mass), op.rule, richardson)
+    du, dv = op.rule.spacing
+    density = recover_density(mass, metric_field, du * dv)
     return RecoveryReport(
-        mass=mass,
-        wk=wk,
-        metric_field=metric_field,
-        density=density,
-        t=op.t,
-        grid_shape=op.grid_shape,
-        spacing=op.spacing,
-    )
+        mass=mass, wk=wk, metric_field=metric_field, density=density, t=op.t, rule=op.rule)

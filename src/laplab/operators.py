@@ -25,8 +25,11 @@ normalized by 1/(n t^2): it evaluates f on the cloud once and takes one 1 x n
 distance row per evaluation point.  Both evaluators take their points as an
 (m, 2) array, reduce it into [0, 2 pi) once on entry, and return m values.
 
-Operators serialize to a small binary format (header + nodes + row-major
-float64 entries, little-endian throughout); see save_operator for the layout.
+An operator carries the quadrature rule it was assembled on, the one source
+of its grid.  Operators serialize to a small binary format (header + nodes +
+row-major float64 entries, little-endian throughout); see save_operator for
+the layout.  load_operator rebuilds the rule from the measure and the grid
+size and refuses a file whose grid disagrees with it.
 """
 
 from __future__ import annotations
@@ -72,24 +75,22 @@ def _check_bandwidth(t: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense operator with the grid metadata needed to invert it later.
+    """Dense operator with the quadrature rule it was assembled on.
 
     space is what the kernel measured distance in: a Metric for the intrinsic
-    operator, an Embedding for the extrinsic one.
+    operator, an Embedding for the extrinsic one.  rule is the one source of
+    the grid: its nodes, its shape and spacings, and the measure metric.
     """
 
     entries: np.ndarray
-    nodes: np.ndarray
     t: float
     space: Space
-    measure_metric: Metric
-    grid_shape: tuple[int, int]
-    spacing: tuple[float, float]
+    rule: QuadratureRule
     warning: Optional[str] = None
 
     @property
     def n(self) -> int:
-        return self.nodes.shape[0]
+        return self.rule.n
 
 
 def _node_sq_dist(space: Space, rule: QuadratureRule, out: np.ndarray):
@@ -110,9 +111,11 @@ def assemble_continuous(
 ) -> OperatorMatrix:
     """Assemble the dense quadrature approximation of the kernel operator of space.
 
-    The density must be normalized against `rule`.  Bandwidth t must pass
-    _check_bandwidth.  Refuses grids beyond 64^2 nodes; use continuous_value there.
+    The density must be normalized against `rule`, and space must live on
+    the chart of rule.metric.  Bandwidth t must pass _check_bandwidth.
+    Refuses grids beyond 64^2 nodes; use continuous_value there.
     """
+    _check_chart(space, rule.metric)
     _check_bandwidth(t)
     if rule.n > DENSE_NODE_CAP:
         raise InvalidParameterError(
@@ -142,34 +145,26 @@ def assemble_continuous(
             f"{dead} rows have fully underflowed off-diagonal kernels; "
             f"bandwidth {t} is too small for the grid spacing"
         )
-    return OperatorMatrix(
-        entries=w,
-        nodes=rule.nodes,
-        t=t,
-        space=space,
-        measure_metric=rule.metric,
-        grid_shape=rule.grid_shape,
-        spacing=rule.spacing,
-        warning=warning,
-    )
+    return OperatorMatrix(entries=w, t=t, space=space, rule=rule, warning=warning)
 
 
 def build_operator(
     metric: Metric, density: Density, n: int, t: float, embedding: Optional[Embedding] = None
-) -> tuple[OperatorMatrix, QuadratureRule, Density]:
-    """Operator on the n-grid of metric, with its rule and normalized density.
+) -> tuple[OperatorMatrix, Density]:
+    """Operator on the n-grid of metric (its op.rule), with the normalized density.
 
     The kernel measures distance in embedding (extrinsic), or in metric when
     embedding is None (intrinsic).
     """
     rule = build_grid(metric, n)
     p = normalize_density(density, rule)
-    return assemble_continuous(metric if embedding is None else embedding, p, rule, t), rule, p
+    return assemble_continuous(metric if embedding is None else embedding, p, rule, t), p
 
 
 def operator_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
-    """Max-abs entrywise discrepancy between two operators on the same grid."""
-    if a.t != b.t or not np.array_equal(a.nodes, b.nodes):
+    """Max-abs entrywise discrepancy between two operators on the same grid;
+    each entry carries its cell weight, so it shrinks as 1/N^2 on an N-grid."""
+    if a.t != b.t or not np.array_equal(a.rule.nodes, b.rule.nodes):
         raise NodeMismatchError("operators do not share nodes and bandwidth")
     return float(np.max(np.abs(a.entries - b.entries)))
 
@@ -257,6 +252,15 @@ _PREAMBLE = _HEAD.size + _BAND.size + 2 * _PARAM.size
 # kind byte of a parameter block: metrics below 10, embeddings from 10 on
 _KINDS = {TorusMetric: 0, SphereMetric: 1, CliffordTorus: 10, DonutTorus: 11, UnitSphere: 12}
 _SPACES = {kind: cls for cls, kind in _KINDS.items()}
+# chart of each space, the header's chart tag: 0 the torus chart, 1 the sphere's
+_CHARTS = {TorusMetric: 0, SphereMetric: 1, CliffordTorus: 0, DonutTorus: 0, UnitSphere: 1}
+
+
+def _check_chart(space: Space, metric: Metric) -> None:
+    """Refuse a kernel space on another chart than the measure metric."""
+    if _CHARTS[type(space)] != _CHARTS[type(metric)]:
+        raise InvalidParameterError(f"kernel space {type(space).__name__} lives on another "
+                                    f"chart than measure metric {type(metric).__name__}")
 
 
 def _pack(space: Space) -> bytes:
@@ -278,21 +282,21 @@ def save_operator(op: OperatorMatrix, path) -> None:
     """Write the binary operator format.
 
     Layout, little-endian: magic 'LLOP', u16 version, u8 mode tag
-    (0 intrinsic / 1 extrinsic), u8 chart tag (the measure block's kind:
+    (0 intrinsic / 1 extrinsic), u8 chart tag (_CHARTS of the measure:
     0 torus / 1 sphere), u32 node count, u32 x 2 grid shape; f64 bandwidth
     and the two chart spacings; one kernel parameter block and one
     measure-metric block (u8 kind from _KINDS + 3 f64); then the nodes as
-    n x 2 f64 and the entries as n x n row-major f64.
+    n x 2 f64 and the entries as n x n row-major f64.  The grid fields all
+    come from op.rule.
     """
-    kernel = _pack(op.space)
+    kernel, rule = _pack(op.space), op.rule
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(_MAGIC, _VERSION, int(kernel[0] >= 10),
-                            _KINDS[type(op.measure_metric)],
-                            op.n, op.grid_shape[0], op.grid_shape[1]))
-        fh.write(_BAND.pack(op.t, op.spacing[0], op.spacing[1]))
+                            _CHARTS[type(rule.metric)], op.n, *rule.grid_shape))
+        fh.write(_BAND.pack(op.t, *rule.spacing))
         fh.write(kernel)
-        fh.write(_pack(op.measure_metric))
-        fh.write(np.ascontiguousarray(op.nodes, dtype="<f8"))
+        fh.write(_pack(rule.metric))
+        fh.write(np.ascontiguousarray(rule.nodes, dtype="<f8"))
         fh.write(np.ascontiguousarray(op.entries, dtype="<f8"))
 
 
@@ -304,12 +308,13 @@ def _check_size(fh, expected: int, kind: str) -> None:
 
 
 def load_operator(path) -> OperatorMatrix:
-    """Read an operator written by save_operator.
+    """Read an operator written by save_operator, on the rule build_grid(measure, nv).
 
-    The file size must be exactly what the header implies, the spacings must
-    be finite and positive, and the bandwidth and the kernel and measure
-    parameters must pass the checks their constructors make, before any
-    payload is read.
+    The file size must be exactly what the header implies, the bandwidth and
+    the kernel and measure parameters must pass the checks their constructors
+    make, and the kernel must live on the measure's chart.  The grid shape,
+    spacings and nodes must be the rule's, bit for bit, before the entries
+    are read.
     """
     with open(path, "rb") as fh:
         head = fh.read(_PREAMBLE)
@@ -326,29 +331,28 @@ def load_operator(path) -> OperatorMatrix:
             raise MalformedOperatorError(f"grid shape {nu}x{nv} and node count {n} do not agree")
         _check_size(fh, _PREAMBLE + 8 * n * (n + 2), "operator")
         t, du, dv = _BAND.unpack_from(head, _HEAD.size)
-        if not (0.0 < du < math.inf and 0.0 < dv < math.inf):
-            raise MalformedOperatorError(f"spacings must be finite and positive, got {du}, {dv}")
         try:
             _check_bandwidth(t)
             space = _unpack(head[-2 * _PARAM.size:-_PARAM.size], mode_tag == 0)
             measure = _unpack(head[-_PARAM.size:], True)
+            _check_chart(space, measure)
+            if _CHARTS[type(measure)] != chart:
+                raise MalformedOperatorError("chart tag contradicts the measure metric")
+            # N x N on the torus chart, (N-1) x N on the sphere's; checked before
+            # build_grid, so that no grid is built larger than the node count
+            if nu != nv - chart:
+                raise MalformedOperatorError(f"grid shape {nu}x{nv} is not a grid of its chart")
+            rule = build_grid(measure, nv)
         except InvalidParameterError as exc:
             raise MalformedOperatorError(f"operator file: {exc}") from None
-        if _KINDS[type(measure)] != chart:
-            raise MalformedOperatorError("chart tag contradicts the measure metric")
-        nodes = np.empty((n, 2), dtype="<f8")
+        if (du, dv) != rule.spacing:
+            raise MalformedOperatorError(
+                f"spacings {du}, {dv} are not the grid's {rule.spacing[0]}, {rule.spacing[1]}")
+        if fh.read(16 * n) != np.ascontiguousarray(rule.nodes, dtype="<f8").tobytes():
+            raise MalformedOperatorError("nodes are not the grid's nodes")
         entries = np.empty((n, n), dtype="<f8")
-        fh.readinto(nodes)
         fh.readinto(entries)
-    return OperatorMatrix(
-        entries=entries,
-        nodes=nodes,
-        t=t,
-        space=space,
-        measure_metric=measure,
-        grid_shape=(nu, nv),
-        spacing=(du, dv),
-    )
+    return OperatorMatrix(entries=entries, t=t, space=space, rule=rule)
 
 
 _MX_MAGIC = b"LLMX"

@@ -261,12 +261,12 @@ def _key(k) -> str:
 def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     n, t = cfg.grid, cfg.bandwidth
-    base, _, _ = build_operator(flat, UniformDensity(), n, t)
+    base, _ = build_operator(flat, UniformDensity(), n, t)
     factors = sorted({1.25, 1.5, ANISOTROPY})
     gaps = []
     for a in factors:
         aniso = TorusMetric.anisotropic(a)
-        op_a, _, _ = build_operator(aniso, UniformDensity(), n, t)
+        op_a, _ = build_operator(aniso, UniformDensity(), n, t)
         gaps.append(operator_distance(base, op_a))
     margin = float(min(b - a for a, b in zip(gaps, gaps[1:])))
     discrepancies = {
@@ -280,8 +280,9 @@ def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
     metric = TorusMetric.anisotropic(ANISOTROPY)
     density = CosineBump(BUMP_ALPHA, "u")
-    op, rule, p = build_operator(metric, density, cfg.grid, cfg.bandwidth)
+    op, p = build_operator(metric, density, cfg.grid, cfg.bandwidth)
     report = run_recovery(op)
+    rule = op.rule
 
     g_true = metric.matrix()
     metric_err = float(np.max(np.abs(report.metric_field.tensors - g_true[None])))
@@ -321,10 +322,10 @@ def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     aniso = TorusMetric.anisotropic(ANISOTROPY)
     n, t = cfg.grid, cfg.bandwidth
-    ext1, _, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
-    ext2, _, _ = build_operator(aniso, UniformDensity(), n, t, CliffordTorus())
-    int1, _, _ = build_operator(flat, UniformDensity(), n, t)
-    int2, _, _ = build_operator(aniso, UniformDensity(), n, t)
+    ext1, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    ext2, _ = build_operator(aniso, UniformDensity(), n, t, CliffordTorus())
+    int1, _ = build_operator(flat, UniformDensity(), n, t)
+    int2, _ = build_operator(aniso, UniformDensity(), n, t)
     discrepancies = {
         "extrinsic_distance": operator_distance(ext1, ext2),
         "intrinsic_distance": operator_distance(int1, int2),
@@ -336,8 +337,8 @@ def _scenario_s4(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     scaled = TorusMetric.scaled_flat(SCALE)
     n, t = cfg.grid, cfg.bandwidth
-    op1, _, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
-    op2, _, _ = build_operator(scaled, UniformDensity(), n, t, CliffordTorus())
+    op1, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    op2, _ = build_operator(scaled, UniformDensity(), n, t, CliffordTorus())
     m1 = recover_mass(extract_weighted_kernel(op1))
     m2 = recover_mass(extract_weighted_kernel(op2))
     discrepancies = {
@@ -476,14 +477,14 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     n, t = cfg.grid, cfg.bandwidth
     flat = TorusMetric.flat()
 
-    op, rule, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    op, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
     fld = run_recovery(op).metric_field
     clifford_err = float(np.max(np.abs(fld.tensors - np.eye(2)[None])))
 
     donut = DonutTorus(2.0, 1.0)
-    op, rule, _ = build_operator(flat, UniformDensity(), n, t, donut)
+    op, _ = build_operator(flat, UniformDensity(), n, t, donut)
     fld = run_recovery(op).metric_field
-    tube = np.flatnonzero(rule.nodes[fld.indices, 0] == 0.0)
+    tube = np.flatnonzero(op.rule.nodes[fld.indices, 0] == 0.0)
     if tube.size == 0:
         raise InsufficientMaskError(
             "no full stencil on the donut's outer circle; kernel weights "
@@ -493,9 +494,9 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     g_true = np.diag([donut.minor**2, (donut.major + donut.minor) ** 2])
     donut_err = float(np.max(np.abs(fld.tensors[tube] - g_true[None])))
 
-    op, rule, _ = build_operator(SphereMetric(1.0), UniformDensity(), n, t, UnitSphere())
+    op, _ = build_operator(SphereMetric(1.0), UniformDensity(), n, t, UnitSphere())
     fld = run_recovery(op).metric_field
-    equator = np.flatnonzero(np.abs(rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
+    equator = np.flatnonzero(np.abs(op.rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
     if equator.size == 0:
         raise InsufficientMaskError(
             f"no full stencil on the sphere equator at grid {n}, bandwidth {t}"
@@ -551,7 +552,7 @@ def stencil_order_study(grid_sizes=(16, 32, 64)) -> tuple[list, list, float]:
         rule = build_grid(sphere, n)
         dist = np.sqrt(sphere_sq_geodesic(1.0, rule.nodes, rule.nodes))
         node = (n // 4 - 1) * rule.grid_shape[1]  # u = pi/4, v = 0
-        fld = metric_field_from_distance(dist, rule.grid_shape, rule.spacing, periodic_u=False)
+        fld = metric_field_from_distance(dist, rule)
         g = fld.tensor_at(node)
         u = rule.nodes[node, 0]
         g_true = np.diag([1.0, math.sin(u) ** 2])

@@ -170,7 +170,7 @@ def test_criterion_6_stencil_order():
     for metric in (TorusMetric.flat(), TorusMetric.anisotropic(2.0)):
         rule = build_grid(metric, 16)
         dist = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
-        fld = metric_field_from_distance(dist, rule.grid_shape, rule.spacing)
+        fld = metric_field_from_distance(dist, rule)
         g = fld.tensor_at(3 * 16 + 7)
         worst_exact = max(worst_exact, float(np.max(np.abs(g - metric.matrix()))))
     elapsed = time.perf_counter() - start

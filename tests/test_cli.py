@@ -100,8 +100,8 @@ def _list_payload(report, externalize):
     payload = {
         "version": laplab.__version__,
         "t": report.t,
-        "grid_shape": list(report.grid_shape),
-        "spacing": list(report.spacing),
+        "grid_shape": list(report.rule.grid_shape),
+        "spacing": list(report.rule.spacing),
         "n": int(report.mass.shape[0]),
         "mass": report.mass.tolist(),
         "metric": {"indices": fld.indices.tolist(), "tensors": fld.tensors.tolist()},
@@ -434,10 +434,20 @@ def _put_band(index, value):
     return put
 
 
+def _put_node_off_grid(path):
+    # node 5 moves one ulp in v, off the grid build_grid makes
+    blob = bytearray(path.read_bytes())
+    at = 94 + 16 * 5 + 8
+    v = np.frombuffer(bytes(blob[at:at + 8]), dtype="<f8")[0]
+    blob[at:at + 8] = np.array([np.nextafter(v, 4.0)], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("corrupt", [
     _put_nan_entry, _put_grid_shape_8x9, _put_empty_grid, _append_bytes,
     _put_band(0, np.nan), _put_band(0, -0.5), _put_band(1, np.inf), _put_band(2, 0.0),
     _put_band(0, 1e160), _put_negative_kernel_e,
+    _put_band(1, 0.5), _put_band(1, 2.225e-311), _put_node_off_grid,
 ], ids=lambda f: f.__name__)
 def test_recover_corrupt_operator_exits_three(tmp_path, capsys, corrupt):
     op_path = tmp_path / "op.llop"
@@ -447,6 +457,40 @@ def test_recover_corrupt_operator_exits_three(tmp_path, capsys, corrupt):
     capsys.readouterr()
     rc = main(["recover", "--operator", str(op_path),
                "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+# (metric, embedding) on different charts, and the legal same-chart pair whose
+# .llop gets the mismatched embedding's kernel block (kind and three parameters)
+_CHART_PROBES = {
+    "sphere_on_flat": ("flat", "sphere", "clifford", (12, 0.0, 0.0, 0.0)),
+    "clifford_on_sphere": ("sphere:1", "clifford", "sphere", (10, 0.0, 0.0, 0.0)),
+    "donut_on_sphere": ("sphere:1", "donut:2:1", "sphere", (11, 2.0, 1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_CHART_PROBES))
+def test_kernel_on_another_chart_than_the_measure_is_refused(tmp_path, capsys, probe):
+    import struct
+
+    metric, embedding, legal, block = _CHART_PROBES[probe]
+    argv = ["assemble", "--mode", "extrinsic", "--metric", metric, "--density", "uniform",
+            "--grid", "16", "--bandwidth", "0.5"]
+    capsys.readouterr()
+    assert main(argv + ["--embedding", embedding, "--out", str(tmp_path / "x.llop")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+    op_path = tmp_path / "op.llop"
+    assert main(argv + ["--embedding", legal, "--out", str(op_path)]) == 0
+    blob = bytearray(op_path.read_bytes())
+    blob[44:69] = struct.pack("<Bddd", *block)  # the kernel block follows the 44-byte header
+    op_path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = main(["recover", "--operator", str(op_path), "--out", str(tmp_path / "r.json")])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1

@@ -95,11 +95,7 @@ def test_extract_rejects_broken_row_sums():
     op, _, _ = _op()
     bad = op.entries.copy()
     bad[3, 5] += 1e-6
-    op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
-        measure_metric=op.measure_metric, grid_shape=op.grid_shape,
-        spacing=op.spacing,
-    )
+    op2 = dataclasses.replace(op, entries=bad)
     with pytest.raises(MalformedOperatorError):
         extract_weighted_kernel(op2)
 
@@ -110,11 +106,7 @@ def test_extract_rejects_positive_off_diagonal():
     # flip one kernel weight's sign, repair the row sum on the diagonal
     bad[3, 5] = -bad[3, 5]
     bad[3, 3] -= 2 * bad[3, 5]
-    op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
-        measure_metric=op.measure_metric, grid_shape=op.grid_shape,
-        spacing=op.spacing,
-    )
+    op2 = dataclasses.replace(op, entries=bad)
     with pytest.raises(MalformedOperatorError):
         extract_weighted_kernel(op2)
 
@@ -123,11 +115,7 @@ def test_extract_rejects_non_finite_entry():
     op, _, _ = _op(n=8)
     bad = op.entries.copy()
     bad[3, 5] = np.nan
-    op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
-        measure_metric=op.measure_metric, grid_shape=op.grid_shape,
-        spacing=op.spacing,
-    )
+    op2 = dataclasses.replace(op, entries=bad)
     with pytest.raises(MalformedOperatorError, match="non-finite"):
         extract_weighted_kernel(op2)
     with pytest.raises(MalformedOperatorError, match="non-finite"):
@@ -138,11 +126,7 @@ def test_extract_rejects_all_zero_row():
     op, _, _ = _op()
     bad = op.entries.copy()
     bad[7, :] = 0.0
-    op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
-        measure_metric=op.measure_metric, grid_shape=op.grid_shape,
-        spacing=op.spacing,
-    )
+    op2 = dataclasses.replace(op, entries=bad)
     with pytest.raises(MalformedOperatorError, match="all-zero kernel row"):
         extract_weighted_kernel(op2)
 
@@ -177,11 +161,7 @@ def test_extract_clips_tiny_negative_weight():
     tiny = 5e-15 / op.t**2
     bad[3, 3] += bad[3, 5] - tiny
     bad[3, 5] = tiny
-    op2 = type(op)(
-        entries=bad, nodes=op.nodes, t=op.t, space=op.space,
-        measure_metric=op.measure_metric, grid_shape=op.grid_shape,
-        spacing=op.spacing,
-    )
+    op2 = dataclasses.replace(op, entries=bad)
     wk = extract_weighted_kernel(op2)
     w = _reference_w(op2)
     assert w[3, 5] == 0.0
@@ -226,11 +206,7 @@ def test_refined_masses_beat_tree_masses_under_noise():
     noisy = op.entries * (1.0 + 1e-8 * np.random.default_rng(7).standard_normal(op.entries.shape))
     np.fill_diagonal(noisy, 0.0)
     np.fill_diagonal(noisy, -noisy.sum(axis=1))
-    wk = extract_weighted_kernel(type(op)(
-        entries=noisy, nodes=op.nodes, t=op.t, space=op.space,
-        measure_metric=op.measure_metric, grid_shape=op.grid_shape,
-        spacing=op.spacing,
-    ))
+    wk = extract_weighted_kernel(dataclasses.replace(op, entries=noisy))
     truth = density_values(p, rule.nodes) * rule.weights
     truth /= truth.sum()
     tree_err = np.max(np.abs(recover_mass(wk) - truth) / truth)
@@ -355,7 +331,7 @@ def test_stencil_exact_on_anisotropic_sigma():
     metric = TorusMetric.anisotropic(2.0)
     rule = build_grid(metric, 16)
     dist = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
-    fld = metric_field_from_distance(dist, rule.grid_shape, rule.spacing)
+    fld = metric_field_from_distance(dist, rule)
     g = fld.tensor_at(5 * 16 + 3)
     assert np.max(np.abs(g - np.diag([4.0, 0.25]))) <= 1e-10
 
@@ -363,7 +339,7 @@ def test_stencil_exact_on_anisotropic_sigma():
 def test_stencil_exact_on_flat_sigma():
     rule = build_grid(TorusMetric.flat(), 16)
     dist = np.sqrt(sq_dist(TorusMetric.flat(), rule.nodes, rule.nodes))
-    g = metric_field_from_distance(dist, rule.grid_shape, rule.spacing).tensor_at(0)
+    g = metric_field_from_distance(dist, rule).tensor_at(0)
     assert np.max(np.abs(g - np.eye(2))) <= 1e-10
 
 
@@ -380,7 +356,7 @@ def test_metric_field_spd_violation_raises():
     # identically zero distances collapse every stencil tensor to zero
     dist = np.zeros((rule.n, rule.n))
     with pytest.raises(ConditioningError):
-        metric_field_from_distance(dist, rule.grid_shape, rule.spacing)
+        metric_field_from_distance(dist, rule)
 
 
 def test_metric_field_insufficient_mask_raises():
@@ -388,7 +364,7 @@ def test_metric_field_insufficient_mask_raises():
     dist = np.full((rule.n, rule.n), np.nan)
     np.fill_diagonal(dist, 0.0)
     with pytest.raises(InsufficientMaskError):
-        metric_field_from_distance(dist, rule.grid_shape, rule.spacing)
+        metric_field_from_distance(dist, rule)
 
 
 def test_metric_field_reports_stencil_coverage():
@@ -482,7 +458,7 @@ def test_run_recovery_report_shape():
     assert report.distance.shape == (n, n)
     assert report.density.shape == report.metric_field.indices.shape
     assert report.t == op.t
-    assert report.grid_shape == op.grid_shape
+    assert report.rule is op.rule
 
 
 def test_report_payload_round_trips_to_json(tmp_path):
@@ -594,10 +570,9 @@ def test_pair_view_stencil_matches_dense_stencil_bitwise(case, grid):
     i, j = rng.integers(0, wk.n, size=(2, 4000))
     i[:50] = j[:50]  # some diagonal pairs
     assert _same_bits(view[i, j], dhat[i, j])
-    periodic = isinstance(op.measure_metric, TorusMetric)
     for richardson in (False, True):
-        dense = metric_field_from_distance(dhat, op.grid_shape, op.spacing, periodic, richardson)
-        lazy = metric_field_from_distance(view, op.grid_shape, op.spacing, periodic, richardson)
+        dense = metric_field_from_distance(dhat, op.rule, richardson)
+        lazy = metric_field_from_distance(view, op.rule, richardson)
         assert _same_bits(lazy.indices, dense.indices)
         assert _same_bits(lazy.tensors, dense.tensors)
 
@@ -624,8 +599,7 @@ def test_kernel_overshoot_fails_slim_recovery():
     entries[i] *= 2.0
     entries[i, i] = 0.0
     entries[i, i] = -entries[i].sum()
-    bad = type(op)(entries, op.nodes, op.t, op.space, op.measure_metric,
-                   op.grid_shape, op.spacing)
+    bad = dataclasses.replace(op, entries=entries)
     with pytest.raises(InconsistencyError, match="exceeds 1; not a Gaussian kernel"):
         run_recovery(bad)
 

@@ -335,11 +335,11 @@ def test_build_peak_memory_is_about_one_table():
     for metric, embedding, bound in cases:
         tracemalloc.start()
         try:
-            op, rule, _ = build_operator(metric, CosineBump(0.4, "u"), 32, 0.5, embedding)
+            op, _ = build_operator(metric, CosineBump(0.4, "u"), 32, 0.5, embedding)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * 8 * rule.n**2, (op.space, peak / (8 * rule.n**2))
+        assert peak <= bound * 8 * op.n**2, (op.space, peak / (8 * op.n**2))
 
 
 # --- kernel distances ---------------------------------------------------------
@@ -368,7 +368,7 @@ def test_sq_dist_is_the_kind_table_and_the_space_round_trips(case, tmp_path):
     else:
         want = torus_sq_geodesic(metric, x[:5], x)
     assert sq_dist(space, x[:5], x).tobytes() == want.tobytes()
-    op, _, _ = build_operator(metric, UniformDensity(), 8, 0.5, emb)
+    op, _ = build_operator(metric, UniformDensity(), 8, 0.5, emb)
     assert op.space == space
     path = tmp_path / "op.llop"
     save_operator(op, path)
@@ -623,10 +623,10 @@ def test_operator_round_trip(tmp_path):
         save_operator(op, path)
         back = load_operator(path)
         assert np.array_equal(back.entries, op.entries)
-        assert np.array_equal(back.nodes, op.nodes)
+        assert np.array_equal(back.rule.nodes, op.rule.nodes)
         assert back.t == op.t
-        assert back.grid_shape == op.grid_shape
-        assert back.spacing == op.spacing
+        assert back.rule.grid_shape == op.rule.grid_shape
+        assert back.rule.spacing == op.rule.spacing
         assert back.space == op.space
 
 
@@ -655,7 +655,7 @@ _GOLDEN_BLOCKS = {
 @pytest.mark.parametrize("case", sorted(_GOLDEN_BLOCKS))
 def test_parameter_blocks_are_golden_bytes(tmp_path, case):
     metric, emb, kernel, measure = _GOLDEN_BLOCKS[case]
-    op, _, _ = build_operator(metric, UniformDensity(), 4, 0.5, emb)
+    op, _ = build_operator(metric, UniformDensity(), 4, 0.5, emb)
     path = tmp_path / "op.llop"
     save_operator(op, path)
     blob = path.read_bytes()
@@ -664,7 +664,7 @@ def test_parameter_blocks_are_golden_bytes(tmp_path, case):
     assert blob[6:8] == bytes([emb is not None, measure[0]])  # mode and chart tags
     back = load_operator(path)
     assert back.space == (metric if emb is None else emb)
-    assert back.measure_metric == metric
+    assert back.rule.metric == metric
 
 
 def test_load_rejects_truncated_file(tmp_path):
@@ -695,6 +695,52 @@ def test_load_rejects_grid_shape_node_count_mismatch(tmp_path, grid_shape):
     path.write_bytes(bytes(blob))
     with pytest.raises(MalformedOperatorError, match="node count"):
         load_operator(path)
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_PAIRS))
+def test_loaded_rule_is_the_assembled_rule_bitwise(tmp_path, case):
+    metric, emb = _CLI_PAIRS[case]
+    op, _ = build_operator(metric, CosineBump(0.4, "v"), 8, 0.5, emb)
+    path = tmp_path / "op.llop"
+    save_operator(op, path)
+    back, rule = load_operator(path).rule, op.rule
+    assert back.nodes.tobytes() == rule.nodes.tobytes()
+    assert back.weights.tobytes() == rule.weights.tobytes()
+    assert back.grid_shape == rule.grid_shape
+    assert back.spacing == rule.spacing
+    assert back.metric == rule.metric
+
+
+def _save_on_rule(path, metric, nodes, grid_shape, spacing):
+    """Assemble and save an operator on a hand-made rule that build_grid never makes."""
+    weights = np.full(len(nodes), spacing[0] * spacing[1])
+    rule = QuadratureRule(metric, nodes, weights, grid_shape, spacing)
+    save_operator(assemble_continuous(metric, normalize_density(UniformDensity(), rule),
+                                      rule, 0.5), path)
+
+
+def test_load_rejects_an_odd_grid(tmp_path):
+    from laplab.errors import MalformedOperatorError
+
+    axis = 2 * math.pi * np.arange(5) / 5
+    nodes = np.column_stack([np.repeat(axis, 5), np.tile(axis, 5)])
+    _save_on_rule(tmp_path / "op.llop", TorusMetric.flat(), nodes, (5, 5), (axis[1], axis[1]))
+    with pytest.raises(MalformedOperatorError, match="even"):
+        load_operator(tmp_path / "op.llop")
+
+
+def test_load_rejects_a_one_row_grid_without_building_it(tmp_path, monkeypatch):
+    import laplab.operators as operators
+    from laplab.errors import MalformedOperatorError
+
+    grid = build_grid(TorusMetric.flat(), 4)
+    path = tmp_path / "op.llop"
+    _save_on_rule(path, grid.metric, grid.nodes, (1, 16), grid.spacing)
+    calls = []
+    monkeypatch.setattr(operators, "build_grid", lambda *args: calls.append(args))
+    with pytest.raises(MalformedOperatorError, match="1x16"):
+        load_operator(path)
+    assert calls == []
 
 
 @pytest.mark.parametrize("tag", [2, 255])

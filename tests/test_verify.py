@@ -14,7 +14,7 @@ from laplab import verify
 from laplab.discretization import UniformDensity, build_grid, normalize_density, sample_points
 from laplab.errors import InvalidParameterError
 from laplab.geometry import TorusMetric, sq_dist
-from laplab.operators import continuous_value
+from laplab.operators import build_operator, continuous_value, operator_distance
 from laplab.verify import (
     ScenarioConfig,
     _eval_points,
@@ -39,6 +39,19 @@ def test_s1_intrinsic_separation_and_monotonicity():
     gaps = [float(v) for v in r.measurements["distance_by_anisotropy"].values()]
     assert gaps == sorted(gaps)
     assert r.discrepancies["operator_distance"] > 1e-3
+
+
+def test_flat_aniso_gap_crosses_the_s1_s3_gate_between_grids_40_and_64():
+    # every entry of L carries its cell weight (2 pi / N)^2, so the largest
+    # entrywise gap shrinks as 1/N^2: the "> 1e-3" gates of S1 and S3 hold
+    # at t = 0.5 up to grid 40 and fail from grid 44 up
+    gaps = {}
+    for grid in (40, 64):
+        flat, _ = build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
+        aniso, _ = build_operator(TorusMetric.anisotropic(2.0), UniformDensity(), grid, 0.5)
+        gaps[grid] = operator_distance(flat, aniso)
+    assert gaps[40] == pytest.approx(1.18e-3, rel=5e-3) and gaps[40] > 1e-3
+    assert gaps[64] == pytest.approx(4.61e-4, rel=5e-3) and gaps[64] < 1e-3
 
 
 def test_s2_round_trip_is_exact_to_rounding():
