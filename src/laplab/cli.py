@@ -145,6 +145,18 @@ def _bare(text: str) -> None:
         raise ValueError(f"{name} takes no parameter, got {text!r}")
 
 
+def _numbers(flag: str, grammar: str, text: str, count: int) -> list[float]:
+    """text as count ':'-separated numbers, or an error naming flag and grammar."""
+    parts = text.split(":")
+    try:
+        if len(parts) == count:
+            return [float(part) for part in parts]
+    except ValueError:
+        pass
+    need = ("one number", "two numbers")[count - 1]
+    raise ValueError(f"{flag} {grammar} needs {need}, got {text!r}")
+
+
 def _parse_metric(text: str):
     from .geometry import SphereMetric, TorusMetric
 
@@ -153,11 +165,11 @@ def _parse_metric(text: str):
         _bare(text)
         return TorusMetric.flat()
     if name == "aniso":
-        return TorusMetric.anisotropic(float(rest))
+        return TorusMetric.anisotropic(*_numbers("--metric", "aniso:<a>", rest, 1))
     if name == "scaled":
-        return TorusMetric.scaled_flat(float(rest))
+        return TorusMetric.scaled_flat(*_numbers("--metric", "scaled:<c>", rest, 1))
     if name == "sphere":
-        return SphereMetric(float(rest) if rest else 1.0)
+        return SphereMetric(*_numbers("--metric", "sphere:<R>", rest or "1", 1))
     raise ValueError(f"unknown metric {text!r}")
 
 
@@ -169,8 +181,7 @@ def _parse_embedding(text: str):
         _bare(text)
         return CliffordTorus()
     if name == "donut":
-        major, _, minor = rest.partition(":")
-        return DonutTorus(float(major), float(minor))
+        return DonutTorus(*_numbers("--embedding", "donut:<R>:<r>", rest, 2))
     if name == "sphere":
         _bare(text)
         return UnitSphere()
@@ -186,7 +197,7 @@ def _parse_density(text: str):
         return UniformDensity()
     if name == "cosine":
         alpha, _, axis = rest.partition(":")
-        return CosineBump(float(alpha), axis or "u")
+        return CosineBump(*_numbers("--density", "cosine:<alpha>:<axis>", alpha, 1), axis or "u")
     raise ValueError(f"unknown density {text!r}")
 
 

@@ -11,10 +11,13 @@ the grid and the sampler keep their points out of a small guard band around
 them.
 
 Everything here is exact up to rounding: no geometry is discretized in this
-module.  Each squared distance has one row-block kernel, which sq_dist_rows
-and torus_grid_rows hand to operator assembly 16 rows at a time and the
-pairwise *_sq_* functions run over a whole table.  Kernels sum in a fixed
-order, so bits depend neither on the block size nor on numpy's reductions.
+module.  Each squared distance has one row-block kernel.  sq_dist_rows and
+torus_grid_rows make what it shares (embeddings, column copies, per-axis
+tables) once and hand operator assembly a function of a row range, which
+fills 16 rows at a time with scratch of its own, so that ranges can run on
+separate threads; the pairwise *_sq_* functions run one range over a whole
+table.  Kernels sum in a fixed order, so bits depend neither on the range,
+nor on the block size, nor on numpy's reductions.
 A space is a Metric (geodesic distance) or an Embedding (chord distance);
 sq_dist and sq_dist_rows take either.
 """
@@ -171,11 +174,12 @@ Metric = Union[TorusMetric, SphereMetric]
 # ---------------------------------------------------------------------------
 
 
-def _blocks(n: int, m: int, k: int):
-    """(lo, hi, scratch) per _ROWS-row block of n rows; scratch is k (hi - lo, m) arrays."""
-    buf = np.empty((k, min(_ROWS, n), m))
-    for lo in range(0, n, _ROWS):
-        yield lo, min(lo + _ROWS, n), buf[:, :n - lo]
+def _blocks(start: int, stop: int, m: int, k: int):
+    """(lo, hi, scratch) per _ROWS-row block of rows start:stop; scratch is k (hi - lo, m)
+    arrays of this range's own."""
+    buf = np.empty((k, min(_ROWS, stop - start), m))
+    for lo in range(start, stop, _ROWS):
+        yield lo, min(lo + _ROWS, stop), buf[:, :stop - lo]
 
 
 def _wrap_min(coef: float, d: np.ndarray, out, y) -> np.ndarray:
@@ -211,40 +215,50 @@ def _keep_apart(o: np.ndarray, diff) -> None:
 
 def _torus_rows(metric: TorusMetric, p: np.ndarray, q: np.ndarray, out: np.ndarray):
     qu, qv = np.ascontiguousarray(q[:, 0]), np.ascontiguousarray(q[:, 1])
-    for lo, hi, (du, dv, x) in _blocks(len(p), len(q), 3):
-        o = out[lo:hi]
-        np.subtract(p[lo:hi, 0, None], qu, out=du)
-        np.subtract(p[lo:hi, 1, None], qv, out=dv)
-        if metric.F == 0.0:
-            _wrap_min(metric.E, du, o, x)
-            o += _wrap_min(metric.G, dv, du, x)
-        else:  # the coupled form's minimum over the square of shifts it can reach
-            s = metric.shift_range()
-            o[...] = np.inf
-            for a in range(-s, s + 1):
-                np.add(du, a * TWO_PI, out=x)
-                for b in range(-s, s + 1):
-                    y = dv + b * TWO_PI
-                    np.minimum(o, metric.E * x * x + 2.0 * metric.F * x * y + metric.G * y * y,
-                               out=o)
-        # a Monte-Carlo row almost never holds a zero: one pass to rule it out
-        if not o.all():
-            _keep_apart(o, lambda i, j: (p[lo + i, 0] - qu[j], p[lo + i, 1] - qv[j]))
-        yield lo, hi
+
+    def rows(start: int, stop: int):
+        for lo, hi, (du, dv, x) in _blocks(start, stop, len(q), 3):
+            o = out[lo:hi]
+            np.subtract(p[lo:hi, 0, None], qu, out=du)
+            np.subtract(p[lo:hi, 1, None], qv, out=dv)
+            if metric.F == 0.0:
+                _wrap_min(metric.E, du, o, x)
+                o += _wrap_min(metric.G, dv, du, x)
+            else:  # the coupled form's minimum over the square of shifts it can reach
+                s = metric.shift_range()
+                o[...] = np.inf
+                for a in range(-s, s + 1):
+                    np.add(du, a * TWO_PI, out=x)
+                    for b in range(-s, s + 1):
+                        y = dv + b * TWO_PI
+                        np.minimum(o, metric.E * x * x + 2.0 * metric.F * x * y
+                                   + metric.G * y * y, out=o)
+            # a Monte-Carlo row almost never holds a zero: one pass to rule it out
+            if not o.all():
+                _keep_apart(o, lambda i, j: (p[lo + i, 0] - qu[j], p[lo + i, 1] - qv[j]))
+            yield lo, hi
+
+    return rows
 
 
 def torus_grid_rows(metric: TorusMetric, u: np.ndarray, v: np.ndarray, out: np.ndarray):
     """sq_dist_rows of a diagonal metric on the grid u x v (u slowest): entry
-    ((a, c), (b, d)) adds the wrap minima of u_a - u_b and v_c - v_d, same bits."""
+    ((a, c), (b, d)) adds the wrap minima of u_a - u_b and v_c - v_d, same bits.
+    The two per-axis tables are made here, once, for every range."""
     nu, nv = len(u), len(v)
     a = _wrap_min(metric.E, np.subtract.outer(u, u), *np.empty((2, nu, nu)))
     b = _wrap_min(metric.G, np.subtract.outer(v, v), *np.empty((2, nv, nv)))
-    for lo, hi, _ in _blocks(nu * nv, 0, 0):
-        r = np.arange(lo, hi)
-        np.add(a[r // nv, :, None], b[r % nv, None, :], out=out[lo:hi].reshape(-1, nu, nv))
-        _keep_apart(out[lo:hi], lambda i, j: (u[(lo + i) // nv] - u[j // nv],
-                                              v[(lo + i) % nv] - v[j % nv]))
-        yield lo, hi
+
+    def rows(start: int, stop: int):
+        for lo, hi, _ in _blocks(start, stop, 0, 0):
+            r = np.arange(lo, hi)
+            np.add(a[r // nv, :, None], b[r % nv, None, :],
+                   out=out[lo:hi].reshape(-1, nu, nv))
+            _keep_apart(out[lo:hi], lambda i, j: (u[(lo + i) // nv] - u[j // nv],
+                                                  v[(lo + i) % nv] - v[j % nv]))
+            yield lo, hi
+
+    return rows
 
 
 def _sphere_rows(radius: float, p: np.ndarray, q: np.ndarray, out: np.ndarray):
@@ -252,26 +266,36 @@ def _sphere_rows(radius: float, p: np.ndarray, q: np.ndarray, out: np.ndarray):
     # whose bits differ from those of a @ b.T
     a, b = embed_many(UnitSphere(), p), embed_many(UnitSphere(), q)
     cols = b.T.copy()
-    for lo, hi, (c, x) in _blocks(len(a), len(b), 2):
-        if lo % _DOT_ROWS == 0:
-            dot = None  # free the last products before making the next
-            dot = a[lo:lo + _DOT_ROWS] @ b.T
-        blk, o = a[lo:hi], out[lo:hi]
-        o[...] = 0.0
-        for i, j in ((1, 2), (2, 0), (0, 1)):
-            np.multiply(blk[:, i, None], cols[j], out=c)
-            c -= np.multiply(blk[:, j, None], cols[i], out=x)
-            o += np.square(c, out=c)
-        np.sqrt(o, out=o)
-        np.arctan2(o, dot[lo % _DOT_ROWS:][:hi - lo], out=o)
-        o *= radius
-        o *= o
-        yield lo, hi
+
+    def rows(start: int, stop: int):
+        for lo, hi, (c, x) in _blocks(start, stop, len(b), 2):
+            if lo % _DOT_ROWS == 0:
+                dot = None  # free the last products before making the next
+                dot = a[lo:lo + _DOT_ROWS] @ b.T
+            blk, o = a[lo:hi], out[lo:hi]
+            o[...] = 0.0
+            for i, j in ((1, 2), (2, 0), (0, 1)):
+                np.multiply(blk[:, i, None], cols[j], out=c)
+                c -= np.multiply(blk[:, j, None], cols[i], out=x)
+                o += np.square(c, out=c)
+            np.sqrt(o, out=o)
+            np.arctan2(o, dot[lo % _DOT_ROWS:][:hi - lo], out=o)
+            o *= radius
+            o *= o
+            yield lo, hi
+
+    return rows
 
 
 def sq_dist_rows(space: Space, p: np.ndarray, q: np.ndarray, out):
     """Squared geodesic (metric) or chord (embedding) distances of float64 p, q into
-    out, _ROWS rows at a time: yields (lo, hi) once out[lo:hi] holds them."""
+    out, by row range: returns rows(start, stop), a generator that yields (lo, hi)
+    per _ROWS-row block of out[start:stop] once out[lo:hi] holds them.
+
+    What every range reads (embeddings, column copies) is made here, once, and
+    only read after; each range allocates its own scratch.  So ranges whose
+    starts are multiples of _DOT_ROWS may run at once on separate threads, and
+    the bits depend on neither the ranges nor the blocks."""
     if isinstance(space, TorusMetric):
         return _torus_rows(space, p, q, out)
     if isinstance(space, SphereMetric):
@@ -280,10 +304,10 @@ def sq_dist_rows(space: Space, p: np.ndarray, q: np.ndarray, out):
 
 
 def _table(rows, space, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The whole (n, m) table of a row-block generator."""
+    """The whole (n, m) table of a row-range kernel, as one range."""
     p, q = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (p, q))
     out = np.empty((len(p), len(q)))
-    for _ in rows(space, p, q, out):
+    for _ in rows(space, p, q, out)(0, len(p)):
         pass
     return out
 
@@ -373,12 +397,16 @@ def embed_many(embedding: Embedding, p: np.ndarray) -> np.ndarray:
 def _ambient_rows(embedding: Embedding, p: np.ndarray, q: np.ndarray, out: np.ndarray):
     a = embed_many(embedding, p)
     cols = embed_many(embedding, q).T.copy()
-    for lo, hi, (x, y) in _blocks(len(a), cols.shape[1], 2):
-        blk, o = a[lo:hi], out[lo:hi]
-        np.add(_diff_sq(blk, cols, 0, o), _diff_sq(blk, cols, 2, x), out=o)
-        rest = _diff_sq(blk, cols, 1, x)
-        o += rest if len(cols) == 3 else np.add(rest, _diff_sq(blk, cols, 3, y), out=rest)
-        yield lo, hi
+
+    def rows(start: int, stop: int):
+        for lo, hi, (x, y) in _blocks(start, stop, cols.shape[1], 2):
+            blk, o = a[lo:hi], out[lo:hi]
+            np.add(_diff_sq(blk, cols, 0, o), _diff_sq(blk, cols, 2, x), out=o)
+            rest = _diff_sq(blk, cols, 1, x)
+            o += rest if len(cols) == 3 else np.add(rest, _diff_sq(blk, cols, 3, y), out=rest)
+            yield lo, hi
+
+    return rows
 
 
 def _diff_sq(a: np.ndarray, cols: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:

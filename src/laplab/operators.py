@@ -16,8 +16,10 @@ finite and positive (about 7.5e-155 < t < 1.3e154).
 bandwidth and optional embedding to an operator: grid, normalized density,
 dense assembly.  Dense assembly takes each block of rows from squared
 distances (per-axis tables for a diagonal torus metric on a tensor grid) to
-entries of L while it sits in cache, in the order of the formula.  It is
-capped at 64^2 nodes.  Above
+entries of L while it sits in cache, in the order of the formula.  Its rows
+split into contiguous ranges, one per CPU the process may run on and at most
+one per 1024 rows, that run on threads; the bits do not depend on the split.
+It is capped at 64^2 nodes.  Above
 that, and for reference values at arbitrary chart points, `continuous_value`
 evaluates single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
@@ -38,6 +40,7 @@ import dataclasses
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,6 +50,7 @@ from .discretization import (Density, QuadratureRule, build_grid, density_values
                              normalize_density)
 from .errors import InvalidParameterError, MalformedOperatorError, NodeMismatchError
 from .geometry import (
+    _DOT_ROWS,
     TWO_PI,
     CliffordTorus,
     DonutTorus,
@@ -103,29 +107,18 @@ def _node_sq_dist(space: Space, rule: QuadratureRule, out: np.ndarray):
     return sq_dist_rows(space, x, x, out)
 
 
-def assemble_continuous(
-    space: Space,
-    density: Density,
-    rule: QuadratureRule,
-    t: float,
-) -> OperatorMatrix:
-    """Assemble the dense quadrature approximation of the kernel operator of space.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the system has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The density must be normalized against `rule`, and space must live on
-    the chart of rule.metric.  Bandwidth t must pass _check_bandwidth.
-    Refuses grids beyond 64^2 nodes; use continuous_value there.
-    """
-    _check_chart(space, rule.metric)
-    _check_bandwidth(t)
-    if rule.n > DENSE_NODE_CAP:
-        raise InvalidParameterError(
-            f"dense assembly is capped at {DENSE_NODE_CAP} nodes (got {rule.n}); "
-            "matrix-free evaluation handles larger grids"
-        )
-    pw = density_values(density, rule.nodes) * rule.weights
-    n, c, dead = rule.n, t ** -2.0, 0
-    w = np.empty((n, n))
-    for lo, hi in _node_sq_dist(space, rule, w):
+
+def _fill_rows(blocks, w: np.ndarray, pw: np.ndarray, t: float) -> int:
+    """Turn each block of squared distances in w into rows of L, in place, in the
+    order of the formula; returns how many of its rows have no off-diagonal weight."""
+    n, c, dead = len(w), t ** -2.0, 0
+    for lo, hi in blocks:
         blk = w[lo:hi]
         diag = blk.reshape(-1)[lo::n + 1]  # entries (i, i) of these rows
         # a quotient that overflows is -inf, whose exp is the 0 it would round to anyway
@@ -138,8 +131,63 @@ def assemble_continuous(
         dead += int((blk.max(axis=1) == 0.0).sum())
         blk *= -c
         diag[...] = c * (deg - diag_w)
+    return dead
 
-    warning = None
+
+def assemble_continuous(
+    space: Space,
+    density: Density,
+    rule: QuadratureRule,
+    t: float,
+) -> OperatorMatrix:
+    """Assemble the dense quadrature approximation of the kernel operator of space.
+
+    The density must be normalized against `rule`, and space must live on
+    the chart of rule.metric.  Bandwidth t must pass _check_bandwidth.
+    Refuses grids beyond 64^2 nodes; use continuous_value there.
+
+    The n rows split into k = max(1, min(CPUs, n // 1024)) contiguous ranges
+    that start on multiples of _DOT_ROWS.  k - 1 of them run on threads, the
+    first on the caller's; every entry gets the same operations whatever k is,
+    so the bits do not depend on it.  Only this thread calls a public laplab
+    function.  A range that raises is raised here once every range has stopped.
+    """
+    _check_chart(space, rule.metric)
+    _check_bandwidth(t)
+    if rule.n > DENSE_NODE_CAP:
+        raise InvalidParameterError(
+            f"dense assembly is capped at {DENSE_NODE_CAP} nodes (got {rule.n}); "
+            "matrix-free evaluation handles larger grids"
+        )
+    pw = density_values(density, rule.nodes) * rule.weights
+    n = rule.n
+    w = np.empty((n, n))
+    rows = _node_sq_dist(space, rule, w)
+    # each range holds a _DOT_ROWS x n product on the sphere: k of them stay
+    # within half a table
+    k = max(1, min(_cpus(), n // 1024))
+    bounds = [_DOT_ROWS * round(i * n / (k * _DOT_ROWS)) for i in range(k)] + [n]
+    counts, errors = [0] * k, [None] * k
+
+    def run(i: int) -> None:
+        try:
+            counts[i] = _fill_rows(rows(bounds[i], bounds[i + 1]), w, pw, t)
+        except Exception as exc:  # raised by the caller once every range has stopped
+            errors[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
+    for worker in workers:
+        worker.start()
+    try:
+        run(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+    dead, warning = sum(counts), None
     if dead:
         warning = (
             f"{dead} rows have fully underflowed off-diagonal kernels; "

@@ -168,6 +168,29 @@ def test_selector_without_parameters_refuses_a_suffix(tmp_path, capsys, monkeypa
     assert os.listdir(tmp_path) == []
 
 
+_NUMERIC_SELECTOR_ERRORS = [
+    (["--metric", "aniso"], "--metric aniso:<a> needs one number, got ''"),
+    (["--metric", "aniso:x"], "--metric aniso:<a> needs one number, got 'x'"),
+    (["--metric", "scaled:2:3"], "--metric scaled:<c> needs one number, got '2:3'"),
+    (["--metric", "sphere:1:2"], "--metric sphere:<R> needs one number, got '1:2'"),
+    (["--mode", "extrinsic", "--embedding", "donut:2"],
+     "--embedding donut:<R>:<r> needs two numbers, got '2'"),
+    (["--mode", "extrinsic", "--embedding", "donut:2:1:3"],
+     "--embedding donut:<R>:<r> needs two numbers, got '2:1:3'"),
+    (["--density", "cosine"], "--density cosine:<alpha>:<axis> needs one number, got ''"),
+    (["--density", "cosine::v"], "--density cosine:<alpha>:<axis> needs one number, got ''"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _NUMERIC_SELECTOR_ERRORS,
+                         ids=[argv[-1] for argv, _ in _NUMERIC_SELECTOR_ERRORS])
+def test_numeric_selector_errors_name_the_flag_and_grammar(tmp_path, capsys, argv, message):
+    rc = main(["assemble", "--grid", "4", *argv, "--out", str(tmp_path / "x.llop")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_assemble_write_leaves_the_old_operator(tmp_path, capsys, monkeypatch):
     # the disk fills while the entries are written: the old file keeps its bytes
     import errno

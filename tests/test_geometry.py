@@ -316,7 +316,7 @@ def test_torus_distance_of_unreduced_points_is_bitwise_three_wraps(coef):
 
 def _grid_table(metric, u, v):
     out = np.empty((len(u) * len(v),) * 2)
-    blocks = list(torus_grid_rows(metric, u, v, out))
+    blocks = list(torus_grid_rows(metric, u, v, out)(0, len(out)))
     assert blocks == [(lo, min(lo + 16, len(out))) for lo in range(0, len(out), 16)]
     return out
 

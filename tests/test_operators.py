@@ -6,12 +6,22 @@ diagonal makes rows sum to zero.  Tests recompute entries by hand from
 that formula and from hand-evaluated distances.
 """
 
+import json
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
+import threading
+import types
+import warnings
 
 import numpy as np
 import pytest
 
+import laplab.geometry as geometry
+import laplab.operators as operators
 from laplab.discretization import (
     CosineBump,
     QuadratureRule,
@@ -782,3 +792,206 @@ def test_matrix_round_trip(tmp_path):
     assert back.shape == m.shape
     assert np.array_equal(np.isnan(back), np.isnan(m))
     assert np.array_equal(back[~np.isnan(m)], m[~np.isnan(m)])
+
+
+# --- parallel assembly: row ranges on threads --------------------------------------
+
+_PARALLEL_CASES = {**_CLI_PAIRS, "intrinsic-coupled": (TorusMetric(2.0, 0.7, 1.0), None)}
+
+
+def _force_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(operators, "_cpus", lambda: cpus)
+
+
+def _spy_ranges(monkeypatch):
+    """The (start, stop) row ranges assembly asks the diagonal torus kernel for."""
+    ranges, table = [], operators.torus_grid_rows
+
+    def spy(*args):
+        rows = table(*args)
+
+        def recorded(start, stop):
+            ranges.append((start, stop))  # one append per range, atomic under the GIL
+            return rows(start, stop)
+        return recorded
+
+    monkeypatch.setattr(operators, "torus_grid_rows", spy)
+    return ranges
+
+
+@pytest.mark.parametrize("grid, cpus, ranges", [
+    (32, 8, [(0, 1024)]),  # n <= 1024 starts no thread
+    (46, 8, [(0, 1024), (1024, 2116)]),  # at most n // 1024 workers
+    (64, 1, [(0, 4096)]),
+    (64, 2, [(0, 2048), (2048, 4096)]),
+    (64, 3, [(0, 1536), (1536, 2560), (2560, 4096)]),
+    (64, 8, [(0, 1024), (1024, 2048), (2048, 3072), (3072, 4096)]),
+])
+def test_rows_split_into_ranges_on_dot_product_bounds(monkeypatch, grid, cpus, ranges):
+    _force_cpus(monkeypatch, cpus)
+    seen = _spy_ranges(monkeypatch)
+    started = []
+
+    class Thread(operators.threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(operators, "threading", types.SimpleNamespace(Thread=Thread))
+    build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
+    assert sorted(seen) == ranges and len(started) == len(ranges) - 1
+    assert all(start % geometry._DOT_ROWS == 0 for start, _ in ranges)
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("grid", [46, 64])
+@pytest.mark.parametrize("case", sorted(_PARALLEL_CASES))
+def test_bits_do_not_depend_on_the_worker_count(monkeypatch, case, grid):
+    # 1, 2, 3 and 8 CPUs make 1 to 4 ranges at grid 64 and 1 or 2 at grid 46,
+    # where the sphere's n = 2070 is a multiple of neither 16 nor 512; grid 32
+    # takes one range whatever the count (see above).  Each count is built
+    # once, and the coupled form, which searches 25 lattice shifts and takes
+    # 3 s per grid-64 build, with one and three ranges there at t = 0.5.
+    metric, emb = _PARALLEL_CASES[case]
+    rule = build_grid(metric, grid)
+    p = normalize_density(CosineBump(0.4, "u"), rule)
+    space = metric if emb is None else emb
+    counts, ts = sorted({min(cpus, rule.n // 1024) for cpus in (1, 2, 3, 8)}), (0.5, 0.01)
+    if grid == 64 and case == "intrinsic-coupled":
+        counts, ts = [1, 3], (0.5,)
+    for t in ts:
+        ref = None
+        for count in counts:
+            _force_cpus(monkeypatch, count)
+            op = assemble_continuous(space, p, rule, t)
+            if ref is None:
+                ref = op
+            else:
+                assert np.array_equal(op.entries.view(np.uint64), ref.entries.view(np.uint64))
+                assert op.warning == ref.warning
+            del op
+
+
+def test_a_failing_range_raises_after_every_range_stopped(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    kernel = geometry._ambient_rows
+
+    def failing(*args):
+        rows = kernel(*args)
+
+        def ranges(start, stop):
+            if start > 0:  # the second range, on a worker thread
+                raise Boom(start)
+            return rows(start, stop)
+        return ranges
+
+    monkeypatch.setattr(geometry, "_ambient_rows", failing)
+    _force_cpus(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(Boom, match="^1024$"):
+        build_operator(TorusMetric.flat(), UniformDensity(), 46, 0.5, DonutTorus(2.0, 1.0))
+    assert threading.active_count() == before
+
+
+def test_overflowing_quotient_on_a_worker_range_warns_nothing(monkeypatch):
+    # squared distance / t overflows at this radius on every range; each worker
+    # ignores it as the caller's thread does, and the dead rows add up
+    warned = []
+    for cpus in (1, 2):
+        _force_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            op, _ = build_operator(SphereMetric(3.7e153), UniformDensity(), 46, 0.5)
+        warned += [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert op.warning == _underflow_warning(op.n, 0.5)
+    assert warned == []
+
+
+def test_ranges_switching_every_microsecond_lose_no_dead_row(monkeypatch):
+    # three ranges on two cores, the interpreter lock handed over as often as
+    # it can be: every row of this radius is dead, so a lost count shows
+    _force_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        op, _ = build_operator(SphereMetric(3.7e153), UniformDensity(), 64, 0.5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert op.n // 1024 == 3 and op.warning == _underflow_warning(op.n, 0.5)
+
+
+def test_threaded_build_peak_memory_is_within_its_bound(monkeypatch):
+    import tracemalloc
+
+    # two ranges hold one 512-row block of a . b each: half a table at n = 2070
+    _force_cpus(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        op, _ = build_operator(SphereMetric(1.0), CosineBump(0.4, "u"), 46, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * op.n**2, peak / (8 * op.n**2)
+
+
+# a child process installs the benchmark's tracer, which rebinds laplab's
+# public functions, so no other test sees the wrapped package
+_TRACED_BUILDS = r"""
+import importlib.util, json, pathlib, sys
+
+import laplab
+import laplab.operators
+
+tracing_path, out = sys.argv[1], pathlib.Path(sys.argv[2])
+spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_path)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+laplab.operators._cpus = lambda: 2
+tracer = tracing.Tracer()
+tracer.install(laplab)
+import laplab.cli
+
+for args in (["--metric", "sphere:1.0"],
+             ["--mode", "extrinsic", "--embedding", "donut:2:1"],
+             ["--metric", "aniso:1.5"]):
+    code = laplab.cli.main(["assemble", "--grid", "46", *args, "--out", str(out / "x.llop")])
+    assert code == 0, code
+(out / "spans.json").write_text(json.dumps(tracer.spans))
+tracing.summarize(tracer.spans)
+print("summarized")
+"""
+
+
+def test_traced_threaded_builds_keep_one_span_tree(tmp_path):
+    root = pathlib.Path(__file__).parents[1]
+    src = os.path.dirname(os.path.dirname(operators.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACED_BUILDS, str(root / "perfbench" / "tracing.py"),
+             str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+        summarized = proc.stdout.endswith("\nsummarized\n")
+        assert proc.returncode == 0, proc.stderr
+    except subprocess.TimeoutExpired:
+        summarized = False
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    parent = {span[0]: span[1] for span in spans}
+    for sid in parent:  # a parent cycle would revisit a span on the way up
+        seen, up = set(), sid
+        while up >= 0:
+            assert up not in seen, f"span {sid} has a parent cycle"
+            seen.add(up)
+            up = parent[up]
+    names = [span[2] for span in spans]
+    assert names.count("geometry.embed_many") == 4 and "geometry.torus_grid_rows" in names
+    for sid, _, name, *_ in spans:
+        if name.startswith("geometry."):
+            up, above = parent[sid], set()
+            while up >= 0:
+                above.add(names[up])
+                up = parent[up]
+            assert "operators.assemble_continuous" in above, name
+    assert summarized
