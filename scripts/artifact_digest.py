@@ -19,8 +19,9 @@ change kept every byte.  The set:
 Grids are 16, 32 and 64.  --small builds every kind of file from tiny inputs
 (grids 8 and 18, `verify --scenario S2 --grid 8`, short studies) in about a
 second, for a smoke test.  The manifest lists `sha256  name` lines sorted by
-name, as sha256sum does.  Hashes depend on the host's BLAS, LAPACK and numpy
-SIMD kernels, so compare manifests built on one machine only.
+name, as sha256sum does.  Hashes depend on numpy's own kernels (its build and
+the SIMD paths it picks for the CPU), and those of the `*_refine.json` reports
+also on LAPACK, so compare manifests built on one machine only.
 """
 
 from __future__ import annotations

@@ -10,9 +10,6 @@ Subcommands:
 Exit codes: 0 success / all scenarios pass, 1 scenario failure,
 2 bad usage or invalid parameters, 3 numerical failure during recovery.
 
---threads caps the numeric thread pools through threadpoolctl; they are
-sized when numpy loads, so without threadpoolctl installed it caps nothing
-(set OPENBLAS_NUM_THREADS and OMP_NUM_THREADS before starting instead).
 --config points at a JSON file whose keys fill in defaults; flags given on
 the command line win.
 """
@@ -35,9 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "assembly, recovery, scenario verification",
     )
     ap.add_argument("--config", help="JSON file with default values for flags")
-    ap.add_argument("--threads", type=int,
-                    help="cap BLAS/OpenMP thread pools through threadpoolctl "
-                    "(no effect without it)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("assemble", help="build and save one operator matrix")
@@ -160,7 +154,7 @@ def _numbers(flag: str, grammar: str, text: str, count: int) -> list[float]:
 def _parse_metric(text: str):
     from .geometry import SphereMetric, TorusMetric
 
-    name, _, rest = text.partition(":")
+    name, sep, rest = text.partition(":")
     if name == "flat":
         _bare(text)
         return TorusMetric.flat()
@@ -169,7 +163,9 @@ def _parse_metric(text: str):
     if name == "scaled":
         return TorusMetric.scaled_flat(*_numbers("--metric", "scaled:<c>", rest, 1))
     if name == "sphere":
-        return SphereMetric(*_numbers("--metric", "sphere:<R>", rest or "1", 1))
+        if not sep:
+            return SphereMetric(1.0)
+        return SphereMetric(*_numbers("--metric", "sphere:<R>", rest, 1))
     raise ValueError(f"unknown metric {text!r}")
 
 
@@ -333,20 +329,6 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cap_threads(count: int) -> None:
-    """Bound numeric thread pools to `count` through threadpoolctl.
-
-    The pools are sized when numpy loads, before any flag is read, so
-    without threadpoolctl installed this caps nothing.
-    """
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(count)
-    except ImportError:
-        pass
-
-
 _COMMANDS = {
     "assemble": _cmd_assemble,
     "recover": _cmd_recover,
@@ -368,10 +350,6 @@ def main(argv=None) -> int:
 
     try:
         args = _merge_config(args, argv, parser)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ValueError("--threads must be positive")
-            _cap_threads(args.threads)
         return _COMMANDS[args.command](args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

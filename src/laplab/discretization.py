@@ -147,7 +147,7 @@ def normalize_density(density: Density, rule: QuadratureRule) -> Density:
     raw = density.raw_values(rule.nodes)
     if raw.min() <= 0.0:
         raise InvalidDensityError("density is not positive at every node")
-    z = float(np.dot(raw, rule.weights))
+    z = float(np.sum(raw * rule.weights))
     if not z > 0.0:
         raise InvalidDensityError("normalizer must be positive")
     return dataclasses.replace(density, z=z)

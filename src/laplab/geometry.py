@@ -16,8 +16,9 @@ torus_grid_rows make what it shares (embeddings, column copies, per-axis
 tables) once and hand operator assembly a function of a row range, which
 fills 16 rows at a time with scratch of its own, so that ranges can run on
 separate threads; the pairwise *_sq_* functions run one range over a whole
-table.  Kernels sum in a fixed order, so bits depend neither on the range,
-nor on the block size, nor on numpy's reductions.
+table.  Kernels sum in a fixed order with elementwise numpy operations and
+call no BLAS, so bits depend neither on the range, nor on the block size,
+nor on numpy's reductions, nor on the BLAS kernel the CPU selects.
 A space is a Metric (geodesic distance) or an Embedding (chord distance);
 sq_dist and sq_dist_rows take either.
 """
@@ -39,9 +40,8 @@ TWO_PI = 2.0 * math.pi
 POLE_GUARD = 1e-6
 
 # Rows per block: 16 rows of 4096 float64 are 0.5 MiB, so a caller can
-# finish each block while it sits in L2.  BLAS rounding depends on a call's
-# shape, so the sphere's a . b stays one 512-row product, sliced into blocks.
-_ROWS, _DOT_ROWS = 16, 512
+# finish each block while it sits in L2.
+_ROWS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +262,22 @@ def torus_grid_rows(metric: TorusMetric, u: np.ndarray, v: np.ndarray, out: np.n
 
 
 def _sphere_rows(radius: float, p: np.ndarray, q: np.ndarray, out: np.ndarray):
-    # two embeddings even where q is p: a @ a.T takes BLAS's symmetric path,
-    # whose bits differ from those of a @ b.T
-    a, b = embed_many(UnitSphere(), p), embed_many(UnitSphere(), q)
-    cols = b.T.copy()
+    a = embed_many(UnitSphere(), p)
+    cols = embed_many(UnitSphere(), q).T.copy()
 
     def rows(start: int, stop: int):
-        for lo, hi, (c, x) in _blocks(start, stop, len(b), 2):
-            if lo % _DOT_ROWS == 0:
-                dot = None  # free the last products before making the next
-                dot = a[lo:lo + _DOT_ROWS] @ b.T
+        for lo, hi, (c, x, dot) in _blocks(start, stop, cols.shape[1], 3):
             blk, o = a[lo:hi], out[lo:hi]
+            np.multiply(blk[:, 0, None], cols[0], out=dot)
+            dot += np.multiply(blk[:, 1, None], cols[1], out=x)
+            dot += np.multiply(blk[:, 2, None], cols[2], out=x)
             o[...] = 0.0
             for i, j in ((1, 2), (2, 0), (0, 1)):
                 np.multiply(blk[:, i, None], cols[j], out=c)
                 c -= np.multiply(blk[:, j, None], cols[i], out=x)
                 o += np.square(c, out=c)
             np.sqrt(o, out=o)
-            np.arctan2(o, dot[lo % _DOT_ROWS:][:hi - lo], out=o)
+            np.arctan2(o, dot, out=o)
             o *= radius
             o *= o
             yield lo, hi
@@ -293,9 +291,9 @@ def sq_dist_rows(space: Space, p: np.ndarray, q: np.ndarray, out):
     per _ROWS-row block of out[start:stop] once out[lo:hi] holds them.
 
     What every range reads (embeddings, column copies) is made here, once, and
-    only read after; each range allocates its own scratch.  So ranges whose
-    starts are multiples of _DOT_ROWS may run at once on separate threads, and
-    the bits depend on neither the ranges nor the blocks."""
+    only read after; each range allocates its own scratch.  So any ranges may
+    run at once on separate threads, and the bits depend on neither the ranges
+    nor the blocks."""
     if isinstance(space, TorusMetric):
         return _torus_rows(space, p, q, out)
     if isinstance(space, SphereMetric):
@@ -335,7 +333,8 @@ def sphere_sq_geodesic(radius: float, p: np.ndarray, q: np.ndarray) -> np.ndarra
     """Pairwise squared great-circle distance, (n, m).
 
     Uses atan2(|a x b|, a.b), which stays accurate for nearly equal and
-    nearly antipodal pairs alike.  |a x b|^2 sums as (cx^2 + cy^2) + cz^2.
+    nearly antipodal pairs alike.  |a x b|^2 sums as (cx^2 + cy^2) + cz^2 and
+    a.b as (a0 b0 + a1 b1) + a2 b2.
     """
     return _table(_sphere_rows, radius, p, q)
 

@@ -467,7 +467,8 @@ def recover_density(
     mass: np.ndarray, metric_field: MetricField, cell_area: float
 ) -> np.ndarray:
     """Density values at the field's nodes: p_i = m_i / (sqrt(det g_i) dA)."""
-    det = np.linalg.det(metric_field.tensors)
+    g = metric_field.tensors
+    det = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
     if np.any(det <= 0.0):
         raise ConditioningError("recovered volume form is not positive")
     return mass[metric_field.indices] / (np.sqrt(det) * cell_area)

@@ -18,8 +18,9 @@ dense assembly.  Dense assembly takes each block of rows from squared
 distances (per-axis tables for a diagonal torus metric on a tensor grid) to
 entries of L while it sits in cache, in the order of the formula.  Its rows
 split into contiguous ranges, one per CPU the process may run on and at most
-one per 1024 rows, that run on threads; the bits do not depend on the split.
-It is capped at 64^2 nodes.  Above
+one per 1024 rows, that run on threads; the bits do not depend on the split,
+nor, since no BLAS call computes an entry, on the BLAS kernel the CPU
+selects.  It is capped at 64^2 nodes.  Above
 that, and for reference values at arbitrary chart points, `continuous_value`
 evaluates single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
@@ -50,7 +51,6 @@ from .discretization import (Density, QuadratureRule, build_grid, density_values
                              normalize_density)
 from .errors import InvalidParameterError, MalformedOperatorError, NodeMismatchError
 from .geometry import (
-    _DOT_ROWS,
     TWO_PI,
     CliffordTorus,
     DonutTorus,
@@ -147,9 +147,9 @@ def assemble_continuous(
     Refuses grids beyond 64^2 nodes; use continuous_value there.
 
     The n rows split into k = max(1, min(CPUs, n // 1024)) contiguous ranges
-    that start on multiples of _DOT_ROWS.  k - 1 of them run on threads, the
-    first on the caller's; every entry gets the same operations whatever k is,
-    so the bits do not depend on it.  Only this thread calls a public laplab
+    of about n / k rows.  k - 1 of them run on threads, the first on the
+    caller's; every entry gets the same operations whatever k is, so the bits
+    do not depend on it.  Only this thread calls a public laplab
     function.  A range that raises is raised here once every range has stopped.
     """
     _check_chart(space, rule.metric)
@@ -163,10 +163,10 @@ def assemble_continuous(
     n = rule.n
     w = np.empty((n, n))
     rows = _node_sq_dist(space, rule, w)
-    # each range holds a _DOT_ROWS x n product on the sphere: k of them stay
-    # within half a table
+    # at least 1024 rows per range, so grids up to 32 start no thread and
+    # grid 64 takes at most 4 ranges
     k = max(1, min(_cpus(), n // 1024))
-    bounds = [_DOT_ROWS * round(i * n / (k * _DOT_ROWS)) for i in range(k)] + [n]
+    bounds = [i * n // k for i in range(k + 1)]
     counts, errors = [0] * k, [None] * k
 
     def run(i: int) -> None:
@@ -243,7 +243,9 @@ def continuous_value(
     values = np.empty(len(points))
     for i, p in enumerate(points[:, None]):  # p is one (1, 2) row
         k = np.exp(sq_dist(space, p, rule.nodes)[0] / -t)
-        values[i] = t ** -2.0 * np.dot(k * pw, float(np.asarray(f(p))[0]) - f_nodes)
+        k *= pw
+        k *= float(np.asarray(f(p))[0]) - f_nodes
+        values[i] = t ** -2.0 * k.sum()
     return values
 
 

@@ -404,6 +404,13 @@ def _s5_reference(rule, density, t, points):
     return continuous_value(rule.metric, density, rule, t, _f_cos_u, points), key
 
 
+def _log_log_slope(x, y) -> float:
+    """Least-squares slope of log y against log x, in closed form."""
+    lx, ly = np.log(x), np.log(y)
+    dx = lx - lx.mean()
+    return float(np.sum(dx * (ly - ly.mean())) / np.sum(dx * dx))
+
+
 def convergence_study(
     n_values=(1000, 4000, 16000, 64000),
     n_seeds: int = 20,
@@ -443,7 +450,7 @@ def convergence_study(
     if not all(0.0 < e < math.inf for e in errors):
         raise NumericalError(f"mean Monte-Carlo errors {errors} have no log-log slope; "
                              f"bandwidth {bandwidth} is out of usable range")
-    slope = float(np.polyfit(np.log(n_values), np.log(errors), 1)[0])
+    slope = _log_log_slope(n_values, errors)
     if out_dir is not None:
         write_json({"key": key, "values": ref.tolist()},
                    os.path.join(out_dir, "s5_reference.json"), indent=None)
@@ -558,5 +565,5 @@ def stencil_order_study(grid_sizes=(16, 32, 64)) -> tuple[list, list, float]:
         g_true = np.diag([1.0, math.sin(u) ** 2])
         h_values.append(TWO_PI / n)
         errors.append(float(np.max(np.abs(g - g_true))))
-    slope = float(np.polyfit(np.log(h_values), np.log(errors), 1)[0])
+    slope = _log_log_slope(h_values, errors)
     return h_values, errors, slope

@@ -173,6 +173,7 @@ _NUMERIC_SELECTOR_ERRORS = [
     (["--metric", "aniso:x"], "--metric aniso:<a> needs one number, got 'x'"),
     (["--metric", "scaled:2:3"], "--metric scaled:<c> needs one number, got '2:3'"),
     (["--metric", "sphere:1:2"], "--metric sphere:<R> needs one number, got '1:2'"),
+    (["--metric", "sphere:"], "--metric sphere:<R> needs one number, got ''"),
     (["--mode", "extrinsic", "--embedding", "donut:2"],
      "--embedding donut:<R>:<r> needs two numbers, got '2'"),
     (["--mode", "extrinsic", "--embedding", "donut:2:1:3"],
@@ -619,7 +620,7 @@ def test_abbreviated_and_joined_flags_beat_config(tmp_path, grid_flag):
 
 
 @pytest.mark.parametrize("cfg, code", [
-    ({"threads": "2"}, 0),
+    ({"threads": "2"}, 0),  # no such flag: ignored, as any unknown key
     ({"grid": "4"}, 0),
     ({"command": "converge"}, 0),
     ({"config": "elsewhere.json"}, 0),
@@ -630,7 +631,7 @@ def test_abbreviated_and_joined_flags_beat_config(tmp_path, grid_flag):
     ({"grid": True}, 2),
     ({"grid": [4]}, 2),
     ({"mode": "bogus"}, 2),
-    ({"threads": 0}, 2),
+    ({"threads": 0}, 0),
 ])
 def test_config_values_parse_like_flags(tmp_path, capsys, cfg, code):
     path = tmp_path / "cfg.json"
@@ -699,27 +700,15 @@ def test_converge_rejects_short_n_list(tmp_path):
     assert rc == 2
 
 
-# --- threads flag -----------------------------------------------------------------
+# --- no threads flag ---------------------------------------------------------------
 
 
-def test_threads_flag_validated():
-    assert main(["--threads", "0", "verify", "--scenario", "S3",
-                 "--grid", "16"]) == 2
-
-
-def test_threads_flag_accepted(tmp_path):
-    assert main(["--threads", "1", "verify", "--scenario", "S4",
-                 "--grid", "16", "--out", str(tmp_path)]) == 0
-
-
-def test_threads_flag_leaves_the_environment_alone(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    before = dict(os.environ)
-    assert main(["--threads", "1", "assemble", "--grid", "8",
-                 "--out", str(tmp_path / "op.llop")]) == 0
-    assert dict(os.environ) == before
+def test_threads_flag_is_an_unknown_argument(tmp_path):
+    proc = run_cli("--threads", "1", "assemble", "--grid", "8",
+                   "--out", str(tmp_path / "op.llop"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ") and "Traceback" not in proc.stderr
+    assert os.listdir(tmp_path) == []
 
 
 # --- fuzzing: exit code in {0, 2, 3}, never a traceback -------------------------------

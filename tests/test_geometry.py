@@ -422,18 +422,14 @@ def _chord_sq_reference(a, b):
 
 
 def _sphere_sq_reference(radius, p, q):
-    """The out-of-place great-circle expression, in blocks of 512 rows."""
+    """The out-of-place great-circle expression over the whole table, with
+    a.b as (a0 b0 + a1 b1) + a2 b2."""
     a, b = embed_many(UnitSphere(), p), embed_many(UnitSphere(), q)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for lo in range(0, a.shape[0], 512):
-        blk = a[lo:lo + 512]
-        dot = blk @ b.T
-        cx = np.multiply.outer(blk[:, 1], b[:, 2]) - np.multiply.outer(blk[:, 2], b[:, 1])
-        cy = np.multiply.outer(blk[:, 2], b[:, 0]) - np.multiply.outer(blk[:, 0], b[:, 2])
-        cz = np.multiply.outer(blk[:, 0], b[:, 1]) - np.multiply.outer(blk[:, 1], b[:, 0])
-        theta = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dot)
-        out[lo:lo + 512] = (radius * theta) ** 2
-    return out
+    ab = [[np.multiply.outer(a[:, i], b[:, j]) for j in range(3)] for i in range(3)]
+    dot = (ab[0][0] + ab[1][1]) + ab[2][2]
+    cx, cy, cz = ab[1][2] - ab[2][1], ab[2][0] - ab[0][2], ab[0][1] - ab[1][0]
+    theta = np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), dot)
+    return (radius * theta) ** 2
 
 
 def _grid_and_random(metric, n=32, extra=300):

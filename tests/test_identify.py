@@ -404,6 +404,21 @@ def test_recover_density_direct():
     assert np.allclose(dens, 1.0 / FOUR_PI_SQ, rtol=1e-12)
 
 
+def test_recover_density_is_bitwise_the_explicit_determinant():
+    # coupled tensors (g01 != 0), where a LAPACK determinant rounds otherwise
+    from laplab.identify import MetricField
+
+    rng = np.random.default_rng(5)
+    n = 1000
+    g00, g11 = rng.uniform(0.2, 5.0, n), rng.uniform(0.2, 5.0, n)
+    g01 = rng.uniform(-0.9, 0.9, n) * np.sqrt(g00 * g11)
+    tensors = np.stack([np.stack([g00, g01], -1), np.stack([g01, g11], -1)], -2)
+    mass, idx = rng.uniform(0.5, 2.0, n + 7), rng.permutation(n + 7)[:n]
+    dens = recover_density(mass, MetricField(indices=idx, tensors=tensors), 0.01)
+    want = mass[idx] / (np.sqrt(g00 * g11 - g01 * g01) * 0.01)
+    assert np.all(g01 != 0.0) and dens.tobytes() == want.tobytes()
+
+
 # --- induced metric (extrinsic operators) ------------------------------------------
 
 

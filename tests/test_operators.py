@@ -214,19 +214,13 @@ def _wrap(coef, d):
 
 
 def _whole_table_sq_dist(space, p, q):
-    """Squared distances as 512-row table builders compute them, without laplab.geometry.
+    """Squared distances as one out-of-place whole-table expression, without
+    laplab.geometry.
 
     Torus: wrap minima per axis, or the coupled form over the lattice square.
-    Sphere: separate embeddings of p and q, |a x b|^2 as (cx^2 + cy^2) + cz^2
-    and one a . b^T product per 512 rows.  Chords: (d0^2 + d2^2) + d1^2 [+ d3^2].
+    Sphere: |a x b|^2 as (cx^2 + cy^2) + cz^2 and a . b as (a0 b0 + a1 b1) + a2 b2.
+    Chords: (d0^2 + d2^2) + d1^2 [+ d3^2].
     """
-    out = np.empty((len(p), len(q)))
-    for lo in range(0, len(p), 512):
-        out[lo:lo + 512] = _table_block(space, p[lo:lo + 512], q)
-    return out
-
-
-def _table_block(space, p, q):
     if isinstance(space, TorusMetric):
         du = p[:, 0, None] - q[None, :, 0]
         dv = p[:, 1, None] - q[None, :, 1]
@@ -242,10 +236,11 @@ def _table_block(space, p, q):
         return best
     if isinstance(space, SphereMetric):
         a, b = _embed(UnitSphere(), p), _embed(UnitSphere(), q)
-        cross = [np.multiply.outer(a[:, i], b[:, j]) - np.multiply.outer(a[:, j], b[:, i])
-                 for i, j in ((1, 2), (2, 0), (0, 1))]
+        ab = [[np.multiply.outer(a[:, i], b[:, j]) for j in range(3)] for i in range(3)]
+        cross = [ab[i][j] - ab[j][i] for i, j in ((1, 2), (2, 0), (0, 1))]
         norm = np.sqrt((cross[0] ** 2 + cross[1] ** 2) + cross[2] ** 2)
-        return (np.arctan2(norm, a @ b.T) * space.radius) ** 2
+        dot = (ab[0][0] + ab[1][1]) + ab[2][2]
+        return (np.arctan2(norm, dot) * space.radius) ** 2
     a, b = _embed(space, p), _embed(space, q)
     sq = [np.subtract.outer(a[:, k], b[:, k]) ** 2 for k in range(a.shape[1])]
     return (sq[0] + sq[2]) + (sq[1] if len(sq) == 3 else sq[1] + sq[3])
@@ -287,8 +282,7 @@ def _bit_case(case):
 
 @pytest.mark.parametrize("case, grid, ts", _BIT_CASES)
 def test_row_blocks_match_whole_table_builds_bitwise(case, grid, ts):
-    # grid 46 leaves block tails (n = 2116 and 2070 are multiples of neither
-    # 16 nor 512); 16-row dot products or a @ a.T change the sphere's bits
+    # grid 46 leaves block tails (n = 2116 and 2070 are not multiples of 16)
     metric, emb = _bit_case(case)
     rule = build_grid(metric, grid)
     p = normalize_density(CosineBump(0.4, "u"), rule)
@@ -340,8 +334,7 @@ def test_build_peak_memory_is_about_one_table():
              (TorusMetric.flat(), DonutTorus(2.0, 1.0), 1.15),
              (SphereMetric(1.0), UnitSphere(), 1.15),
              (TorusMetric.anisotropic(1.5), None, 1.15),
-             # one 512-row block of a . b is half a table at n = 992
-             (SphereMetric(1.0), None, 1.6)]
+             (SphereMetric(1.0), None, 1.15)]
     for metric, embedding, bound in cases:
         tracemalloc.start()
         try:
@@ -821,10 +814,10 @@ def _spy_ranges(monkeypatch):
 
 @pytest.mark.parametrize("grid, cpus, ranges", [
     (32, 8, [(0, 1024)]),  # n <= 1024 starts no thread
-    (46, 8, [(0, 1024), (1024, 2116)]),  # at most n // 1024 workers
+    (46, 8, [(0, 1058), (1058, 2116)]),  # at most n // 1024 workers, on no alignment
     (64, 1, [(0, 4096)]),
     (64, 2, [(0, 2048), (2048, 4096)]),
-    (64, 3, [(0, 1536), (1536, 2560), (2560, 4096)]),
+    (64, 3, [(0, 1365), (1365, 2730), (2730, 4096)]),
     (64, 8, [(0, 1024), (1024, 2048), (2048, 3072), (3072, 4096)]),
 ])
 def test_rows_split_into_ranges_on_dot_product_bounds(monkeypatch, grid, cpus, ranges):
@@ -840,7 +833,6 @@ def test_rows_split_into_ranges_on_dot_product_bounds(monkeypatch, grid, cpus, r
     monkeypatch.setattr(operators, "threading", types.SimpleNamespace(Thread=Thread))
     build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
     assert sorted(seen) == ranges and len(started) == len(ranges) - 1
-    assert all(start % geometry._DOT_ROWS == 0 for start, _ in ranges)
     assert not any(thread.is_alive() for thread in started)
 
 
@@ -890,7 +882,7 @@ def test_a_failing_range_raises_after_every_range_stopped(monkeypatch):
     monkeypatch.setattr(geometry, "_ambient_rows", failing)
     _force_cpus(monkeypatch, 2)
     before = threading.active_count()
-    with pytest.raises(Boom, match="^1024$"):
+    with pytest.raises(Boom, match="^1058$"):
         build_operator(TorusMetric.flat(), UniformDensity(), 46, 0.5, DonutTorus(2.0, 1.0))
     assert threading.active_count() == before
 
@@ -925,7 +917,6 @@ def test_ranges_switching_every_microsecond_lose_no_dead_row(monkeypatch):
 def test_threaded_build_peak_memory_is_within_its_bound(monkeypatch):
     import tracemalloc
 
-    # two ranges hold one 512-row block of a . b each: half a table at n = 2070
     _force_cpus(monkeypatch, 2)
     tracemalloc.start()
     try:
@@ -933,7 +924,7 @@ def test_threaded_build_peak_memory_is_within_its_bound(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * 8 * op.n**2, peak / (8 * op.n**2)
+    assert peak <= 1.15 * 8 * op.n**2, peak / (8 * op.n**2)
 
 
 # a child process installs the benchmark's tracer, which rebinds laplab's

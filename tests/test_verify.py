@@ -235,6 +235,21 @@ def test_convergence_csv_has_config_echo_and_slope_footer(tmp_path):
 # --- stencil order sweep ----------------------------------------------------------
 
 
+def test_log_log_slope_is_polyfit_to_rounding():
+    # the study's sample sizes and the sweep's spacings, then random fits whose
+    # log x lie at least 0.05 apart
+    rng = np.random.default_rng(3)
+    cases = [((1000, 4000, 16000, 64000), (0.031, 0.016, 0.0081, 0.0039)),
+             ((2 * math.pi / 16, 2 * math.pi / 32, 2 * math.pi / 64), (3.2e-3, 8.0e-4, 2.0e-4))]
+    while len(cases) < 500:
+        x = np.sort(np.exp(rng.uniform(-5.0, 12.0, rng.integers(3, 9))))
+        if np.min(np.diff(np.log(x))) >= 0.05:
+            cases.append((x, np.exp(rng.uniform(-14.0, 7.0, len(x)))))
+    for x, y in cases:
+        want = np.polyfit(np.log(x), np.log(y), 1)[0]
+        assert abs(verify._log_log_slope(x, y) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_stencil_order_is_two_on_sphere_distances():
     h, errors, slope = stencil_order_study()
     assert len(h) == len(errors) == 3
