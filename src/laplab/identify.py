@@ -389,25 +389,12 @@ class _PairDistances:
 def _neighbor_indices(rule: QuadratureRule, steps: int):
     """Flat node indices of the four axis neighbors at +-steps, with validity;
     v wraps on both charts, u on the torus chart only."""
-    (nu, nv), periodic_u = rule.grid_shape, isinstance(rule.metric, TorusMetric)
-    a, b = np.divmod(np.arange(nu * nv), nv)
-    bp = (b + steps) % nv
-    bm = (b - steps) % nv
-    if periodic_u:
-        ap = (a + steps) % nu
-        am = (a - steps) % nu
-        ok = np.ones(nu * nv, dtype=bool)
-    else:
-        ap = a + steps
-        am = a - steps
-        ok = (ap < nu) & (am >= 0)
-        ap = np.clip(ap, 0, nu - 1)
-        am = np.clip(am, 0, nu - 1)
-    up = ap * nv + b
-    um = am * nv + b
-    vp = a * nv + bp
-    vm = a * nv + bm
-    return up, um, vp, vm, ok
+    (nu, nv), grid = rule.grid_shape, np.arange(rule.n).reshape(rule.grid_shape)
+    up, um = (np.roll(grid, s, axis=0).ravel() for s in (-steps, steps))
+    vp, vm = (np.roll(grid, s, axis=1).ravel() for s in (-steps, steps))
+    a = np.arange(nu)
+    ok = ((steps <= a) & (a < nu - steps)) | isinstance(rule.metric, TorusMetric)
+    return up, um, vp, vm, np.repeat(ok, nv)
 
 
 def _stencil_tensors(dist, rule: QuadratureRule, steps=1):

@@ -18,15 +18,14 @@ dense assembly.  Dense assembly takes each block of rows from squared
 distances (per-axis tables for a diagonal torus metric on a tensor grid) to
 entries of L while it sits in cache, in the order of the formula.  Its rows
 split into contiguous ranges, one per CPU the process may run on and at most
-one per 1024 rows, that run on threads; the bits do not depend on the split,
-nor, since no BLAS call computes an entry, on the BLAS kernel the CPU
-selects.  It is capped at 64^2 nodes.  Above
-that, and for reference values at arbitrary chart points, `continuous_value`
-evaluates single rows of the operator matrix-free.
+one per 1024 rows, the first on the caller's thread and the others on a
+thread pool; the bits do not depend on the split, nor, since no BLAS call
+computes an entry, on the BLAS kernel the CPU selects.  It is capped at 64^2
+nodes.  Above that, and for reference values at arbitrary chart points,
+`continuous_value` evaluates single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
-normalized by 1/(n t^2): it evaluates f on the cloud once and takes one 1 x n
-distance row per evaluation point.  Both evaluators take their points as an
-(m, 2) array, reduce it into [0, 2 pi) once on entry, and return m values.
+normalized by 1/(n t^2).  Both scale the m sums of one loop, `_kernel_sums`,
+which takes one 1 x n distance row per point of an (m, 2) array.
 
 An operator carries the quadrature rule it was assembled on, the one source
 of its grid.  Operators serialize to a small binary format (header + nodes +
@@ -41,7 +40,6 @@ import dataclasses
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -147,10 +145,10 @@ def assemble_continuous(
     Refuses grids beyond 64^2 nodes; use continuous_value there.
 
     The n rows split into k = max(1, min(CPUs, n // 1024)) contiguous ranges
-    of about n / k rows.  k - 1 of them run on threads, the first on the
-    caller's; every entry gets the same operations whatever k is, so the bits
-    do not depend on it.  Only this thread calls a public laplab
-    function.  A range that raises is raised here once every range has stopped.
+    of about n / k rows.  k - 1 of them run on a thread pool, the first on
+    the caller's thread; every entry gets the same operations whatever k is,
+    so the bits do not depend on it.  Only this thread calls a public laplab
+    function.  The first range to raise is raised once every range stopped.
     """
     _check_chart(space, rule.metric)
     _check_bandwidth(t)
@@ -167,27 +165,16 @@ def assemble_continuous(
     # grid 64 takes at most 4 ranges
     k = max(1, min(_cpus(), n // 1024))
     bounds = [i * n // k for i in range(k + 1)]
-    counts, errors = [0] * k, [None] * k
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import time
 
-    def run(i: int) -> None:
-        try:
-            counts[i] = _fill_rows(rows(bounds[i], bounds[i + 1]), w, pw, t)
-        except Exception as exc:  # raised by the caller once every range has stopped
-            errors[i] = exc
+    def fill(i: int) -> int:
+        return _fill_rows(rows(bounds[i], bounds[i + 1]), w, pw, t)
 
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
-    for worker in workers:
-        worker.start()
-    try:
-        run(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-    dead, warning = sum(counts), None
+    # leaving the block waits for every range; result() raises the first failure
+    with ThreadPoolExecutor(max(1, k - 1)) as pool:
+        futures = [pool.submit(fill, i) for i in range(1, k)]
+        dead = fill(0)
+    dead, warning = dead + sum(f.result() for f in futures), None
     if dead:
         warning = (
             f"{dead} rows have fully underflowed off-diagonal kernels; "
@@ -204,6 +191,9 @@ def build_operator(
     The kernel measures distance in embedding (extrinsic), or in metric when
     embedding is None (intrinsic).
     """
+    if n * n > DENSE_NODE_CAP:  # above the cap on both charts for even n; refused unbuilt
+        raise InvalidParameterError(
+            f"dense assembly is capped at {DENSE_NODE_CAP} nodes, grid 64 (got grid {n})")
     rule = build_grid(metric, n)
     p = normalize_density(density, rule)
     return assemble_continuous(metric if embedding is None else embedding, p, rule, t), p
@@ -222,6 +212,30 @@ def _chart_points(points) -> np.ndarray:
     return np.remainder(np.atleast_2d(np.asarray(points, dtype=np.float64)), TWO_PI)
 
 
+def _kernel_sums(space: Space, x: np.ndarray, weights: Optional[np.ndarray], t: float,
+                 f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """sum_j exp(-dist(p, x_j)^2/t) w_j (f(p) - f(x_j)) at each p in points.
+
+    x is (n, 2), weights its n weights, or None for weight 1 (a point cloud).
+    points is reduced into [0, 2 pi) on entry; f is evaluated on x once.
+    Each point takes its own 1 x n row of squared distances and turns it into
+    the terms in place.
+    """
+    points = _chart_points(points)
+    f_x = np.asarray(f(x))
+    sums = np.empty(len(points))
+    for i, p in enumerate(points[:, None]):  # p is one (1, 2) row
+        terms = sq_dist(space, p, x)[0]
+        terms /= -t
+        np.exp(terms, out=terms)
+        if weights is not None:
+            terms *= weights
+        terms *= float(np.asarray(f(p))[0]) - f_x
+        sums[i] = terms.sum()
+        del terms  # free this row before the next one is computed
+    return sums
+
+
 def continuous_value(
     space: Space,
     density: Density,
@@ -237,16 +251,8 @@ def continuous_value(
     values.  Returns m values, each with the bits of a one-point call.
     """
     _check_bandwidth(t)
-    points = _chart_points(points)
     pw = density_values(density, rule.nodes) * rule.weights
-    f_nodes = np.asarray(f(rule.nodes))
-    values = np.empty(len(points))
-    for i, p in enumerate(points[:, None]):  # p is one (1, 2) row
-        k = np.exp(sq_dist(space, p, rule.nodes)[0] / -t)
-        k *= pw
-        k *= float(np.asarray(f(p))[0]) - f_nodes
-        values[i] = t ** -2.0 * k.sum()
-    return values
+    return _kernel_sums(space, rule.nodes, pw, t, f, points) * t ** -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +272,11 @@ def evaluate_discrete(
     points is the (n, 2) sample X_1..X_n and dist is measured in space; t
     must pass _check_bandwidth.  eval_points is an (m, 2) array of chart
     coordinates, reduced into [0, 2 pi) on entry.  f is evaluated on the
-    sample once per call.  Each evaluation point takes its own 1 x n row of
-    squared distances and turns it into the terms in place.  Sample points
-    coinciding with x contribute zero terms.
+    sample once per call.  Sample points coinciding with x contribute zero
+    terms.
     """
     _check_bandwidth(t)
-    eval_points = _chart_points(eval_points)
-    f_pts = np.asarray(f(points))
-    values = np.empty(len(eval_points))
-    for i, p in enumerate(eval_points[:, None]):  # p is one (1, 2) row
-        terms = sq_dist(space, p, points)[0]
-        terms /= -t
-        np.exp(terms, out=terms)
-        terms *= float(np.asarray(f(p))[0]) - f_pts
-        values[i] = terms.sum() / (len(points) * t**2)
-        del terms  # free this row before the next one is computed
-    return values
+    return _kernel_sums(space, points, None, t, f, eval_points) / (len(points) * t**2)
 
 
 # ---------------------------------------------------------------------------

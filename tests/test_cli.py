@@ -271,6 +271,25 @@ def test_verify_unknown_scenario_exits_two():
 
 
 @pytest.mark.parametrize("argv", [
+    ["assemble", "--grid", "100000", "--out", "{out}/x.llop"],
+    ["verify", "--scenario", "S1", "--grid", "100000", "--out", "{out}/v"],
+], ids=["assemble", "verify"])
+def test_grid_above_the_dense_cap_exits_two_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    # each 100000 x 100000 meshgrid of the grid would take 75 GiB; the spy stops any build
+    from laplab import operators
+
+    def build_grid(*args):
+        raise AssertionError("build_grid ran")
+
+    monkeypatch.setattr(operators, "build_grid", build_grid)
+    assert main([a.format(out=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense assembly is capped at 4096 nodes") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["converge", "--n", "100,200,400", "--seeds", "5", "--bandwidth", "1e-100",
      "--out", "{out}/c.csv"],
     ["verify", "--scenario", "S5", "--bandwidth", "1e-100", "--out", "{out}"],

@@ -419,6 +419,20 @@ def test_recover_density_is_bitwise_the_explicit_determinant():
     assert np.all(g01 != 0.0) and dens.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("metric", [TorusMetric(2.0, 0.7, 1.0), TorusMetric(1.0, -0.3, 2.0)],
+                         ids=["F0.7", "F-0.3"])
+def test_coupled_metric_and_density_round_trip(metric, n):
+    # g01 != 0: the stencil's mixed difference carries the whole off-diagonal term
+    op, rule, p = _op(metric, CosineBump(0.4, "v"), n=n)
+    report = run_recovery(op)
+    g = np.array([[metric.E, metric.F], [metric.F, metric.G]])
+    assert report.metric_field.indices.size == rule.n
+    assert np.max(np.abs(report.metric_field.tensors - g[None])) <= 1e-12
+    truth = density_values(p, rule.nodes)[report.metric_field.indices]
+    assert np.max(np.abs(report.density - truth) / truth) <= 1e-12
+
+
 # --- induced metric (extrinsic operators) ------------------------------------------
 
 

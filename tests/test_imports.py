@@ -3,11 +3,15 @@
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: a name bound by a top-level import must be referenced somewhere
 in the module, or be listed in its __all__.  `from __future__` imports are
-compiler directives and are skipped.
+compiler directives and are skipped.  Importing the package also stays
+cheap: the thread pool of dense assembly, and the logging it pulls in, load
+only when an operator is assembled.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -58,3 +62,13 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_module_imports(path):
     with open(os.path.join(_ROOT, path)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_importing_the_package_loads_no_thread_pool_or_logging():
+    path = os.pathsep.join(filter(None, (os.path.join(_ROOT, "src"), os.environ.get("PYTHONPATH"))))
+    code = ("import sys, laplab, laplab.cli; "
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

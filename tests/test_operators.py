@@ -14,7 +14,6 @@ import struct
 import subprocess
 import sys
 import threading
-import types
 import warnings
 
 import numpy as np
@@ -820,18 +819,18 @@ def _spy_ranges(monkeypatch):
     (64, 3, [(0, 1365), (1365, 2730), (2730, 4096)]),
     (64, 8, [(0, 1024), (1024, 2048), (2048, 3072), (3072, 4096)]),
 ])
-def test_rows_split_into_ranges_on_dot_product_bounds(monkeypatch, grid, cpus, ranges):
+def test_rows_split_into_even_ranges(monkeypatch, grid, cpus, ranges):
     _force_cpus(monkeypatch, cpus)
     seen = _spy_ranges(monkeypatch)
-    started = []
+    started, start = [], threading.Thread.start
 
-    class Thread(operators.threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    def spy(thread):
+        started.append(thread)
+        start(thread)
 
-    monkeypatch.setattr(operators, "threading", types.SimpleNamespace(Thread=Thread))
-    build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", spy)
+        build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
     assert sorted(seen) == ranges and len(started) == len(ranges) - 1
     assert not any(thread.is_alive() for thread in started)
 
@@ -840,7 +839,7 @@ def test_rows_split_into_ranges_on_dot_product_bounds(monkeypatch, grid, cpus, r
 @pytest.mark.parametrize("case", sorted(_PARALLEL_CASES))
 def test_bits_do_not_depend_on_the_worker_count(monkeypatch, case, grid):
     # 1, 2, 3 and 8 CPUs make 1 to 4 ranges at grid 64 and 1 or 2 at grid 46,
-    # where the sphere's n = 2070 is a multiple of neither 16 nor 512; grid 32
+    # where the sphere's n = 2070 is not a multiple of 16; grid 32
     # takes one range whatever the count (see above).  Each count is built
     # once, and the coupled form, which searches 25 lattice shifts and takes
     # 3 s per grid-64 build, with one and three ranges there at t = 0.5.
