@@ -21,7 +21,10 @@ Grids are 16, 32 and 64.  --small builds every kind of file from tiny inputs
 second, for a smoke test.  The manifest lists `sha256  name` lines sorted by
 name, as sha256sum does.  Hashes depend on numpy's own kernels (its build and
 the SIMD paths it picks for the CPU), and those of the `*_refine.json` reports
-also on LAPACK, so compare manifests built on one machine only.
+also on LAPACK, so compare manifests built on one machine only.  One line on
+stderr names the numpy version and the SIMD dispatch targets it enabled, so
+that manifests built under different ones can be told apart; numpy's
+NPY_DISABLE_CPU_FEATURES environment variable switches targets off.
 """
 
 from __future__ import annotations
@@ -100,6 +103,15 @@ def manifest(out: str) -> list[str]:
     return [f"{digest}  {name}" for name, digest in sorted(lines)]
 
 
+def numpy_build() -> str:
+    """numpy's version and the SIMD dispatch targets it enabled on this CPU."""
+    from numpy import __version__
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+    return f"numpy {__version__}, SIMD dispatch targets: {targets or 'none'}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", help="directory to build the artifacts in; must be empty or new")
@@ -108,6 +120,7 @@ def main(argv=None) -> int:
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise SystemExit(f"{args.out} is not empty")
     build(args.out, args.small)
+    print(numpy_build(), file=sys.stderr)
     print("\n".join(manifest(args.out)))
     return 0
 

@@ -1,14 +1,12 @@
 """Closed-form geometry on two charts: the square torus and the round sphere.
 
 Chart coordinates are angle pairs (u, v), and a point set is an (n, 2)
-float64 array of them.  Torus metrics have constant coefficients, so
-geodesics lift to straight lines in the universal cover and distance is a
-minimum of one quadratic form over lattice shifts: a coupled form searches a
-square of shifts, a diagonal one evaluates each axis's term once, at the
-shorter way round the circle.  Sphere distances come from the ambient angle
-formula on the colatitude/longitude chart, which degenerates at the poles;
-the grid and the sampler keep their points out of a small guard band around
-them.
+float64 array of them.  Torus metrics are diagonal with constant
+coefficients, so geodesics lift to straight lines in the universal cover and
+distance splits per axis: each axis's term is evaluated once, at the shorter
+way round its circle.  Sphere distances come from the ambient angle formula
+on the colatitude/longitude chart, which degenerates at the poles; the grid
+and the sampler keep their points out of a small guard band around them.
 
 Everything here is exact up to rounding: no geometry is discretized in this
 module.  Each squared distance has one row-block kernel.  sq_dist_rows and
@@ -62,11 +60,12 @@ def _square(x: float, name: str) -> float:
 
 @dataclass(frozen=True)
 class TorusMetric:
-    """Constant-coefficient metric E du^2 + 2F du dv + G dv^2 on the torus.
+    """Constant diagonal metric E du^2 + G dv^2 on the torus.
 
-    E, F, G are the classical first-fundamental-form coefficients.  Requires
-    E > 0 and EG - F^2 > 0 (positive definiteness), EG - F^2 and its inverse
-    finite in float64, and an eigenvalue ratio of at most 256.
+    E, F, G are the classical first-fundamental-form coefficients; F, the
+    coupling, must be 0.  It is kept so that the .llop parameter block and the
+    S5 reference key still hold (E, F, G).  Requires E > 0 and G > 0, EG and
+    its inverse finite in float64, and an anisotropy ratio of at most 256.
     """
 
     E: float
@@ -74,26 +73,24 @@ class TorusMetric:
     G: float
 
     def __post_init__(self):
-        e, f, g = self._unit_coefficients()
-        det = self.E * self.G - self.F * self.F
-        # the unit form's determinant may underflow where the ratio is huge;
-        # an infinite or NaN determinant is a scale fault, whatever the signs
-        definite = self.E > 0.0 and self.G > 0.0 and (f == 0.0 or e * g - f * f > 0.0)
-        if det < math.inf and not definite:
+        if self.F != 0.0:
             raise InvalidParameterError(
-                f"metric coefficients not positive definite: "
-                f"E={self.E}, F={self.F}, G={self.G}"
+                f"coupled torus metrics are not supported: F must be 0, got F={self.F}")
+        det = self.E * self.G
+        # an infinite or NaN determinant is a scale fault, whatever the signs
+        if det < math.inf and not (self.E > 0.0 and self.G > 0.0):
+            raise InvalidParameterError(
+                f"metric coefficients not positive definite: E={self.E}, G={self.G}"
             )
         if not (0.0 < det < math.inf and 1.0 / det < math.inf):
             raise InvalidParameterError(
-                "metric scale out of float64 range: EG - F^2 and its inverse "
-                f"must be finite, got E={self.E}, F={self.F}, G={self.G}"
+                "metric scale out of float64 range: EG and its inverse "
+                f"must be finite, got E={self.E}, G={self.G}"
             )
         if self.anisotropy_ratio() > 256.0:
             raise InvalidParameterError(
-                "anisotropy ratio beyond 256 is outside the validated "
-                "lattice-shift search range"
-            )
+                "anisotropy ratio beyond 256 is outside the validated range, "
+                f"got E={self.E}, G={self.G}")
 
     @classmethod
     def flat(cls) -> "TorusMetric":
@@ -115,40 +112,11 @@ class TorusMetric:
         return np.array([[self.E, self.F], [self.F, self.G]], dtype=np.float64)
 
     def sqrt_det(self) -> float:
-        return math.sqrt(self.E * self.G - self.F * self.F)
-
-    def _unit_coefficients(self) -> tuple[float, float, float]:
-        """E, F, G divided by max(E, G), so that EG - F^2 neither over- nor underflows."""
-        s = max(self.E, self.G) if self.E > 0.0 else 1.0
-        return self.E / s, self.F / s, self.G / s
+        return math.sqrt(self.E * self.G)
 
     def anisotropy_ratio(self) -> float:
-        """Condition number of the coefficient matrix.
-
-        Equals max(E/G, G/E) when F = 0; with coupling the eigenvalue
-        ratio is the quantity that actually controls how far the lattice
-        search for closed-loop distances has to reach.
-        """
-        e, f, g = self._unit_coefficients()
-        tr = e + g
-        disc = math.sqrt(max(tr * tr / 4.0 - (e * g - f * f), 0.0))
-        # the small eigenvalue rounds to 0 beyond a ratio of about 1e16
-        low = tr / 2.0 - disc
-        return (tr / 2.0 + disc) / low if low > 0.0 else math.inf
-
-    def shift_range(self) -> int:
-        # Coupled metrics can route loops diagonally; the reach grows with
-        # the condition number.  Ladder validated by brute force against a
-        # +-8 search over random forms up to ratio 256.  torus_sq_geodesic
-        # asks only for coupled metrics; diagonal ones split per axis.
-        kappa = self.anisotropy_ratio()
-        if kappa <= 4.0:
-            return 2
-        if kappa <= 16.0:
-            return 3
-        if kappa <= 64.0:
-            return 5
-        return 7
+        """Condition number of the coefficient matrix, max(E/G, G/E)."""
+        return max(self.E / self.G, self.G / self.E)
 
 
 @dataclass(frozen=True)
@@ -221,18 +189,8 @@ def _torus_rows(metric: TorusMetric, p: np.ndarray, q: np.ndarray, out: np.ndarr
             o = out[lo:hi]
             np.subtract(p[lo:hi, 0, None], qu, out=du)
             np.subtract(p[lo:hi, 1, None], qv, out=dv)
-            if metric.F == 0.0:
-                _wrap_min(metric.E, du, o, x)
-                o += _wrap_min(metric.G, dv, du, x)
-            else:  # the coupled form's minimum over the square of shifts it can reach
-                s = metric.shift_range()
-                o[...] = np.inf
-                for a in range(-s, s + 1):
-                    np.add(du, a * TWO_PI, out=x)
-                    for b in range(-s, s + 1):
-                        y = dv + b * TWO_PI
-                        np.minimum(o, metric.E * x * x + 2.0 * metric.F * x * y
-                                   + metric.G * y * y, out=o)
+            _wrap_min(metric.E, du, o, x)
+            o += _wrap_min(metric.G, dv, du, x)
             # a Monte-Carlo row almost never holds a zero: one pass to rule it out
             if not o.all():
                 _keep_apart(o, lambda i, j: (p[lo + i, 0] - qu[j], p[lo + i, 1] - qv[j]))
@@ -242,7 +200,7 @@ def _torus_rows(metric: TorusMetric, p: np.ndarray, q: np.ndarray, out: np.ndarr
 
 
 def torus_grid_rows(metric: TorusMetric, u: np.ndarray, v: np.ndarray, out: np.ndarray):
-    """sq_dist_rows of a diagonal metric on the grid u x v (u slowest): entry
+    """sq_dist_rows of a torus metric on the grid u x v (u slowest): entry
     ((a, c), (b, d)) adds the wrap minima of u_a - u_b and v_c - v_d, same bits.
     The two per-axis tables are made here, once, for every range."""
     nu, nv = len(u), len(v)
@@ -311,20 +269,18 @@ def _table(rows, space, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def torus_sq_geodesic(metric: TorusMetric, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Pairwise squared geodesic distance on the constant-metric torus.
+    """Pairwise squared geodesic distance on the constant diagonal-metric torus.
 
     p: (n, 2), q: (m, 2) chart coordinates.  Returns (n, m).  The distance is
-    the minimum of the quadratic form over lattice shifts of the coordinate
-    difference.  A coupled metric (F != 0) searches a square of shifts whose
-    reach comes from its anisotropy.  A diagonal metric splits per axis:
-    E x^2 + G y^2 is smallest where each term is, and for a chart difference
-    in (-2 pi, 2 pi) each term's minimum lies at a wrap in {-1, 0, 1}.  So
-    it evaluates coef * x * x once per axis, at x = min(|d|, 2 pi - |d|),
-    which gives the bits of the minimum over those three wraps for any d,
-    and adds the two; rounded addition is monotone, so for finite
-    coordinates the result is bit for bit the minimum over the full square
-    of shifts, at any anisotropy.  Where that minimum underflows to 0 for
-    distinct points, the entry is the smallest positive float64 instead.
+    the minimum of E x^2 + G y^2 over lattice shifts (x, y) of the coordinate
+    difference, reached where each term is smallest; for a chart difference in
+    (-2 pi, 2 pi) each term's minimum lies at a wrap in {-1, 0, 1}.  So it
+    evaluates coef * x * x once per axis, at x = min(|d|, 2 pi - |d|), which
+    gives the bits of the minimum over those three wraps for any d, and adds
+    the two; rounded addition is monotone, so for finite coordinates the
+    result is bit for bit the minimum over the full square of shifts, at any
+    anisotropy.  Where that minimum underflows to 0 for distinct points, the
+    entry is the smallest positive float64 instead.
     """
     return _table(_torus_rows, metric, p, q)
 

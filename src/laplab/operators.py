@@ -15,7 +15,7 @@ finite and positive (about 7.5e-155 < t < 1.3e154).
 `build_operator` is the one path from a metric, density, grid size,
 bandwidth and optional embedding to an operator: grid, normalized density,
 dense assembly.  Dense assembly takes each block of rows from squared
-distances (per-axis tables for a diagonal torus metric on a tensor grid) to
+distances (per-axis tables for a torus metric on a tensor grid) to
 entries of L while it sits in cache, in the order of the formula.  Its rows
 split into contiguous ranges, one per CPU the process may run on and at most
 one per 1024 rows, the first on the caller's thread and the others on a
@@ -96,9 +96,9 @@ class OperatorMatrix:
 
 
 def _node_sq_dist(space: Space, rule: QuadratureRule, out: np.ndarray):
-    """sq_dist_rows between all nodes into out; per-axis tables on a diagonal torus grid."""
+    """sq_dist_rows between all nodes into out; per-axis tables on a torus grid."""
     (nu, nv), x = rule.grid_shape, rule.nodes
-    if isinstance(space, TorusMetric) and space.F == 0.0 and min(nu, nv) > 0 and nu * nv == rule.n:
+    if isinstance(space, TorusMetric) and min(nu, nv) > 0 and nu * nv == rule.n:
         u, v = x[::nv, 0], x[:nv, 1]
         if np.array_equal(x[:, 0], np.repeat(u, nv)) and np.array_equal(x[:, 1], np.tile(v, nu)):
             return torus_grid_rows(space, u, v, out)
@@ -191,7 +191,7 @@ def build_operator(
     The kernel measures distance in embedding (extrinsic), or in metric when
     embedding is None (intrinsic).
     """
-    if n * n > DENSE_NODE_CAP:  # above the cap on both charts for even n; refused unbuilt
+    if n > 0 and n * n > DENSE_NODE_CAP:  # above the cap on both charts; refused unbuilt
         raise InvalidParameterError(
             f"dense assembly is capped at {DENSE_NODE_CAP} nodes, grid 64 (got grid {n})")
     rule = build_grid(metric, n)

@@ -266,26 +266,54 @@ def test_verify_scenario_failure_exits_one(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_s6_holds_from_grid_24_at_the_default_bandwidth(tmp_path, capsys):
+    # t = 0.5: at grid 20 the donut's Richardson stencil has lost its edges (exit 3,
+    # no report), at grid 22 the Clifford and donut errors sit just above their gates
+    out = tmp_path / "g20"
+    assert main(["verify", "--scenario", "S6", "--grid", "20", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "no full stencil on the donut's outer circle" in err and err.count("\n") == 1
+    assert not out.exists()
+    errors = {}
+    for grid, rc in ((22, 1), (24, 0)):
+        out = tmp_path / f"g{grid}"
+        assert main(["verify", "--scenario", "S6", "--grid", str(grid), "--out", str(out)]) == rc
+        errors[grid] = json.loads((out / "S6.json").read_text())["discrepancies"]
+    assert errors[22]["clifford_metric_max_error"] == pytest.approx(1.149e-3, rel=1e-3)
+    assert errors[22]["donut_tube_max_error"] == pytest.approx(1.034e-2, rel=1e-3)
+    assert errors[24]["clifford_metric_max_error"] <= 1e-3
+    assert errors[24]["donut_tube_max_error"] <= 1e-2
+
+
 def test_verify_unknown_scenario_exits_two():
     assert main(["verify", "--scenario", "S99"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
-    ["assemble", "--grid", "100000", "--out", "{out}/x.llop"],
-    ["verify", "--scenario", "S1", "--grid", "100000", "--out", "{out}/v"],
+    ["assemble", "--grid={grid}", "--out", "{out}/x.llop"],
+    ["verify", "--scenario", "S1", "--grid={grid}", "--out", "{out}/v"],
 ], ids=["assemble", "verify"])
 def test_grid_above_the_dense_cap_exits_two_before_it_is_built(tmp_path, capsys, monkeypatch,
                                                                 argv):
-    # each 100000 x 100000 meshgrid of the grid would take 75 GiB; the spy stops any build
+    # each 100000 x 100000 meshgrid of the grid would take 75 GiB; the spy stops any
+    # build, and lets the real builder refuse a negative grid, which it does unbuilt
     from laplab import operators
 
-    def build_grid(*args):
-        raise AssertionError("build_grid ran")
+    real = operators.build_grid
+
+    def build_grid(metric, n):
+        if n > 0:
+            raise AssertionError(f"build_grid ran for grid {n}")
+        return real(metric, n)
 
     monkeypatch.setattr(operators, "build_grid", build_grid)
-    assert main([a.format(out=tmp_path) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: dense assembly is capped at 4096 nodes") and err.count("\n") == 1
+    for grid, message in ((66, "dense assembly is capped at 4096 nodes"),
+                          (100000, "dense assembly is capped at 4096 nodes"),
+                          (-66, "grid size must be even and >= 4, got -66"),
+                          (-70, "grid size must be even and >= 4, got -70")):
+        assert main([a.format(out=tmp_path, grid=grid) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 
@@ -301,6 +329,23 @@ def test_failed_convergence_study_leaves_no_file(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_out_of_memory_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # e.g. converge --n 1000,2000,4000000000, whose cloud numpy cannot allocate
+    from laplab import verify
+
+    def sample_points(*args):
+        raise MemoryError("Unable to allocate 59.6 GiB for an array")
+
+    monkeypatch.setattr(verify, "sample_points", sample_points)
+    out = tmp_path / "d"
+    out.mkdir()
+    rc = main(["converge", "--n", "100,200,400", "--seeds", "5", "--out", str(out / "c.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: out of memory: Unable to allocate 59.6 GiB for an array\n"
+    assert "Traceback" not in err and os.listdir(out) == []
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new_dir", "existing_dir"])
@@ -466,6 +511,13 @@ def _put_negative_kernel_e(path):
     path.write_bytes(bytes(blob))
 
 
+def _put_coupled_kernel_f(path):
+    # F, the second kernel parameter, at bytes 53:61: a coupled torus metric
+    blob = bytearray(path.read_bytes())
+    blob[53:61] = np.array([0.7], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+
+
 def _put_band(index, value):
     # header floats t, du, dv start after the 20-byte fixed header
     def put(path):
@@ -490,7 +542,7 @@ def _put_node_off_grid(path):
     _put_nan_entry, _put_grid_shape_8x9, _put_empty_grid, _append_bytes,
     _put_band(0, np.nan), _put_band(0, -0.5), _put_band(1, np.inf), _put_band(2, 0.0),
     _put_band(0, 1e160), _put_negative_kernel_e,
-    _put_band(1, 0.5), _put_band(1, 2.225e-311), _put_node_off_grid,
+    _put_band(1, 0.5), _put_band(1, 2.225e-311), _put_node_off_grid, _put_coupled_kernel_f,
 ], ids=lambda f: f.__name__)
 def test_recover_corrupt_operator_exits_three(tmp_path, capsys, corrupt):
     op_path = tmp_path / "op.llop"

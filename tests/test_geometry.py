@@ -35,7 +35,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def brute_torus_distance(metric, p, q, reach=8):
-    """Wide lattice search; reference for the production shift range."""
+    """Wide lattice search; reference for the per-axis wrap minima."""
     best = math.inf
     du = p[0] - q[0]
     dv = p[1] - q[1]
@@ -43,7 +43,7 @@ def brute_torus_distance(metric, p, q, reach=8):
         for l in range(-reach, reach + 1):
             a = du + TWO_PI * k
             b = dv + TWO_PI * l
-            q2 = metric.E * a * a + 2 * metric.F * a * b + metric.G * b * b
+            q2 = metric.E * a * a + metric.G * b * b
             best = min(best, q2)
     return math.sqrt(best)
 
@@ -72,7 +72,7 @@ def test_chart_point_wraps_into_base_window():
 
 def test_torus_metric_validation():
     with pytest.raises(InvalidParameterError):
-        TorusMetric(1.0, 1.1, 1.0)  # det < 0
+        TorusMetric(1.0, 1.1, 1.0)  # coupled
     with pytest.raises(InvalidParameterError):
         TorusMetric(-1.0, 0.0, 1.0)
     with pytest.raises(InvalidParameterError):
@@ -86,8 +86,7 @@ def test_torus_metric_validation():
 
 
 def test_torus_metric_rejections_name_their_cause():
-    # the ratio and the definiteness test run on E, F, G over max(E, G), so
-    # an unrepresentable E G - F^2 is reported as a scale fault
+    # an unrepresentable E G is reported as a scale fault, whatever the ratio
     assert TorusMetric.anisotropic(4.0).anisotropy_ratio() == 256.0
     for c in (1e154, 1e-160):
         with pytest.raises(InvalidParameterError, match="scale") as err:
@@ -97,7 +96,15 @@ def test_torus_metric_rejections_name_their_cause():
         with pytest.raises(InvalidParameterError, match="ratio"):
             TorusMetric(*coefficients)
     with pytest.raises(InvalidParameterError, match="definite"):
-        TorusMetric(1.0, 1.1, 1.0)
+        TorusMetric(1.0, 0.0, -1.0)
+
+
+def test_coupled_torus_metric_is_refused_naming_f():
+    for f in (0.3, -0.3, 1e-300, math.nan):
+        with pytest.raises(InvalidParameterError, match="F must be 0") as err:
+            TorusMetric(1.0, f, 2.0)
+        assert f"F={f}" in str(err.value)
+    assert TorusMetric(1.0, -0.0, 2.0).anisotropy_ratio() == 2.0  # -0.0 == 0.0
 
 
 def test_anisotropic_has_unit_volume_form():
@@ -146,14 +153,7 @@ def torus_metrics(draw):
         return TorusMetric.flat()
     if mode == 1:
         return TorusMetric.anisotropic(draw(st.floats(0.5, 2.0)))
-    e = draw(st.floats(0.25, 4.0))
-    g = draw(st.floats(0.25, 4.0))
-    fmax = 0.9 * math.sqrt(e * g)
-    f = draw(st.floats(-fmax, fmax))
-    try:
-        return TorusMetric(e, f, g)
-    except InvalidParameterError:
-        return TorusMetric.flat()
+    return TorusMetric(draw(st.floats(0.25, 4.0)), 0.0, draw(st.floats(0.25, 4.0)))
 
 
 @st.composite
@@ -213,7 +213,7 @@ def test_small_torus_distance_matches_metric_form(metric, p, a, b):
     [q] = _chart_points([p[0] + s * a, p[1] + s * b])
     du, dv = (math.remainder(d, TWO_PI) for d in (q[0] - p[0], q[1] - p[1]))
     d = geodesic(metric, p, q)
-    form = math.sqrt(metric.E * du * du + 2 * metric.F * du * dv + metric.G * dv * dv)
+    form = math.sqrt(metric.E * du * du + metric.G * dv * dv)
     assert d == pytest.approx(form, abs=1e-16, rel=1e-6)
 
 
@@ -341,16 +341,14 @@ def test_torus_grid_table_non_square_grid():
                           torus_sq_geodesic(metric, nodes, nodes))
 
 
-@pytest.mark.parametrize("metric", [TorusMetric.flat(), TorusMetric(1.0, 0.3, 2.0)],
-                         ids=["diagonal", "coupled"])
+@pytest.mark.parametrize("metric", [TorusMetric.flat()], ids=["diagonal"])
 def test_torus_tables_separate_points_whose_square_underflows(metric):
     # chart separations of 7.76e-240 and 1e-300 square to 0 in float64
     u, v = np.array([0.0, 1e-300]), np.array([0.0, 7.76e-240])
     nodes = np.stack(np.meshgrid(u, v, indexing="ij"), axis=-1).reshape(-1, 2)
     d2 = torus_sq_geodesic(metric, nodes, nodes)
     assert np.array_equal(d2 > 0.0, ~np.eye(4, dtype=bool))
-    if metric.F == 0.0:
-        assert np.array_equal(_grid_table(metric, u, v), d2)
+    assert np.array_equal(_grid_table(metric, u, v), d2)
 
 
 # --- embeddings -------------------------------------------------------------

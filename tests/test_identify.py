@@ -419,18 +419,30 @@ def test_recover_density_is_bitwise_the_explicit_determinant():
     assert np.all(g01 != 0.0) and dens.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n", [16, 32])
-@pytest.mark.parametrize("metric", [TorusMetric(2.0, 0.7, 1.0), TorusMetric(1.0, -0.3, 2.0)],
-                         ids=["F0.7", "F-0.3"])
-def test_coupled_metric_and_density_round_trip(metric, n):
-    # g01 != 0: the stencil's mixed difference carries the whole off-diagonal term
-    op, rule, p = _op(metric, CosineBump(0.4, "v"), n=n)
-    report = run_recovery(op)
-    g = np.array([[metric.E, metric.F], [metric.F, metric.G]])
-    assert report.metric_field.indices.size == rule.n
-    assert np.max(np.abs(report.metric_field.tensors - g[None])) <= 1e-12
-    truth = density_values(p, rule.nodes)[report.metric_field.indices]
-    assert np.max(np.abs(report.density - truth) / truth) <= 1e-12
+class _FormDistance:
+    """Distance sqrt(d^T g d) between grid nodes, d their chart difference
+    wrapped into (-pi, pi]: a coupled constant form that no metric builds."""
+
+    def __init__(self, g, nodes):
+        self.g, self.nodes, self.shape = g, nodes, (len(nodes),) * 2
+
+    def __getitem__(self, index):
+        i, j = index
+        d = np.remainder(self.nodes[i] - self.nodes[j] - math.pi, -2 * math.pi) + math.pi
+        return np.sqrt(np.einsum("...a,ab,...b->...", d, self.g, d))
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("g01, g", [(0.7, (2.0, 1.0)), (-0.3, (1.0, 2.0))],
+                         ids=["g01=0.7", "g01=-0.3"])
+def test_cross_stencil_recovers_the_off_diagonal_term(g01, g, n, richardson):
+    # the mixed difference carries the whole g01; the stencil of a quadratic form is exact
+    rule = build_grid(TorusMetric.flat(), n)
+    tensor = np.array([[g[0], g01], [g01, g[1]]])
+    fld = metric_field_from_distance(_FormDistance(tensor, rule.nodes), rule, richardson)
+    assert np.array_equal(fld.indices, np.arange(rule.n))
+    assert np.max(np.abs(fld.tensors - tensor[None])) <= 1e-12
 
 
 # --- induced metric (extrinsic operators) ------------------------------------------

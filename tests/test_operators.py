@@ -147,7 +147,7 @@ _ASSEMBLY_CASES = {
     "intrinsic-flat": (TorusMetric.flat(), None),
     "intrinsic-scaled": (TorusMetric.scaled_flat(1.7), None),
     "intrinsic-sphere": (SphereMetric(1.0), None),
-    "intrinsic-coupled": (TorusMetric(2.0, 0.7, 1.0), None),
+    "intrinsic-diagonal": (TorusMetric(2.0, 0.0, 1.0), None),
     "extrinsic-clifford": (TorusMetric.flat(), CliffordTorus()),
     "extrinsic-donut": (TorusMetric.flat(), DonutTorus(2.0, 1.0)),
     "extrinsic-sphere": (SphereMetric(1.0), UnitSphere()),
@@ -216,23 +216,14 @@ def _whole_table_sq_dist(space, p, q):
     """Squared distances as one out-of-place whole-table expression, without
     laplab.geometry.
 
-    Torus: wrap minima per axis, or the coupled form over the lattice square.
+    Torus: wrap minima per axis.
     Sphere: |a x b|^2 as (cx^2 + cy^2) + cz^2 and a . b as (a0 b0 + a1 b1) + a2 b2.
     Chords: (d0^2 + d2^2) + d1^2 [+ d3^2].
     """
     if isinstance(space, TorusMetric):
         du = p[:, 0, None] - q[None, :, 0]
         dv = p[:, 1, None] - q[None, :, 1]
-        if space.F == 0.0:
-            return _wrap(space.E, du) + _wrap(space.G, dv)
-        s = space.shift_range()
-        shifts = [k * 2 * math.pi for k in range(-s, s + 1)]
-        best = np.inf
-        for a in shifts:
-            for b in shifts:
-                x, y = du + a, dv + b
-                best = np.minimum(best, space.E * x * x + 2.0 * space.F * x * y + space.G * y * y)
-        return best
+        return _wrap(space.E, du) + _wrap(space.G, dv)
     if isinstance(space, SphereMetric):
         a, b = _embed(UnitSphere(), p), _embed(UnitSphere(), q)
         ab = [[np.multiply.outer(a[:, i], b[:, j]) for j in range(3)] for i in range(3)]
@@ -646,7 +637,7 @@ def test_operator_round_trip_extrinsic_sphere(tmp_path):
 
 # (metric, embedding) and the kind and parameters of the kernel and measure blocks
 _GOLDEN_BLOCKS = {
-    "coupled_torus": (TorusMetric(2, 0.7, 1), None, (0, 2.0, 0.7, 1.0), (0, 2.0, 0.7, 1.0)),
+    "torus": (TorusMetric(2, 0, 0.5), None, (0, 2.0, 0.0, 0.5), (0, 2.0, 0.0, 0.5)),
     "sphere": (SphereMetric(2.5), None, (1, 2.5, 0.0, 0.0), (1, 2.5, 0.0, 0.0)),
     "donut": (TorusMetric.flat(), DonutTorus(3, 0.5), (11, 3.0, 0.5, 0.0), (0, 1.0, 0.0, 1.0)),
     "clifford": (TorusMetric.flat(), CliffordTorus(), (10, 0.0, 0.0, 0.0), (0, 1.0, 0.0, 1.0)),
@@ -788,9 +779,6 @@ def test_matrix_round_trip(tmp_path):
 
 # --- parallel assembly: row ranges on threads --------------------------------------
 
-_PARALLEL_CASES = {**_CLI_PAIRS, "intrinsic-coupled": (TorusMetric(2.0, 0.7, 1.0), None)}
-
-
 def _force_cpus(monkeypatch, cpus):
     monkeypatch.setattr(operators, "_cpus", lambda: cpus)
 
@@ -836,21 +824,17 @@ def test_rows_split_into_even_ranges(monkeypatch, grid, cpus, ranges):
 
 
 @pytest.mark.parametrize("grid", [46, 64])
-@pytest.mark.parametrize("case", sorted(_PARALLEL_CASES))
+@pytest.mark.parametrize("case", sorted(_CLI_PAIRS))
 def test_bits_do_not_depend_on_the_worker_count(monkeypatch, case, grid):
     # 1, 2, 3 and 8 CPUs make 1 to 4 ranges at grid 64 and 1 or 2 at grid 46,
     # where the sphere's n = 2070 is not a multiple of 16; grid 32
-    # takes one range whatever the count (see above).  Each count is built
-    # once, and the coupled form, which searches 25 lattice shifts and takes
-    # 3 s per grid-64 build, with one and three ranges there at t = 0.5.
-    metric, emb = _PARALLEL_CASES[case]
+    # takes one range whatever the count (see above).  Each count is built once.
+    metric, emb = _CLI_PAIRS[case]
     rule = build_grid(metric, grid)
     p = normalize_density(CosineBump(0.4, "u"), rule)
     space = metric if emb is None else emb
-    counts, ts = sorted({min(cpus, rule.n // 1024) for cpus in (1, 2, 3, 8)}), (0.5, 0.01)
-    if grid == 64 and case == "intrinsic-coupled":
-        counts, ts = [1, 3], (0.5,)
-    for t in ts:
+    counts = sorted({min(cpus, rule.n // 1024) for cpus in (1, 2, 3, 8)})
+    for t in (0.5, 0.01):
         ref = None
         for count in counts:
             _force_cpus(monkeypatch, count)

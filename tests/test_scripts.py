@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 
+import numpy as np
+
 import laplab
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -19,17 +21,23 @@ def _run_script(name, *args):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 def test_stencil_order_sweep_prints_its_slope():
-    out = _run_script("stencil_order_sweep.py", "--grids", "8,16")
+    out = _run_script("stencil_order_sweep.py", "--grids", "8,16").stdout
     assert any(line.startswith("log-log slope: ") for line in out.splitlines())
 
 
 def test_artifact_digest_manifest_is_reproducible_and_covers_every_kind(tmp_path):
     first, second = (_run_script("artifact_digest.py", str(tmp_path / run), "--small")
                      for run in ("a", "b"))
+    # stderr names the numpy build and SIMD level that the bytes belong to
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f]) or "none"
+    assert first.stderr == f"numpy {np.__version__}, SIMD dispatch targets: {targets}\n"
+    first, second = first.stdout, second.stdout
     assert first == second
     lines = first.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
