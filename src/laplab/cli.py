@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 success / all scenarios pass, 1 scenario failure,
 2 bad usage or invalid parameters, 3 numerical failure during recovery.
 
---config points at a JSON file whose keys fill in defaults; flags given on
-the command line win.
+--config points at a JSON file whose keys become the chosen command's
+defaults; flags given on the command line win.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import tempfile
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .verify import N_SEEDS, N_VALUES
+
     ap = argparse.ArgumentParser(
         prog="laplab",
         description="graph Laplace operators on tori and spheres: "
@@ -75,46 +77,40 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, help="directory for JSON reports")
 
     c = sub.add_parser("converge", help="Monte-Carlo convergence study")
-    c.add_argument("--n", default="1000,4000,16000,64000",
+    c.add_argument("--n", default=",".join(map(str, N_VALUES)),
                    help="comma-separated sample sizes")
-    c.add_argument("--seeds", type=int, default=20)
+    c.add_argument("--seeds", type=int, default=N_SEEDS)
     c.add_argument("--bandwidth", type=float, default=0.5)
     c.add_argument("--seed", type=int, default=1234)
     c.add_argument("--out", required=True, help="output CSV path")
     return ap
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-
-
 def _merge_config(args: argparse.Namespace, argv: list[str],
                   parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset flags from the JSON config; explicit flags keep priority.
+    """Make the JSON config's values the chosen command's defaults and parse
+    argv again, so that flags on the command line win in any spelling
+    argparse accepts (--gri 4, --grid=4).
 
-    Only long flags of the top level and of the chosen command are read.
-    Each value goes through its flag's type and choices as the text it would
-    have on the command line; on/off flags take JSON booleans.
+    Only long flags of the chosen command are read.  Each value goes through
+    its flag's type and choices as the text it would have on the command
+    line; on/off flags take JSON booleans.
     """
     if not args.config:
         return args
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except RecursionError:  # json's parser recurses once per nesting level
+            raise ValueError("config file nests too deeply") from None
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    command = _subparsers(parser).choices[args.command]
-    flags = {a.dest: a for a in parser._actions + command._actions
-             if a.option_strings and a.dest not in ("help", "config")}
-    # The flags argparse fired, in any spelling it accepts (--gri 4, --grid=4):
-    # parse again with every default suppressed and see which dests appear.
-    quiet = _build_parser()
-    for p in (quiet, *_subparsers(quiet).choices.values()):
-        for a in p._actions:
-            a.default = argparse.SUPPRESS
-    explicit = set(vars(quiet.parse_args(argv)))
+    command = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    flags = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
     for key, value in cfg.items():
         action = flags.get(key.replace("-", "_"))
-        if action is None or action.dest in explicit:
+        if action is None:
             continue
         if action.nargs == 0:
             if not isinstance(value, bool):
@@ -128,8 +124,8 @@ def _merge_config(args: argparse.Namespace, argv: list[str],
                 raise ValueError(f"config {key!r}: {exc}") from None
         else:
             raise ValueError(f"config {key!r} must be a string or a number")
-        setattr(args, action.dest, value)
-    return args
+        command.set_defaults(**{action.dest: value})
+    return parser.parse_args(argv)
 
 
 def _bare(text: str) -> None:
@@ -259,9 +255,10 @@ def _staged(*outs):
     """Yield one staging directory per directory in outs, for the files a
     command writes there, and move them into their out (making it) only when
     the body returns.  Every destination of every stage is checked before the
-    first move, so a command that fails leaves each out as it was.  A None
-    out stages nothing and gets None.  An empty out, an existing file or a
-    path under one is refused before the body runs."""
+    first out is made, so a command that fails leaves each out as it was: a
+    destination that is a directory, or that is or lies above an out, is
+    refused.  A None out stages nothing and gets None.  An empty out, an
+    existing file or a path under one is refused before the body runs."""
     parents = [None if out is None else _existing_dir(out) for out in outs]
     stages = []
     try:
@@ -272,9 +269,13 @@ def _staged(*outs):
         moves = [(os.path.join(stage, name), os.path.join(out, name))
                  for out, stage in zip(outs, stages) if stage
                  for name in sorted(os.listdir(stage))]
-        for _, dst in moves:  # refuse before the first move: all files land or none
+        dirs = [os.path.abspath(out) for out, stage in zip(outs, stages) if stage]
+        for _, dst in moves:  # refuse before the first makedirs: all files land or none
             if os.path.isdir(dst):
                 raise IsADirectoryError(f"{dst} is a directory")
+            at = os.path.abspath(dst)
+            if any(os.path.commonpath([at, d]) == at for d in dirs):
+                raise IsADirectoryError(f"{dst} would have to be a directory")
         for out, stage in zip(outs, stages):
             if stage:
                 os.makedirs(out, exist_ok=True)
@@ -287,21 +288,15 @@ def _staged(*outs):
 
 
 def _cmd_verify(args) -> int:
-    import dataclasses
-
     from .verify import SCENARIO_IDS, ScenarioConfig, run_scenario
 
     wanted = SCENARIO_IDS if args.scenario == "all" else (args.scenario,)
-    base = ScenarioConfig(
-        scenario="S1",
-        grid=args.grid,
-        bandwidth=args.bandwidth,
-        seed=args.seed,
-    )
     ok = True
     with _staged(args.out) as (stage,):
         for sid in wanted:
-            result = run_scenario(dataclasses.replace(base, scenario=sid, out_dir=stage))
+            result = run_scenario(ScenarioConfig(scenario=sid, grid=args.grid,
+                                                 bandwidth=args.bandwidth, seed=args.seed,
+                                                 out_dir=stage))
             status = "pass" if result.passed else "FAIL"
             detail = ", ".join(
                 f"{k}={v:.3e}" for k, v in sorted(result.discrepancies.items())

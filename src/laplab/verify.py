@@ -71,12 +71,15 @@ from .operators import (
     operator_distance,
 )
 
-SCENARIO_IDS = ("S1", "S2", "S3", "S4", "S5", "S6")
-
 # Fixed scenario parameters, echoed in every report's config.
 ANISOTROPY = 2.0
 BUMP_ALPHA = 0.5
 SCALE = 1.5
+# S5's sample sizes, seeds per size and quadrature reference grid; `converge`
+# takes its default sizes and seed count from here
+N_VALUES = (1000, 4000, 16000, 64000)
+N_SEEDS = 20
+REFERENCE_GRID = 128
 
 
 # Each threshold is (limit, op, bucket); a value passes iff _PASSES[op](value, limit).
@@ -120,8 +123,6 @@ class ScenarioConfig:
     grid: int = 32
     bandwidth: float = 0.5
     seed: int = 1234
-    n_values: tuple[int, ...] = (1000, 4000, 16000, 64000)
-    n_seeds: int = 20
     out_dir: Optional[str] = None
 
     def echo(self) -> dict:
@@ -133,8 +134,8 @@ class ScenarioConfig:
             "anisotropy": ANISOTROPY,
             "bump_alpha": BUMP_ALPHA,
             "scale": SCALE,
-            "n_values": list(self.n_values),
-            "n_seeds": self.n_seeds,
+            "n_values": list(N_VALUES),
+            "n_seeds": N_SEEDS,
         }
 
 
@@ -370,13 +371,12 @@ class ConvergenceResult:
     slope: float
     seed: int
     bandwidth: float
-    reference_grid: int
 
     def to_csv(self, path) -> None:
         lines = [
             "# laplab convergence study",
             f"# version={__version__} seed={self.seed} bandwidth={self.bandwidth!r} "
-            f"reference_grid={self.reference_grid} seeds={self.per_seed.shape[0]}",
+            f"reference_grid={REFERENCE_GRID} seeds={self.per_seed.shape[0]}",
             "n,rms_error",
         ]
         for n, e in zip(self.n_values, self.errors):
@@ -412,18 +412,17 @@ def _log_log_slope(x, y) -> float:
 
 
 def convergence_study(
-    n_values=(1000, 4000, 16000, 64000),
-    n_seeds: int = 20,
+    n_values=N_VALUES,
+    n_seeds: int = N_SEEDS,
     bandwidth: float = 0.5,
     seed: int = 1234,
-    reference_grid: int = 128,
     out_dir=None,
 ) -> ConvergenceResult:
     """Monte-Carlo error vs sample size, with a least-squares log-log slope.
 
     Seed index i at size n samples the flat torus from `seed + 1000003 i + n`;
     its error is the RMS over eight chart points of the Monte-Carlo minus the
-    quadrature value of cos(u) on a reference_grid grid.  With out_dir set,
+    quadrature value of cos(u) on a REFERENCE_GRID grid.  With out_dir set,
     a study that succeeds writes those quadrature values to s5_reference.json
     there; one that fails writes nothing.
     """
@@ -434,7 +433,7 @@ def convergence_study(
         raise InvalidParameterError("need at least 5 seeds for a stable slope")
 
     metric = TorusMetric.flat()
-    rule = build_grid(metric, reference_grid)
+    rule = build_grid(metric, REFERENCE_GRID)
     density = normalize_density(UniformDensity(), rule)
     points = _eval_points()
     ref, key = _s5_reference(rule, density, bandwidth, points)
@@ -454,17 +453,11 @@ def convergence_study(
     if out_dir is not None:
         write_json({"key": key, "values": ref.tolist()},
                    os.path.join(out_dir, "s5_reference.json"), indent=None)
-    return ConvergenceResult(n_values, errors, per_seed, slope, seed, bandwidth, reference_grid)
+    return ConvergenceResult(n_values, errors, per_seed, slope, seed, bandwidth)
 
 
 def _scenario_s5(cfg: ScenarioConfig) -> ScenarioResult:
-    study = convergence_study(
-        n_values=cfg.n_values,
-        n_seeds=cfg.n_seeds,
-        bandwidth=cfg.bandwidth,
-        seed=cfg.seed,
-        out_dir=cfg.out_dir,
-    )
+    study = convergence_study(bandwidth=cfg.bandwidth, seed=cfg.seed, out_dir=cfg.out_dir)
     artifacts = []
     if cfg.out_dir is not None:
         name = "S5_convergence.csv"
@@ -530,6 +523,7 @@ _BODIES: dict[str, Callable[[ScenarioConfig], ScenarioResult]] = {
     "S5": _scenario_s5,
     "S6": _scenario_s6,
 }
+SCENARIO_IDS = tuple(_BODIES)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:

@@ -67,8 +67,6 @@ def test_assemble_cli_matches_library_bytes(tmp_path):
 
 
 def test_verify_cli_matches_library_bytes(tmp_path):
-    import dataclasses
-
     from laplab.verify import ScenarioConfig, run_scenario
 
     cli_dir = tmp_path / "cli"
@@ -457,6 +455,24 @@ def test_recover_whose_matrices_cannot_land_writes_no_report(tmp_path, capsys):
     assert os.listdir(ext / "recovery_kernel.llmx") == []
 
 
+@pytest.mark.parametrize("out, ext", [
+    ("out/r.json", "out/r.json"),
+    ("out/r.json", "out/r.json/x"),
+    ("out/recovery_kernel.llmx/r.json", "out"),
+])
+def test_recover_refuses_a_file_where_an_output_directory_goes(tmp_path, capsys, monkeypatch,
+                                                               out, ext):
+    # a file whose path is, or lies above, an output directory is refused
+    # before any output directory is made
+    monkeypatch.chdir(tmp_path)
+    assert main(["assemble", "--grid", "4", "--out", "op.llop"]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--operator", "op.llop", "--out", out, "--externalize", ext]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and ".laplab-" not in err
+    assert os.listdir(tmp_path) == ["op.llop"]
+
+
 def test_recover_out_ending_in_a_separator_exits_two(tmp_path, capsys):
     op_path = tmp_path / "op.llop"
     assert main(["assemble", "--grid", "8", "--out", str(op_path)]) == 0
@@ -518,6 +534,16 @@ def _put_coupled_kernel_f(path):
     path.write_bytes(bytes(blob))
 
 
+def _put_byte(at, value, what):
+    def put(path):
+        blob = bytearray(path.read_bytes())
+        blob[at] = value
+        path.write_bytes(bytes(blob))
+
+    put.__name__ = f"_put_{what}"
+    return put
+
+
 def _put_band(index, value):
     # header floats t, du, dv start after the 20-byte fixed header
     def put(path):
@@ -543,6 +569,10 @@ def _put_node_off_grid(path):
     _put_band(0, np.nan), _put_band(0, -0.5), _put_band(1, np.inf), _put_band(2, 0.0),
     _put_band(0, 1e160), _put_negative_kernel_e,
     _put_band(1, 0.5), _put_band(1, 2.225e-311), _put_node_off_grid, _put_coupled_kernel_f,
+    # the measure block's kind byte follows the 25-byte kernel block; the u16
+    # version sits at byte 4 and the chart tag at byte 7
+    _put_byte(69, 7, "unknown_metric_kind"), _put_byte(4, 2, "version_2"),
+    _put_byte(7, 1, "sphere_chart_tag"),
 ], ids=lambda f: f.__name__)
 def test_recover_corrupt_operator_exits_three(tmp_path, capsys, corrupt):
     op_path = tmp_path / "op.llop"
@@ -603,6 +633,14 @@ def test_unknown_flag_exits_two_with_usage():
     assert "usage" in proc.stderr.lower()
 
 
+def test_unknown_embedding_exits_two_with_one_line(tmp_path, capsys):
+    rc = main(["assemble", "--grid", "4", "--mode", "extrinsic", "--embedding", "torus",
+               "--out", str(tmp_path / "x.llop")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown embedding 'torus'\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_bad_metric_selector_exits_two(tmp_path):
     rc = main(["assemble", "--metric", "hyperbolic", "--density", "uniform",
                "--grid", "4", "--bandwidth", "0.5",
@@ -650,6 +688,15 @@ def test_overflowing_kernel_exponent_prints_only_the_underflow_warning(tmp_path)
                    "--out", str(tmp_path / "x.llop"))
     assert proc.returncode == 0
     assert proc.stderr.startswith("warning: 12 rows") and proc.stderr.count("\n") == 1
+
+
+def test_underflowed_rows_warn_on_stderr_and_exit_zero(tmp_path, capsys):
+    # every off-diagonal kernel weight of the grid-8 torus underflows at t = 1e-4
+    assert main(["assemble", "--grid", "8", "--bandwidth", "1e-4",
+                 "--out", str(tmp_path / "x.llop")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: 64 rows have fully underflowed") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["x.llop"]
 
 
 # --- config file ------------------------------------------------------------------
@@ -720,6 +767,32 @@ def test_config_must_be_object(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1,2,3]")
     assert main(["--config", str(cfg), "verify", "--scenario", "S3"]) == 2
+
+
+def test_config_nested_too_deeply_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    assert main(["--config", str(cfg), "assemble", "--out", str(tmp_path / "x.llop")]) == 2
+    assert capsys.readouterr().err == "error: config file nests too deeply\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_config_refine_takes_a_boolean(tmp_path, capsys):
+    op_path, cfg = tmp_path / "op.llop", tmp_path / "cfg.json"
+    assert main(["assemble", "--grid", "8", "--density", "cosine:0.4:u",
+                 "--out", str(op_path)]) == 0
+    recover = ["recover", "--operator", str(op_path), "--out"]
+    cfg.write_text(json.dumps({"refine": 1}))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), *recover, str(tmp_path / "a.json")]) == 2
+    assert capsys.readouterr().err == "error: config 'refine' must be true or false\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "op.llop"]
+    cfg.write_text(json.dumps({"refine": True}))
+    assert main(["--config", str(cfg), *recover, str(tmp_path / "a.json")]) == 0
+    assert main([*recover, str(tmp_path / "b.json"), "--refine"]) == 0
+    assert main([*recover, str(tmp_path / "c.json")]) == 0
+    a, b, c = ((tmp_path / f"{x}.json").read_bytes() for x in "abc")
+    assert a == b != c
 
 
 # --- converge ---------------------------------------------------------------------

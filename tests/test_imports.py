@@ -1,11 +1,12 @@
-"""Every module-level import in the package, the tests and the scripts is used.
+"""Every import in the package, the tests and the scripts is used.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: a name bound by a top-level import must be referenced somewhere
-in the module, or be listed in its __all__.  `from __future__` imports are
-compiler directives and are skipped.  Importing the package also stays
-cheap: the thread pool of dense assembly, and the logging it pulls in, load
-only when an operator is assembled.
+in the module, or be listed in its __all__, and a name bound by an import in
+a function body must be referenced in that function.  `from __future__`
+imports are compiler directives and are skipped.  Importing the package also
+stays cheap: the thread pool of dense assembly, and the logging it pulls in,
+load only when an operator is assembled.
 """
 
 import ast
@@ -36,11 +37,11 @@ def _exported(tree: ast.Module) -> set:
     return names
 
 
-def unused_imports(source: str) -> list:
-    """Names bound by module-level imports of `source` that it never references."""
-    tree = ast.parse(source)
+def _unused(scope, exported=frozenset()) -> list:
+    """(line, name) of each name the imports in scope's body bind that scope
+    never references and exported does not hold."""
     bound = {}
-    for node in tree.body:
+    for node in scope.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 # `import a.b` binds `a`, where every attribute chain starts
@@ -48,14 +49,27 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
-    return sorted((line, name) for name, line in bound.items() if name not in used)
+    used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)} | exported
+    return [(line, name) for name, line in bound.items() if name not in used]
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by imports of `source`, at module level or in a function
+    body, that the module or that function never references."""
+    tree = ast.parse(source)
+    found = _unused(tree, _exported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _unused(node)
+    return sorted(found)
 
 
 def test_checker_flags_an_unused_import():
     src = "from __future__ import annotations\nimport os, sys\nfrom a import b as c\nsys.exit()\n"
     assert unused_imports(src) == [(2, "os"), (3, "c")]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+    src = "import os\ndef f():\n    import os, re\n    def g():\n        return re\n\nos.sep\n"
+    assert unused_imports(src) == [(3, "os")]
 
 
 @pytest.mark.parametrize("path", list(_modules()))

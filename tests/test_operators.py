@@ -766,6 +766,20 @@ def test_load_matrix_rejects_size_mismatch(tmp_path):
             load_matrix(path)
 
 
+def test_load_matrix_rejects_a_bad_header(tmp_path):
+    from laplab.errors import MalformedOperatorError
+
+    path = tmp_path / "m.llmx"
+    save_matrix([np.ones((3, 4))], path, (3, 4))
+    blob = path.read_bytes()
+    for bad, message in ((blob[:13], "truncated in header"),
+                         (b"LLOP" + blob[4:], "not a laplab matrix file"),
+                         (blob[:4] + b"\x02" + blob[5:], "not a laplab matrix file")):
+        path.write_bytes(bad)
+        with pytest.raises(MalformedOperatorError, match=message):
+            load_matrix(path)
+
+
 def test_matrix_round_trip(tmp_path):
     m = np.arange(12, dtype=np.float64).reshape(3, 4)
     m[1, 2] = np.nan

@@ -148,27 +148,21 @@ def test_convergence_validation():
 
 
 def test_convergence_error_shrinks_and_slope_is_half():
-    study = convergence_study(
-        n_values=(500, 2000, 8000), n_seeds=5, seed=7, reference_grid=64
-    )
+    study = convergence_study(n_values=(500, 2000, 8000), n_seeds=5, seed=7)
     assert study.errors[0] > study.errors[-1]
     assert -0.65 <= study.slope <= -0.35
     assert study.per_seed.shape == (5, 3)
 
 
 def test_single_seed_error_within_band_of_mean():
-    study = convergence_study(
-        n_values=(500, 2000, 8000), n_seeds=8, seed=11, reference_grid=64
-    )
+    study = convergence_study(n_values=(500, 2000, 8000), n_seeds=8, seed=11)
     mean = study.errors[0]
     singles = study.per_seed[:, 0]
     assert np.all((mean / 5 <= singles) & (singles <= mean * 5))
 
 
 def test_doubling_n_changes_the_error():
-    study = convergence_study(
-        n_values=(1000, 2000, 4000), n_seeds=5, seed=3, reference_grid=64
-    )
+    study = convergence_study(n_values=(1000, 2000, 4000), n_seeds=5, seed=3)
     a, b = study.per_seed[0, :2]
     assert a != b
 
@@ -176,7 +170,7 @@ def test_doubling_n_changes_the_error():
 def test_reference_record_is_rewritten_never_read(tmp_path):
     def study():
         return convergence_study(n_values=(250, 500, 1000), n_seeds=5, seed=5,
-                                 reference_grid=64, out_dir=str(tmp_path))
+                                 out_dir=str(tmp_path))
 
     a = study()
     cache = tmp_path / "s5_reference.json"
@@ -217,15 +211,13 @@ def test_convergence_per_seed_bits_match_single_point_loop():
 
 
 def test_convergence_csv_has_config_echo_and_slope_footer(tmp_path):
-    study = convergence_study(
-        n_values=(500, 2000, 8000), n_seeds=5, seed=7, reference_grid=64
-    )
+    study = convergence_study(n_values=(500, 2000, 8000), n_seeds=5, seed=7)
     path = tmp_path / "c.csv"
     study.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("# ")
     assert "seed=7" in lines[1]
-    assert "bandwidth=0.5" in lines[1] and "reference_grid=64" in lines[1]
+    assert "bandwidth=0.5" in lines[1] and "reference_grid=128" in lines[1]
     assert lines[2] == "n,rms_error"
     assert lines[-1].startswith("slope,")
     parsed = float(lines[-1].split(",")[1])
