@@ -257,8 +257,9 @@ def _staged(*outs):
     the body returns.  Every destination of every stage is checked before the
     first out is made, so a command that fails leaves each out as it was: a
     destination that is a directory, or that is or lies above an out, is
-    refused.  A None out stages nothing and gets None.  An empty out, an
-    existing file or a path under one is refused before the body runs."""
+    refused, as is one that two files would share.  A None out stages
+    nothing and gets None.  An empty out, an existing file or a path under
+    one is refused before the body runs."""
     parents = [None if out is None else _existing_dir(out) for out in outs]
     stages = []
     try:
@@ -270,7 +271,12 @@ def _staged(*outs):
                  for out, stage in zip(outs, stages) if stage
                  for name in sorted(os.listdir(stage))]
         dirs = [os.path.abspath(out) for out, stage in zip(outs, stages) if stage]
+        seen = set()
         for _, dst in moves:  # refuse before the first makedirs: all files land or none
+            real = os.path.realpath(dst)
+            if real in seen:
+                raise FileExistsError(f"{dst} would be written twice")
+            seen.add(real)
             if os.path.isdir(dst):
                 raise IsADirectoryError(f"{dst} is a directory")
             at = os.path.abspath(dst)

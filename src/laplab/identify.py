@@ -36,11 +36,14 @@ files and never holds either whole, while an embedded report and library
 reads of RecoveryReport.kernel / .distance fill whole arrays from the same
 blocks.  Index pairs and row blocks both go through one map from W to
 one-way distance, _one_way, so the stencil, the arrays and the files share
-its bits.
+its bits.  The distance stream computes its upper row strips on as many
+threads as dense assembly splits its rows into (operators._threads, none up
+to grid 32), and its bits do not depend on that count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -58,7 +61,7 @@ from .errors import (
     UnrecoverableMassError,
 )
 from .geometry import Metric, TorusMetric
-from .operators import OperatorMatrix, save_matrix
+from .operators import OperatorMatrix, _threads, save_matrix
 
 # Off-diagonal kernel weights at or below this threshold are treated as
 # absent edges: below it, log-inversion noise swamps the signal.
@@ -306,37 +309,57 @@ def _kernel_rows(wk: WeightedKernel, mass: np.ndarray):
 def _distance_rows(wk: WeightedKernel, mass: np.ndarray):
     """Row blocks (r, D[r]) of the distance matrix, 64 rows at a time.
 
-    D[r] = (f(K[r, :]) + f(K[:, r]).T) / 2, zero on the diagonal.  A block
-    gathers the row strip of W from its diagonal rightwards and the column
-    strip below it, as it lies (n x 64), tests both against the threshold
-    once for the pairs that are edges both ways, maps each strip there, and
-    adds the column's distances transposed one 64 x 64 tile at a time.  D is
-    symmetric, so the tiles left of the diagonal are the mirrors of tiles
-    that earlier blocks built: each is kept until its row block comes (at
-    most n^2 / 4 entries at once), and every one-way distance is mapped
-    once.  Kernel values above 1 are not checked here; _check_kernel_bound
-    checks them.
+    D[r] = (f(K[r, :]) + f(K[:, r]).T) / 2, zero on the diagonal.  The upper
+    strip of a block, D[r, r.start:], gathers the row strip of W from its
+    diagonal rightwards and the column strip below it, as it lies (n x 64),
+    tests both against the threshold once for the pairs that are edges both
+    ways, maps each strip there and adds the column's distances transposed.
+    D is symmetric, so the tiles left of the diagonal are the mirrors of
+    tiles that earlier strips cut: each is kept until its row block comes (at
+    most n^2 / 4 entries at once), and every one-way distance is mapped once.
+
+    Strips are independent: with k = _threads(n) > 1 they compute on a pool
+    of k threads, at most k ahead of the block this thread fills and yields,
+    and call no public laplab function.  Every entry gets the same operations
+    whatever k is, so the bits do not depend on it.  The first strip to raise
+    is raised, in row order, once every started strip stopped; closing the
+    stream early waits for them too.  Kernel values above 1 are not checked
+    here; _check_kernel_bound checks them.
     """
-    tiles, kept = _tiles(wk.n), {}
-    for a, r in enumerate(tiles):
-        d = np.empty((r.stop - r.start, wk.n))
-        for b, c in enumerate(tiles[:a]):
-            d[:, c] = kept.pop((a, b))
-        right = slice(r.start, wk.n)
+    n, tiles, kept = wk.n, _tiles(wk.n), {}
+
+    def strip(a: int):
+        r = tiles[a]
+        right = slice(r.start, n)
         row, col = wk.w(r, right), wk.w(right, r)
         sym = row > EDGE_THRESHOLD
         sym &= col.T > EDGE_THRESHOLD
-        d[:, right] = _one_way(row, mass[right], sym, wk.t)
+        up = _one_way(row, mass[right], sym, wk.t)
         del row
-        col = _one_way(col, mass[r], sym.T, wk.t)
-        for b, c in enumerate(tiles[a:], a):
-            s = d[:, c]
-            s += col[c.start - r.start:c.stop - r.start].T
-            s *= 0.5
-            if b > a:
-                kept[b, a] = s.T.copy()
-        np.fill_diagonal(d[:, r], 0.0)
-        yield r, d
+        up += _one_way(col, mass[r], sym.T, wk.t).T
+        up *= 0.5
+        return up, {(b, a): up[:, c.start - r.start:c.stop - r.start].T.copy()
+                    for b, c in enumerate(tiles[a + 1:], a + 1)}
+
+    k = _threads(n)
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import time
+
+    # leaving the block, by a failure or by close(), waits for every started strip
+    with ThreadPoolExecutor(k) as pool:
+        ahead = deque()
+        for a, r in enumerate(tiles):
+            # ahead holds strips a to a + k; with k = 1 strip a runs here, on no thread
+            while k > 1 and a + len(ahead) < min(a + k + 1, len(tiles)):
+                ahead.append(pool.submit(strip, a + len(ahead)))
+            up, mirrors = ahead.popleft().result() if ahead else strip(a)
+            kept.update(mirrors)
+            d = np.empty((r.stop - r.start, n))
+            for b, c in enumerate(tiles[:a]):
+                d[:, c] = kept.pop((a, b))
+            d[:, r.start:] = up
+            del up
+            np.fill_diagonal(d[:, r], 0.0)
+            yield r, d
 
 
 def recover_kernel_distance(
@@ -487,11 +510,12 @@ def report_payload(report: RecoveryReport, externalize_dir=None) -> dict:
     if externalize_dir is not None:
         os.makedirs(externalize_dir, exist_ok=True)
         wk, mass, n = report.wk, report.mass, report.wk.n
-        rows = {"kernel": _kernel_rows(wk, mass), "distance": _distance_rows(wk, mass)}
         files = {}
-        for name, blocks in rows.items():
+        for name, rows in (("kernel", _kernel_rows), ("distance", _distance_rows)):
             fname = f"recovery_{name}.llmx"
-            save_matrix((b for _, b in blocks), os.path.join(externalize_dir, fname), (n, n))
+            # a write that fails closes the stream, which waits for its threads
+            with contextlib.closing(rows(wk, mass)) as blocks:
+                save_matrix((b for _, b in blocks), os.path.join(externalize_dir, fname), (n, n))
             files[name] = fname
         payload["matrix_files"] = files
     elif report.mass.shape[0] <= 256:

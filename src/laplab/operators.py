@@ -112,6 +112,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _threads(n: int) -> int:
+    """Threads for a pass over n rows: one per CPU the process may run on and
+    at most one per 1024 rows, so grids up to 32 start no thread and grid 64
+    takes at most 4."""
+    return max(1, min(_cpus(), n // 1024))
+
+
 def _fill_rows(blocks, w: np.ndarray, pw: np.ndarray, t: float) -> int:
     """Turn each block of squared distances in w into rows of L, in place, in the
     order of the formula; returns how many of its rows have no off-diagonal weight."""
@@ -144,11 +151,12 @@ def assemble_continuous(
     the chart of rule.metric.  Bandwidth t must pass _check_bandwidth.
     Refuses grids beyond 64^2 nodes; use continuous_value there.
 
-    The n rows split into k = max(1, min(CPUs, n // 1024)) contiguous ranges
-    of about n / k rows.  k - 1 of them run on a thread pool, the first on
-    the caller's thread; every entry gets the same operations whatever k is,
-    so the bits do not depend on it.  Only this thread calls a public laplab
-    function.  The first range to raise is raised once every range stopped.
+    The n rows split into k = _threads(n) = max(1, min(CPUs, n // 1024))
+    contiguous ranges of about n / k rows.  k - 1 of them run on a thread
+    pool, the first on the caller's thread; every entry gets the same
+    operations whatever k is, so the bits do not depend on it.  Only this
+    thread calls a public laplab function.  The first range to raise is
+    raised once every range stopped.
     """
     _check_chart(space, rule.metric)
     _check_bandwidth(t)
@@ -161,9 +169,7 @@ def assemble_continuous(
     n = rule.n
     w = np.empty((n, n))
     rows = _node_sq_dist(space, rule, w)
-    # at least 1024 rows per range, so grids up to 32 start no thread and
-    # grid 64 takes at most 4 ranges
-    k = max(1, min(_cpus(), n // 1024))
+    k = _threads(n)
     bounds = [i * n // k for i in range(k + 1)]
     from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import time
 

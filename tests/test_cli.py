@@ -473,6 +473,26 @@ def test_recover_refuses_a_file_where_an_output_directory_goes(tmp_path, capsys,
     assert os.listdir(tmp_path) == ["op.llop"]
 
 
+@pytest.mark.parametrize("ext", ["q", "link"])
+def test_recover_refuses_a_report_and_a_matrix_with_one_path(tmp_path, capsys, monkeypatch,
+                                                             ext):
+    # the report is named as the kernel file of the externalize directory,
+    # there or through a link to it: one would replace the other, so neither
+    # lands and no output directory is made
+    monkeypatch.chdir(tmp_path)
+    assert main(["assemble", "--grid", "4", "--out", "op.llop"]) == 0
+    if ext == "link":
+        os.symlink("q", "link")
+    capsys.readouterr()
+    assert main(["recover", "--operator", "op.llop", "--out", "q/recovery_kernel.llmx",
+                 "--externalize", ext]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and ".laplab-" not in err
+    assert sorted(os.listdir(tmp_path)) == (["link", "op.llop"] if ext == "link" else ["op.llop"])
+
+
 def test_recover_out_ending_in_a_separator_exits_two(tmp_path, capsys):
     op_path = tmp_path / "op.llop"
     assert main(["assemble", "--grid", "8", "--out", str(op_path)]) == 0

@@ -734,6 +734,27 @@ def test_recovery_report_peak_memory_holds_no_dense_float_matrix(externalize, bo
     assert peak <= bound * 8 * rule.n**2
 
 
+def test_threaded_recovery_report_peak_memory_holds_no_dense_float_matrix(monkeypatch, tmp_path):
+    # the externalized twin above at grid 64 with four strips of the distance
+    # stream in flight: about 0.30 at one, 0.35 at two and 0.39 at four, in
+    # the same units
+    from laplab import operators
+    from laplab.identify import report_payload
+
+    op, rule, _ = _op(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), n=64)
+    monkeypatch.setattr(operators, "_cpus", lambda: 4)
+    tracemalloc.start()
+    try:
+        report_payload(run_recovery(op), externalize_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for path in tmp_path.iterdir():  # 256 MiB of matrices the suite need not keep
+        path.unlink()
+    assert operators._threads(rule.n) == 4
+    assert peak <= 0.45 * 8 * rule.n**2, peak / (8 * rule.n**2)
+
+
 # --- no edge matrix: every reader tests W against the threshold where it reads it ---
 
 

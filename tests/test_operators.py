@@ -6,10 +6,12 @@ diagonal makes rows sum to zero.  Tests recompute entries by hand from
 that formula and from hand-evaluated distances.
 """
 
+import hashlib
 import json
 import math
 import os
 import pathlib
+import shutil
 import struct
 import subprocess
 import sys
@@ -20,7 +22,9 @@ import numpy as np
 import pytest
 
 import laplab.geometry as geometry
+import laplab.identify as identify
 import laplab.operators as operators
+from laplab.cli import main
 from laplab.discretization import (
     CosineBump,
     QuadratureRule,
@@ -924,16 +928,161 @@ def test_threaded_build_peak_memory_is_within_its_bound(monkeypatch):
     assert peak <= 1.15 * 8 * op.n**2, peak / (8 * op.n**2)
 
 
+# --- recovery's distance stream: upper strips on threads -----------------------------
+
+
+def _clear(path):
+    """Delete what a test wrote in path: the suite's kept temporary
+    directories would otherwise hold gigabytes of grid-64 matrices."""
+    shutil.rmtree(path)
+    path.mkdir()
+
+
+def _externalized_recovery(tmp_path, op_path):
+    """SHA-256 of the report and of both .llmx files of recover --externalize,
+    which are deleted once hashed."""
+    ext, out = tmp_path / "mx", tmp_path / "r.json"
+    assert main(["recover", "--operator", str(op_path), "--out", str(out),
+                 "--externalize", str(ext)]) == 0
+    paths = [out] + [ext / f"recovery_{name}.llmx" for name in ("kernel", "distance")]
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+    shutil.rmtree(ext)
+    out.unlink()
+    return digests
+
+
+@pytest.mark.parametrize("grid", [46, 64])
+@pytest.mark.parametrize("case", sorted(_CLI_PAIRS))
+def test_recovery_stream_bits_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, capsys,
+                                                                 case, grid):
+    # 1, 2, 3 and 8 CPUs keep 1 to 4 strips in flight at grid 64 and 1 or 2
+    # at grid 46, whose sphere (n = 2070) ends in a partial tile
+    metric, emb = _CLI_PAIRS[case]
+    op, _ = build_operator(metric, CosineBump(0.4, "u"), grid, 0.5, emb)
+    op_path = tmp_path / "op.llop"
+    save_operator(op, op_path)
+    counts = sorted({min(cpus, op.n // 1024) for cpus in (1, 2, 3, 8)})
+    del op
+    ref = None
+    for count in counts:
+        _force_cpus(monkeypatch, count)
+        files = _externalized_recovery(tmp_path, op_path)
+        if ref is None:
+            ref = files
+        else:
+            assert files == ref, count
+    op_path.unlink()
+    capsys.readouterr()
+
+
+def test_recovery_at_grid_32_starts_no_thread(monkeypatch, tmp_path, capsys):
+    _force_cpus(monkeypatch, 8)
+    # n = 1024, the most rows that one thread takes
+    op, _ = build_operator(TorusMetric.flat(), CosineBump(0.4, "u"), 32, 0.5, DonutTorus(2.0, 1.0))
+    op_path = tmp_path / "op.llop"
+    save_operator(op, op_path)
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", spy)
+        _externalized_recovery(tmp_path, op_path)
+    assert op.n == 1024 and started == []
+    capsys.readouterr()
+
+
+def test_a_failing_strip_raises_in_row_order_after_every_strip_stopped(monkeypatch):
+    # strips 2 and 3 raise, and strip 2 waits until strip 3 has: the first
+    # failure in row order is not the first in time
+    class Boom(Exception):
+        pass
+
+    op, _ = build_operator(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), 64, 0.5)
+    report = identify.run_recovery(op)
+    one_way, later_failed = identify._one_way, threading.Event()
+
+    def failing(w, m, sym, t):
+        a = (op.n - max(w.shape)) // 64  # strip a maps n - 64 a columns, then rows
+        if a == 2:
+            assert later_failed.wait(10)
+        if a in (2, 3):
+            later_failed.set()
+            raise Boom(a)
+        return one_way(w, m, sym, t)
+
+    monkeypatch.setattr(identify, "_one_way", failing)
+    _force_cpus(monkeypatch, 4)
+    before = threading.active_count()
+    blocks = []
+    with pytest.raises(Boom, match="^2$"):
+        for r, _ in identify._distance_rows(report.wk, report.mass):
+            blocks.append(r.start)
+    assert blocks == [0, 64] and threading.active_count() == before
+
+
+def test_failed_strip_leaves_both_out_directories_as_they_were(monkeypatch, tmp_path, capsys):
+    from laplab.errors import InconsistencyError
+
+    op, _ = build_operator(TorusMetric.flat(), CosineBump(0.4, "u"), 46, 0.5, DonutTorus(2.0, 1.0))
+    op_path, ext, out = tmp_path / "op.llop", tmp_path / "ext", tmp_path / "out"
+    save_operator(op, op_path)
+    names = ["recovery_distance.llmx", "recovery_kernel.llmx"]
+    ext.mkdir()
+    for name in names:
+        (ext / name).write_bytes(b"old")
+    _force_cpus(monkeypatch, 2)
+    one_way = identify._one_way
+
+    def failing(w, m, sym, t):
+        if w.ndim == 2 and max(w.shape) == op.n - 128:  # the third strip
+            raise InconsistencyError("strip 2 failed")
+        return one_way(w, m, sym, t)
+
+    monkeypatch.setattr(identify, "_one_way", failing)
+    before = threading.active_count()
+    assert main(["recover", "--operator", str(op_path), "--out", str(out / "r.json"),
+                 "--externalize", str(ext)]) == 3
+    assert capsys.readouterr().err == "numerical failure: strip 2 failed\n"
+    assert threading.active_count() == before
+    assert sorted(os.listdir(tmp_path)) == ["ext", "op.llop"]
+    assert sorted(os.listdir(ext)) == names
+    assert all((ext / name).read_bytes() == b"old" for name in names)
+
+
+def test_a_stream_closed_mid_way_stops_its_threads(monkeypatch, tmp_path):
+    # the distance file's writer fails after three blocks: the stream is
+    # closed at once, not when the traceback that holds it goes, and the
+    # strips computed ahead of it finish with the pool's threads
+    op, _ = build_operator(SphereMetric(1.0), CosineBump(0.4, "u"), 64, 0.5)
+    report = identify.run_recovery(op)
+    _force_cpus(monkeypatch, 4)
+
+    def failing_save(blocks, path, shape):
+        for i, _ in enumerate(blocks):
+            if "distance" in str(path) and i == 2:
+                raise OSError("No space left on device")
+
+    monkeypatch.setattr(identify, "save_matrix", failing_save)
+    before = threading.active_count()
+    with pytest.raises(OSError) as caught:
+        identify.report_payload(report, externalize_dir=tmp_path)
+    assert threading.active_count() == before
+    assert str(caught.value) == "No space left on device"
+    _clear(tmp_path)
+
+
 # a child process installs the benchmark's tracer, which rebinds laplab's
 # public functions, so no other test sees the wrapped package
-_TRACED_BUILDS = r"""
-import importlib.util, json, pathlib, sys
+_TRACED = r"""
+import importlib.util, json, sys
 
 import laplab
 import laplab.operators
 
-tracing_path, out = sys.argv[1], pathlib.Path(sys.argv[2])
-spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_path)
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 laplab.operators._cpus = lambda: 2
@@ -941,45 +1090,66 @@ tracer = tracing.Tracer()
 tracer.install(laplab)
 import laplab.cli
 
-for args in (["--metric", "sphere:1.0"],
-             ["--mode", "extrinsic", "--embedding", "donut:2:1"],
-             ["--metric", "aniso:1.5"]):
-    code = laplab.cli.main(["assemble", "--grid", "46", *args, "--out", str(out / "x.llop")])
+for argv in json.loads(sys.argv[2]):
+    code = laplab.cli.main(argv)
     assert code == 0, code
-(out / "spans.json").write_text(json.dumps(tracer.spans))
+with open("spans.json", "w") as fh:
+    json.dump(tracer.spans, fh)
 tracing.summarize(tracer.spans)
 print("summarized")
 """
 
 
-def test_traced_threaded_builds_keep_one_span_tree(tmp_path):
+def _traced_spans(tmp_path, *commands):
+    """Span names and each span's names above it, for CLI commands run in
+    tmp_path under the benchmark's tracer with two CPUs; no span may have a
+    parent cycle, and the spans must summarize."""
     root = pathlib.Path(__file__).parents[1]
     src = os.path.dirname(os.path.dirname(operators.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     try:
         proc = subprocess.run(
-            [sys.executable, "-c", _TRACED_BUILDS, str(root / "perfbench" / "tracing.py"),
-             str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+            [sys.executable, "-c", _TRACED, str(root / "perfbench" / "tracing.py"),
+             json.dumps(commands)], capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=120)
         summarized = proc.stdout.endswith("\nsummarized\n")
         assert proc.returncode == 0, proc.stderr
     except subprocess.TimeoutExpired:
         summarized = False
     spans = json.loads((tmp_path / "spans.json").read_text())
+    _clear(tmp_path)
     parent = {span[0]: span[1] for span in spans}
+    names, above = [span[2] for span in spans], {}
     for sid in parent:  # a parent cycle would revisit a span on the way up
-        seen, up = set(), sid
+        seen, up = set(), parent[sid]
         while up >= 0:
             assert up not in seen, f"span {sid} has a parent cycle"
             seen.add(up)
             up = parent[up]
-    names = [span[2] for span in spans]
-    assert names.count("geometry.embed_many") == 4 and "geometry.torus_grid_rows" in names
-    for sid, _, name, *_ in spans:
-        if name.startswith("geometry."):
-            up, above = parent[sid], set()
-            while up >= 0:
-                above.add(names[up])
-                up = parent[up]
-            assert "operators.assemble_continuous" in above, name
+        above[sid] = {names[up] for up in seen}
     assert summarized
+    return names, above
+
+
+def test_traced_threaded_builds_keep_one_span_tree(tmp_path):
+    names, above = _traced_spans(tmp_path, *(
+        ["assemble", "--grid", "46", *args, "--out", "x.llop"]
+        for args in (["--metric", "sphere:1.0"],
+                     ["--mode", "extrinsic", "--embedding", "donut:2:1"],
+                     ["--metric", "aniso:1.5"])))
+    assert names.count("geometry.embed_many") == 4 and "geometry.torus_grid_rows" in names
+    for sid, name in enumerate(names):
+        if name.startswith("geometry."):
+            assert "operators.assemble_continuous" in above[sid], name
+
+
+def test_traced_threaded_recovery_keeps_one_span_tree(tmp_path):
+    # the distance stream's strips run on the pool and call no traced function
+    names, above = _traced_spans(
+        tmp_path, ["assemble", "--grid", "64", "--metric", "aniso:1.5", "--out", "x.llop"],
+        ["recover", "--operator", "x.llop", "--out", "r.json", "--externalize", "mx"])
+    assert names.count("operators.save_matrix") == 2
+    for sid, name in enumerate(names):
+        if name == "operators.save_matrix":
+            assert "identify.report_payload" in above[sid]
