@@ -36,9 +36,9 @@ files and never holds either whole, while an embedded report and library
 reads of RecoveryReport.kernel / .distance fill whole arrays from the same
 blocks.  Index pairs and row blocks both go through one map from W to
 one-way distance, _one_way, so the stencil, the arrays and the files share
-its bits.  The distance stream computes its upper row strips on as many
-threads as dense assembly splits its rows into (operators._threads, none up
-to grid 32), and its bits do not depend on that count.
+its bits.  The distance stream computes its upper row strips by dense
+assembly's thread rule, operators._in_order, so its bits do not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .errors import (
     UnrecoverableMassError,
 )
 from .geometry import Metric, TorusMetric
-from .operators import OperatorMatrix, _threads, save_matrix
+from .operators import OperatorMatrix, _in_order, save_matrix
 
 # Off-diagonal kernel weights at or below this threshold are treated as
 # absent edges: below it, log-inversion noise swamps the signal.
@@ -318,12 +318,8 @@ def _distance_rows(wk: WeightedKernel, mass: np.ndarray):
     tiles that earlier strips cut: each is kept until its row block comes (at
     most n^2 / 4 entries at once), and every one-way distance is mapped once.
 
-    Strips are independent: with k = _threads(n) > 1 they compute on a pool
-    of k threads, at most k ahead of the block this thread fills and yields,
-    and call no public laplab function.  Every entry gets the same operations
-    whatever k is, so the bits do not depend on it.  The first strip to raise
-    is raised, in row order, once every started strip stopped; closing the
-    stream early waits for them too.  Kernel values above 1 are not checked
+    Strips are independent and run as the tasks of operators._in_order,
+    closed as soon as the stream is.  Kernel values above 1 are not checked
     here; _check_kernel_bound checks them.
     """
     n, tiles, kept = wk.n, _tiles(wk.n), {}
@@ -341,17 +337,9 @@ def _distance_rows(wk: WeightedKernel, mass: np.ndarray):
         return up, {(b, a): up[:, c.start - r.start:c.stop - r.start].T.copy()
                     for b, c in enumerate(tiles[a + 1:], a + 1)}
 
-    k = _threads(n)
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import time
-
-    # leaving the block, by a failure or by close(), waits for every started strip
-    with ThreadPoolExecutor(k) as pool:
-        ahead = deque()
+    with contextlib.closing(_in_order(strip, len(tiles), n)) as strips:
         for a, r in enumerate(tiles):
-            # ahead holds strips a to a + k; with k = 1 strip a runs here, on no thread
-            while k > 1 and a + len(ahead) < min(a + k + 1, len(tiles)):
-                ahead.append(pool.submit(strip, a + len(ahead)))
-            up, mirrors = ahead.popleft().result() if ahead else strip(a)
+            up, mirrors = next(strips)
             kept.update(mirrors)
             d = np.empty((r.stop - r.start, n))
             for b, c in enumerate(tiles[:a]):

@@ -17,12 +17,11 @@ bandwidth and optional embedding to an operator: grid, normalized density,
 dense assembly.  Dense assembly takes each block of rows from squared
 distances (per-axis tables for a torus metric on a tensor grid) to
 entries of L while it sits in cache, in the order of the formula.  Its rows
-split into contiguous ranges, one per CPU the process may run on and at most
-one per 1024 rows, the first on the caller's thread and the others on a
-thread pool; the bits do not depend on the split, nor, since no BLAS call
-computes an entry, on the BLAS kernel the CPU selects.  It is capped at 64^2
-nodes.  Above that, and for reference values at arbitrary chart points,
-`continuous_value` evaluates single rows of the operator matrix-free.
+split into contiguous ranges run by the thread rule of `_in_order`; the bits
+do not depend on the split, nor, since no BLAS call computes an entry, on the
+BLAS kernel the CPU selects.  It is capped at 64^2 nodes.  Above that, and for
+reference values at arbitrary chart points, `continuous_value` evaluates
+single rows of the operator matrix-free.
 `evaluate_discrete` is the Monte-Carlo counterpart on a sampled point cloud,
 normalized by 1/(n t^2).  Both scale the m sums of one loop, `_kernel_sums`,
 which takes one 1 x n distance row per point of an (m, 2) array.
@@ -119,6 +118,31 @@ def _threads(n: int) -> int:
     return max(1, min(_cpus(), n // 1024))
 
 
+def _in_order(task: Callable[[int], object], count: int, n: int):
+    """Yield task(0), ..., task(count - 1) in index order, for a pass over n rows.
+
+    With k = _threads(n) = 1 every task runs on this thread: no thread starts
+    and concurrent.futures, which loads logging, is not imported.  Otherwise
+    k pool threads run them, at most k + 1 started and not yet yielded.  Tasks
+    call no public laplab function (perfbench's tracer keeps one span stack)
+    and give each entry the same operations whatever k is, so the bits do not
+    depend on k.  The first task to raise is raised, in index order, once every
+    started task stopped; closing the generator early waits for them too.
+    """
+    k = _threads(n)
+    if k == 1:
+        yield from map(task, range(count))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(k) as pool:
+        ahead = {i: pool.submit(task, i) for i in range(min(k, count))}
+        for i in range(count):
+            if i + k < count:  # ahead holds tasks i to i + k
+                ahead[i + k] = pool.submit(task, i + k)
+            yield ahead.pop(i).result()
+
+
 def _fill_rows(blocks, w: np.ndarray, pw: np.ndarray, t: float) -> int:
     """Turn each block of squared distances in w into rows of L, in place, in the
     order of the formula; returns how many of its rows have no off-diagonal weight."""
@@ -151,12 +175,8 @@ def assemble_continuous(
     the chart of rule.metric.  Bandwidth t must pass _check_bandwidth.
     Refuses grids beyond 64^2 nodes; use continuous_value there.
 
-    The n rows split into k = _threads(n) = max(1, min(CPUs, n // 1024))
-    contiguous ranges of about n / k rows.  k - 1 of them run on a thread
-    pool, the first on the caller's thread; every entry gets the same
-    operations whatever k is, so the bits do not depend on it.  Only this
-    thread calls a public laplab function.  The first range to raise is
-    raised once every range stopped.
+    The n rows split into k = _threads(n) contiguous ranges of about n / k
+    rows, which run as the tasks of _in_order.
     """
     _check_chart(space, rule.metric)
     _check_bandwidth(t)
@@ -171,16 +191,8 @@ def assemble_continuous(
     rows = _node_sq_dist(space, rule, w)
     k = _threads(n)
     bounds = [i * n // k for i in range(k + 1)]
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import time
-
-    def fill(i: int) -> int:
-        return _fill_rows(rows(bounds[i], bounds[i + 1]), w, pw, t)
-
-    # leaving the block waits for every range; result() raises the first failure
-    with ThreadPoolExecutor(max(1, k - 1)) as pool:
-        futures = [pool.submit(fill, i) for i in range(1, k)]
-        dead = fill(0)
-    dead, warning = dead + sum(f.result() for f in futures), None
+    dead = sum(_in_order(lambda i: _fill_rows(rows(bounds[i], bounds[i + 1]), w, pw, t), k, n))
+    warning = None
     if dead:
         warning = (
             f"{dead} rows have fully underflowed off-diagonal kernels; "

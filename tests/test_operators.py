@@ -837,8 +837,47 @@ def test_rows_split_into_even_ranges(monkeypatch, grid, cpus, ranges):
     with monkeypatch.context() as patch:
         patch.setattr(threading.Thread, "start", spy)
         build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
-    assert sorted(seen) == ranges and len(started) == len(ranges) - 1
+    # every range runs on the pool's k threads, and one range on none
+    assert sorted(seen) == ranges and len(started) == (len(ranges) if len(ranges) > 1 else 0)
     assert not any(thread.is_alive() for thread in started)
+
+
+def _last_first_in_threes(count, received):
+    """Tasks that return their index, the finish order they record and the
+    most of them ever started but not yet received: in each group of three
+    the later tasks finish first, each released by the event of the next."""
+    done, lock = [threading.Event() for _ in range(count)], threading.Lock()
+    finished, started, most = [], [0], [0]
+
+    def task(i):
+        with lock:
+            started[0] += 1
+            most[0] = max(most[0], started[0] - received[0])
+        if (i + 1) % 3:
+            assert done[i + 1].wait(10), i
+        finished.append(i)
+        done[i].set()
+        return i
+    return task, finished, most
+
+
+def test_in_order_yields_by_index_with_at_most_k_plus_one_started(monkeypatch):
+    _force_cpus(monkeypatch, 3)
+    n, count, received, before = 64 * 64, 9, [0], threading.active_count()
+    assert operators._threads(n) == 3
+    task, finished, most = _last_first_in_threes(count, received)
+    results = []
+    for result in operators._in_order(task, count, n):
+        results.append(result)
+        received[0] += 1
+    assert results == list(range(count)) and sorted(finished) == results
+    assert finished != results and finished.index(2) < finished.index(1) < finished.index(0)
+    assert 3 <= most[0] <= 3 + 1
+    task, finished, _ = _last_first_in_threes(count, [0])
+    tasks = operators._in_order(task, count, n)
+    assert [next(tasks) for _ in range(3)] == [0, 1, 2]
+    tasks.close()  # tasks 3 to 5 have started; they finish before close returns
+    assert threading.active_count() == before and sorted(finished) == list(range(6))
 
 
 @pytest.mark.parametrize("grid", [46, 64])
