@@ -36,6 +36,7 @@ import io
 import os
 import sys
 
+import numpy as np
 from laplab.cli import main as laplab_main
 from laplab.rng import Xorshift64Star
 
@@ -104,12 +105,10 @@ def manifest(out: str) -> list[str]:
 
 
 def numpy_build() -> str:
-    """numpy's version and the SIMD dispatch targets it enabled on this CPU."""
-    from numpy import __version__
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    targets = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
-    return f"numpy {__version__}, SIMD dispatch targets: {targets or 'none'}"
+    """numpy's version and the SIMD dispatch targets it enabled on this CPU,
+    from its public build information."""
+    targets = " ".join(np.show_config(mode="dicts")["SIMD Extensions"].get("found", []))
+    return f"numpy {np.__version__}, SIMD dispatch targets: {targets or 'none'}"
 
 
 def main(argv=None) -> int:

@@ -24,10 +24,11 @@ import shutil
 import sys
 import tempfile
 
+from . import discretization, geometry, identify, operators, verify
+from .errors import NumericalError
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .verify import N_SEEDS, N_VALUES
-
     ap = argparse.ArgumentParser(
         prog="laplab",
         description="graph Laplace operators on tori and spheres: "
@@ -77,9 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None, help="directory for JSON reports")
 
     c = sub.add_parser("converge", help="Monte-Carlo convergence study")
-    c.add_argument("--n", default=",".join(map(str, N_VALUES)),
+    c.add_argument("--n", default=",".join(map(str, verify.N_VALUES)),
                    help="comma-separated sample sizes")
-    c.add_argument("--seeds", type=int, default=N_SEEDS)
+    c.add_argument("--seeds", type=int, default=verify.N_SEEDS)
     c.add_argument("--bandwidth", type=float, default=0.5)
     c.add_argument("--seed", type=int, default=1234)
     c.add_argument("--out", required=True, help="output CSV path")
@@ -148,54 +149,47 @@ def _numbers(flag: str, grammar: str, text: str, count: int) -> list[float]:
 
 
 def _parse_metric(text: str):
-    from .geometry import SphereMetric, TorusMetric
-
     name, sep, rest = text.partition(":")
     if name == "flat":
         _bare(text)
-        return TorusMetric.flat()
+        return geometry.TorusMetric.flat()
     if name == "aniso":
-        return TorusMetric.anisotropic(*_numbers("--metric", "aniso:<a>", rest, 1))
+        return geometry.TorusMetric.anisotropic(*_numbers("--metric", "aniso:<a>", rest, 1))
     if name == "scaled":
-        return TorusMetric.scaled_flat(*_numbers("--metric", "scaled:<c>", rest, 1))
+        return geometry.TorusMetric.scaled_flat(*_numbers("--metric", "scaled:<c>", rest, 1))
     if name == "sphere":
         if not sep:
-            return SphereMetric(1.0)
-        return SphereMetric(*_numbers("--metric", "sphere:<R>", rest, 1))
+            return geometry.SphereMetric(1.0)
+        return geometry.SphereMetric(*_numbers("--metric", "sphere:<R>", rest, 1))
     raise ValueError(f"unknown metric {text!r}")
 
 
 def _parse_embedding(text: str):
-    from .geometry import CliffordTorus, DonutTorus, UnitSphere
-
     name, _, rest = text.partition(":")
     if name == "clifford":
         _bare(text)
-        return CliffordTorus()
+        return geometry.CliffordTorus()
     if name == "donut":
-        return DonutTorus(*_numbers("--embedding", "donut:<R>:<r>", rest, 2))
+        return geometry.DonutTorus(*_numbers("--embedding", "donut:<R>:<r>", rest, 2))
     if name == "sphere":
         _bare(text)
-        return UnitSphere()
+        return geometry.UnitSphere()
     raise ValueError(f"unknown embedding {text!r}")
 
 
 def _parse_density(text: str):
-    from .discretization import CosineBump, UniformDensity
-
     name, _, rest = text.partition(":")
     if name == "uniform":
         _bare(text)
-        return UniformDensity()
+        return discretization.UniformDensity()
     if name == "cosine":
         alpha, _, axis = rest.partition(":")
-        return CosineBump(*_numbers("--density", "cosine:<alpha>:<axis>", alpha, 1), axis or "u")
+        return discretization.CosineBump(*_numbers("--density", "cosine:<alpha>:<axis>", alpha, 1),
+                                         axis or "u")
     raise ValueError(f"unknown density {text!r}")
 
 
 def _cmd_assemble(args) -> int:
-    from .operators import build_operator, save_operator
-
     out_dir, name = _out_file(args.out)
     metric = _parse_metric(args.metric)
     if args.mode == "extrinsic" and args.embedding is None:
@@ -205,8 +199,8 @@ def _cmd_assemble(args) -> int:
     embedding = None if args.embedding is None else _parse_embedding(args.embedding)
     density = _parse_density(args.density)
     with _staged(out_dir) as (stage,):
-        op, _ = build_operator(metric, density, args.grid, args.bandwidth, embedding)
-        save_operator(op, os.path.join(stage, name))
+        op, _ = operators.build_operator(metric, density, args.grid, args.bandwidth, embedding)
+        operators.save_operator(op, os.path.join(stage, name))
     print(f"wrote {args.out}: {op.n} nodes, t={op.t}, mode={args.mode}")
     if op.warning:
         print(f"warning: {op.warning}", file=sys.stderr)
@@ -214,26 +208,22 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from .identify import report_payload, run_recovery
-    from .operators import load_operator
-    from .verify import write_json
-
     out_dir, name = _out_file(args.out)
-    op = load_operator(args.operator)
-    report = run_recovery(op, refine=args.refine)
+    op = operators.load_operator(args.operator)
+    report = identify.run_recovery(op, refine=args.refine)
     with _staged(out_dir, args.externalize) as (stage, mx):
-        payload = report_payload(report, externalize_dir=mx)
-        write_json(payload, os.path.join(stage, name))
+        payload = identify.report_payload(report, externalize_dir=mx)
+        verify.write_json(payload, os.path.join(stage, name))
     print(f"wrote {args.out}: {payload['n']} nodes, "
           f"{len(payload['metric']['indices'])} recovered tensors")
     return 0
 
 
 def _out_file(out: str) -> tuple[str, str]:
-    """--out as (directory, file name); a path ending in a separator is refused."""
+    """--out as (directory, file name); empty or ending in a separator is refused."""
     name = os.path.basename(out)
     if not name:
-        raise ValueError(f"--out {out} names a directory, not a file")
+        raise ValueError(f"--out {out} names a directory, not a file" if out else "--out is empty")
     return os.path.dirname(os.path.abspath(out)), name
 
 
@@ -294,15 +284,13 @@ def _staged(*outs):
 
 
 def _cmd_verify(args) -> int:
-    from .verify import SCENARIO_IDS, ScenarioConfig, run_scenario
-
-    wanted = SCENARIO_IDS if args.scenario == "all" else (args.scenario,)
+    wanted = verify.SCENARIO_IDS if args.scenario == "all" else (args.scenario,)
     ok = True
     with _staged(args.out) as (stage,):
         for sid in wanted:
-            result = run_scenario(ScenarioConfig(scenario=sid, grid=args.grid,
-                                                 bandwidth=args.bandwidth, seed=args.seed,
-                                                 out_dir=stage))
+            result = verify.run_scenario(verify.ScenarioConfig(
+                scenario=sid, grid=args.grid, bandwidth=args.bandwidth, seed=args.seed,
+                out_dir=stage))
             status = "pass" if result.passed else "FAIL"
             detail = ", ".join(
                 f"{k}={v:.3e}" for k, v in sorted(result.discrepancies.items())
@@ -313,12 +301,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    from .verify import convergence_study
-
-    n_values = tuple(int(s) for s in str(args.n).split(",") if s)
+    try:
+        n_values = tuple(int(s) for s in str(args.n).split(",") if s)
+    except ValueError:
+        raise ValueError(f"--n needs comma-separated integers, got {args.n!r}") from None
     out_dir, name = _out_file(args.out)
     with _staged(out_dir) as (stage,):
-        study = convergence_study(
+        study = verify.convergence_study(
             n_values=n_values,
             n_seeds=args.seeds,
             bandwidth=args.bandwidth,
@@ -346,9 +335,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others
         return int(exc.code) if exc.code else 0
-
-    from .errors import NumericalError
-
     try:
         args = _merge_config(args, argv, parser)
         return _COMMANDS[args.command](args)

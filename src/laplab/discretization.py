@@ -104,9 +104,6 @@ class UniformDensity:
     def sup_raw(self) -> float:
         return 1.0
 
-    def label(self) -> str:
-        return "uniform"
-
 
 @dataclass(frozen=True)
 class CosineBump:
@@ -131,9 +128,6 @@ class CosineBump:
 
     def sup_raw(self) -> float:
         return 1.0 + abs(self.alpha)
-
-    def label(self) -> str:
-        return f"cosine:{self.alpha}:{self.axis}"
 
 
 Density = Union[UniformDensity, CosineBump]

@@ -41,10 +41,6 @@ class InconsistencyError(NumericalError):
 class ConditioningError(NumericalError):
     """A recovered tensor is not positive definite."""
 
-    def __init__(self, message, eigenvalues=None):
-        super().__init__(message)
-        self.eigenvalues = eigenvalues
-
 
 class NodeMismatchError(LapLabError, ValueError):
     """Two operators do not share nodes/bandwidth and cannot be compared."""

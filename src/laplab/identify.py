@@ -454,10 +454,8 @@ def metric_field_from_distance(
     eigs = np.linalg.eigvalsh(picked)
     bad = np.flatnonzero(eigs[:, 0] <= 0.0)
     if bad.size:
-        raise ConditioningError(
-            f"recovered tensor not positive definite at node {int(idx[bad[0]])}",
-            eigenvalues=eigs[bad[0]],
-        )
+        raise ConditioningError(f"recovered tensor not positive definite at node "
+                                f"{int(idx[bad[0]])}, eigenvalues {eigs[bad[0]].tolist()}")
     return MetricField(indices=idx, tensors=picked)
 
 
@@ -493,7 +491,7 @@ def report_payload(report: RecoveryReport, externalize_dir=None) -> dict:
         "mass": report.mass,
         "metric": {"indices": indices, "tensors": report.metric_field.tensors},
         "density": {"indices": indices, "values": report.density},
-        "errors": dict(sorted(report.errors.items())),
+        "errors": report.errors,
     }
     if externalize_dir is not None:
         os.makedirs(externalize_dir, exist_ok=True)

@@ -103,7 +103,6 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
             raise InvalidParameterError("seed must be an integer")
-        self.seed = int(seed)
         self._state = _splitmix64(int(seed) & _MASK)
         if self._state == 0:
             self._state = _GOLDEN

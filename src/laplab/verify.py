@@ -153,9 +153,9 @@ class ScenarioResult:
         return {
             "scenario": self.scenario,
             "pass": self.passed,
-            "discrepancies": dict(sorted(self.discrepancies.items())),
-            "thresholds": {k: v for k, v in sorted(self.thresholds.items())},
-            "measurements": dict(sorted(self.measurements.items())),
+            "discrepancies": self.discrepancies,
+            "thresholds": self.thresholds,
+            "measurements": self.measurements,
             "config": self.config,
             "artifacts": sorted(self.artifacts),
             "version": __version__,
@@ -392,7 +392,7 @@ def _s5_reference(rule, density, t, points):
     key_src = json.dumps(
         {
             "metric": [rule.metric.E, rule.metric.F, rule.metric.G],
-            "density": density.label(),
+            "density": "uniform",
             "t": t,
             "grid": list(rule.grid_shape),
             "f": "cos_u",

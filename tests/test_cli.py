@@ -166,25 +166,29 @@ def test_selector_without_parameters_refuses_a_suffix(tmp_path, capsys, monkeypa
     assert os.listdir(tmp_path) == []
 
 
+# each argv starts with its command
 _NUMERIC_SELECTOR_ERRORS = [
-    (["--metric", "aniso"], "--metric aniso:<a> needs one number, got ''"),
-    (["--metric", "aniso:x"], "--metric aniso:<a> needs one number, got 'x'"),
-    (["--metric", "scaled:2:3"], "--metric scaled:<c> needs one number, got '2:3'"),
-    (["--metric", "sphere:1:2"], "--metric sphere:<R> needs one number, got '1:2'"),
-    (["--metric", "sphere:"], "--metric sphere:<R> needs one number, got ''"),
-    (["--mode", "extrinsic", "--embedding", "donut:2"],
+    (["assemble", "--metric", "aniso"], "--metric aniso:<a> needs one number, got ''"),
+    (["assemble", "--metric", "aniso:x"], "--metric aniso:<a> needs one number, got 'x'"),
+    (["assemble", "--metric", "scaled:2:3"], "--metric scaled:<c> needs one number, got '2:3'"),
+    (["assemble", "--metric", "sphere:1:2"], "--metric sphere:<R> needs one number, got '1:2'"),
+    (["assemble", "--metric", "sphere:"], "--metric sphere:<R> needs one number, got ''"),
+    (["assemble", "--mode", "extrinsic", "--embedding", "donut:2"],
      "--embedding donut:<R>:<r> needs two numbers, got '2'"),
-    (["--mode", "extrinsic", "--embedding", "donut:2:1:3"],
+    (["assemble", "--mode", "extrinsic", "--embedding", "donut:2:1:3"],
      "--embedding donut:<R>:<r> needs two numbers, got '2:1:3'"),
-    (["--density", "cosine"], "--density cosine:<alpha>:<axis> needs one number, got ''"),
-    (["--density", "cosine::v"], "--density cosine:<alpha>:<axis> needs one number, got ''"),
+    (["assemble", "--density", "cosine"],
+     "--density cosine:<alpha>:<axis> needs one number, got ''"),
+    (["assemble", "--density", "cosine::v"],
+     "--density cosine:<alpha>:<axis> needs one number, got ''"),
+    (["converge", "--n", "a,b"], "--n needs comma-separated integers, got 'a,b'"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", _NUMERIC_SELECTOR_ERRORS,
                          ids=[argv[-1] for argv, _ in _NUMERIC_SELECTOR_ERRORS])
 def test_numeric_selector_errors_name_the_flag_and_grammar(tmp_path, capsys, argv, message):
-    rc = main(["assemble", "--grid", "4", *argv, "--out", str(tmp_path / "x.llop")])
+    rc = main([*argv, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
@@ -237,6 +241,19 @@ def test_assemble_out_ending_in_a_separator_exits_two_before_building(tmp_path, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_assemble_empty_out_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch):
+    from laplab import operators
+
+    def build_operator(*args, **kwargs):
+        raise AssertionError("build_operator ran")
+
+    monkeypatch.setattr(operators, "build_operator", build_operator)
+    monkeypatch.chdir(tmp_path)
+    assert main(["assemble", "--grid", "4", "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out is empty\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -781,6 +798,20 @@ def test_config_values_parse_like_flags(tmp_path, capsys, cfg, code):
         assert err.startswith("error:") and err.count("\n") == 1
     else:
         assert (tmp_path / "x.llop").exists()
+
+
+@pytest.mark.parametrize("argv, cfg, flag", [
+    (["assemble"], {"out": "a.llop", "grid": 4}, "--out"),
+    (["recover", "--out", "r.json"], {"operator": "a.llop"}, "--operator"),
+])
+def test_config_cannot_supply_a_required_flag(tmp_path, capsys, monkeypatch, argv, cfg, flag):
+    # argv is parsed before the file is read, so argparse refuses it first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["--config", "cfg.json", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: the following arguments are required: {flag}\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_config_must_be_object(tmp_path):

@@ -133,9 +133,6 @@ def test_density_validation():
         def sup_raw(self):
             return 1.0
 
-        def label(self):
-            return "dip"
-
     rule = build_grid(TorusMetric.flat(), 8)
     with pytest.raises(InvalidDensityError):
         normalize_density(Dip(), rule)

@@ -355,7 +355,8 @@ def test_metric_field_spd_violation_raises():
     rule = build_grid(TorusMetric.flat(), 8)
     # identically zero distances collapse every stencil tensor to zero
     dist = np.zeros((rule.n, rule.n))
-    with pytest.raises(ConditioningError):
+    # (the stencil's zero tensors are -0.0; the sign LAPACK gives back is not pinned)
+    with pytest.raises(ConditioningError, match=r"at node 0, eigenvalues \[-?0\.0, -?0\.0\]$"):
         metric_field_from_distance(dist, rule)
 
 

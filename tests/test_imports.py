@@ -4,9 +4,11 @@ No linter ships with the test dependencies, so this walks each module's
 syntax tree: a name bound by a top-level import must be referenced somewhere
 in the module, or be listed in its __all__, and a name bound by an import in
 a function body must be referenced in that function.  `from __future__`
-imports are compiler directives and are skipped.  Importing the package also
-stays cheap: the thread pool, and the logging it pulls in, load only when a
-pass splits over k > 1 threads, and only `operators._in_order` imports it.
+imports are compiler directives and are skipped.  The package imports its
+modules once, at module level, with one exception: the thread pool, and the
+logging it pulls in, load only when a pass splits over k > 1 threads, so
+`operators._in_order` imports it in its body, and nothing else in the
+package is imported inside a function.  Importing the package stays cheap.
 """
 
 import ast
@@ -64,9 +66,10 @@ def unused_imports(source: str) -> list:
     return sorted(found)
 
 
-def import_sites(source: str, module: str) -> list:
+def import_sites(source: str, module: str = "") -> list:
     """Name of the innermost function around each import of module (or of a
-    submodule of it) in source; None for an import outside every function."""
+    submodule of it) in source, or around every import when module is empty;
+    None for an import outside every function."""
     tree = ast.parse(source)
     around = {}
     for node in ast.walk(tree):  # outer functions first, so inner ones overwrite
@@ -76,11 +79,12 @@ def import_sites(source: str, module: str) -> list:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # `from . import x` has no module
+            base = [node.module] if node.module else []
+            names = base + [".".join(base + [alias.name]) for alias in node.names]
         else:
             continue
-        if any(name == module or name.startswith(module + ".") for name in names):
+        if not module or any(name == module or name.startswith(module + ".") for name in names):
             sites.append(around.get(node))
     return sites
 
@@ -91,16 +95,21 @@ def test_checker_finds_every_import_site():
            "    def g():\n        from concurrent.futures import Future\n"
            "def h():\n    import concurrent\n    from . import futures\n")
     assert import_sites(src, "concurrent.futures") == [None, "f", "g"]
+    assert import_sites(src) == [None, "f", "h", "h", "g"]
 
 
 def test_the_thread_pool_is_imported_in_one_function():
-    sites = []
+    # ... and it is the only import inside a function body in the package
+    pool, deferred = [], []
     for path in _modules():
         if path.startswith("src/laplab/"):
             with open(os.path.join(_ROOT, path)) as fh:
-                module = os.path.basename(path)[:-3]
-                sites += [f"{module}.{name}" for name in import_sites(fh.read(), "concurrent.futures")]
-    assert sites == ["operators._in_order"]
+                source = fh.read()
+            module = os.path.basename(path)[:-3]
+            pool += [f"{module}.{name}" for name in import_sites(source, "concurrent.futures")]
+            deferred += [f"{module}.{name}" for name in import_sites(source) if name]
+    assert pool == ["operators._in_order"]
+    assert deferred == ["operators._in_order"]
 
 
 def test_checker_flags_an_unused_import():
