@@ -198,8 +198,8 @@ def _cmd_assemble(args) -> int:
         raise ValueError("--embedding applies to extrinsic mode only")
     embedding = None if args.embedding is None else _parse_embedding(args.embedding)
     density = _parse_density(args.density)
-    with _staged(out_dir) as (stage,):
-        op, _ = operators.build_operator(metric, density, args.grid, args.bandwidth, embedding)
+    with _staged(out=out_dir) as (stage,):
+        op = operators.build_operator(metric, density, args.grid, args.bandwidth, embedding)
         operators.save_operator(op, os.path.join(stage, name))
     print(f"wrote {args.out}: {op.n} nodes, t={op.t}, mode={args.mode}")
     if op.warning:
@@ -211,7 +211,7 @@ def _cmd_recover(args) -> int:
     out_dir, name = _out_file(args.out)
     op = operators.load_operator(args.operator)
     report = identify.run_recovery(op, refine=args.refine)
-    with _staged(out_dir, args.externalize) as (stage, mx):
+    with _staged(out=out_dir, externalize=args.externalize) as (stage, mx):
         payload = identify.report_payload(report, externalize_dir=mx)
         verify.write_json(payload, os.path.join(stage, name))
     print(f"wrote {args.out}: {payload['n']} nodes, "
@@ -220,18 +220,18 @@ def _cmd_recover(args) -> int:
 
 
 def _out_file(out: str) -> tuple[str, str]:
-    """--out as (directory, file name); empty or ending in a separator is refused."""
+    """--out as (directory, file name); empty, or ending in a separator, . or .., refused."""
     name = os.path.basename(out)
-    if not name:
+    if name in ("", ".", ".."):
         raise ValueError(f"--out {out} names a directory, not a file" if out else "--out is empty")
     return os.path.dirname(os.path.abspath(out)), name
 
 
-def _existing_dir(out: str) -> str:
-    """The nearest existing directory at or above out; an empty out, an
-    existing file or a path under one is refused."""
+def _existing_dir(out: str, flag: str) -> str:
+    """The nearest existing directory at or above out, given by flag; an
+    empty out, an existing file or a path under one is refused."""
     if not out:
-        raise FileNotFoundError("empty output directory name")
+        raise FileNotFoundError(f"{flag} is empty")
     parent = os.path.abspath(out)
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
@@ -241,16 +241,18 @@ def _existing_dir(out: str) -> str:
 
 
 @contextlib.contextmanager
-def _staged(*outs):
-    """Yield one staging directory per directory in outs, for the files a
-    command writes there, and move them into their out (making it) only when
-    the body returns.  Every destination of every stage is checked before the
-    first out is made, so a command that fails leaves each out as it was: a
-    destination that is a directory, or that is or lies above an out, is
-    refused, as is one that two files would share.  A None out stages
-    nothing and gets None.  An empty out, an existing file or a path under
-    one is refused before the body runs."""
-    parents = [None if out is None else _existing_dir(out) for out in outs]
+def _staged(**outs):
+    """Yield one staging directory per directory in outs, keyed by the flag
+    that gives it, for the files a command writes there, and move them into
+    their out (making it) only when the body returns.  Every destination of
+    every stage is checked before the first out is made, so a command that
+    fails leaves each out as it was: a destination that is a directory, or
+    that is or lies above an out, is refused, as is one that two files would
+    share.  A None out stages nothing and gets None.  An empty out, which the
+    error names by its flag, an existing file or a path under one is refused
+    before the body runs."""
+    parents = [None if out is None else _existing_dir(out, "--" + flag)
+               for flag, out in outs.items()]
     stages = []
     try:
         for parent in parents:
@@ -258,9 +260,9 @@ def _staged(*outs):
                           else tempfile.mkdtemp(prefix=".laplab-", dir=parent))
         yield tuple(stages)
         moves = [(os.path.join(stage, name), os.path.join(out, name))
-                 for out, stage in zip(outs, stages) if stage
+                 for out, stage in zip(outs.values(), stages) if stage
                  for name in sorted(os.listdir(stage))]
-        dirs = [os.path.abspath(out) for out, stage in zip(outs, stages) if stage]
+        dirs = [os.path.abspath(out) for out, stage in zip(outs.values(), stages) if stage]
         seen = set()
         for _, dst in moves:  # refuse before the first makedirs: all files land or none
             real = os.path.realpath(dst)
@@ -272,7 +274,7 @@ def _staged(*outs):
             at = os.path.abspath(dst)
             if any(os.path.commonpath([at, d]) == at for d in dirs):
                 raise IsADirectoryError(f"{dst} would have to be a directory")
-        for out, stage in zip(outs, stages):
+        for out, stage in zip(outs.values(), stages):
             if stage:
                 os.makedirs(out, exist_ok=True)
         for src, dst in moves:
@@ -286,7 +288,7 @@ def _staged(*outs):
 def _cmd_verify(args) -> int:
     wanted = verify.SCENARIO_IDS if args.scenario == "all" else (args.scenario,)
     ok = True
-    with _staged(args.out) as (stage,):
+    with _staged(out=args.out) as (stage,):
         for sid in wanted:
             result = verify.run_scenario(verify.ScenarioConfig(
                 scenario=sid, grid=args.grid, bandwidth=args.bandwidth, seed=args.seed,
@@ -306,7 +308,7 @@ def _cmd_converge(args) -> int:
     except ValueError:
         raise ValueError(f"--n needs comma-separated integers, got {args.n!r}") from None
     out_dir, name = _out_file(args.out)
-    with _staged(out_dir) as (stage,):
+    with _staged(out=out_dir) as (stage,):
         study = verify.convergence_study(
             n_values=n_values,
             n_seeds=args.seeds,

@@ -8,19 +8,19 @@ O(N^-2), so they are rescaled once by a constant factor to make the total
 measure exact; integration of non-constant functions remains O(N^-2) and is
 documented as such.
 
-Densities are positive functions on the chart normalized against a quadrature
-rule so that sum(p * w) = 1.  Sampling draws from p d(mu_g) by rejection:
-propose uniformly on the chart, accept with probability proportional to
-p * sqrt(det g), with an analytic envelope.  The uniform stream comes from the
-package's own integer-state generator, so a seed pins the sample set exactly.
+Densities are positive functions on the chart; density_values normalizes one
+against the quadrature rule it is evaluated on, so that sum(p * w) = 1 there.
+Sampling draws from p d(mu_g) by rejection: propose uniformly on the chart,
+accept with probability proportional to p * sqrt(det g), with an analytic
+envelope.  The uniform stream comes from the package's own integer-state
+generator, so a seed pins the sample set exactly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -96,8 +96,6 @@ def build_grid(metric: Metric, n: int) -> QuadratureRule:
 class UniformDensity:
     """Constant density; normalizes to 1/vol(M)."""
 
-    z: Optional[float] = None
-
     def raw_values(self, pts: np.ndarray) -> np.ndarray:
         return np.ones(np.atleast_2d(pts).shape[0], dtype=np.float64)
 
@@ -111,7 +109,6 @@ class CosineBump:
 
     alpha: float
     axis: str = "u"
-    z: Optional[float] = None
 
     def __post_init__(self):
         if not abs(self.alpha) < 1.0:
@@ -133,10 +130,10 @@ class CosineBump:
 Density = Union[UniformDensity, CosineBump]
 
 
-def normalize_density(density: Density, rule: QuadratureRule) -> Density:
-    """Return a copy of density with its normalizer z fixed by the rule.
+def density_values(density: Density, rule: QuadratureRule) -> np.ndarray:
+    """The density at rule.nodes, normalized against rule.
 
-    After normalization sum_i p(node_i) * weight_i = 1 holds to rounding.
+    sum_i p(node_i) * weight_i = 1 holds to rounding.
     """
     raw = density.raw_values(rule.nodes)
     if raw.min() <= 0.0:
@@ -144,14 +141,7 @@ def normalize_density(density: Density, rule: QuadratureRule) -> Density:
     z = float(np.sum(raw * rule.weights))
     if not z > 0.0:
         raise InvalidDensityError("normalizer must be positive")
-    return dataclasses.replace(density, z=z)
-
-
-def density_values(density: Density, pts: np.ndarray) -> np.ndarray:
-    """Normalized density at chart points; requires normalize_density first."""
-    if density.z is None:
-        raise InvalidDensityError("density has no normalizer; normalize it first")
-    return density.raw_values(pts) / density.z
+    return raw / z
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +163,6 @@ def sample_points(density: Density, metric: Metric, n: int, seed: int) -> np.nda
     """
     if n <= 0:
         raise InvalidParameterError(f"sample count must be positive, got {n}")
-    if density.z is None:
-        raise InvalidDensityError("density has no normalizer; normalize it first")
 
     gen = Xorshift64Star(seed)
     sup = density.sup_raw()

@@ -15,7 +15,7 @@ class InvalidParameterError(LapLabError, ValueError):
 
 
 class InvalidDensityError(LapLabError, ValueError):
-    """A density is non-positive somewhere or not normalized when required."""
+    """A density is not positive at every node of a rule, or its normalizer is not."""
 
 
 class NumericalError(LapLabError):

@@ -1,7 +1,7 @@
 """Assembly and evaluation of graph Laplace operators.
 
-Given a quadrature rule, a normalized density p, and a space (a metric or an
-embedding), the assembled matrix is
+Given a quadrature rule, a density p normalized against it, and a space (a
+metric or an embedding), the assembled matrix is
 
     L_ij = c * (delta_ij * sum_k W_ik - W_ij),      c = t^(-2)  (surface case),
     W_ij = exp(-dist(x_i, x_j)^2 / t) * p(x_j) * w_j,
@@ -13,8 +13,8 @@ Every bandwidth, given or read from a file, passes one check: t^2 and 1/t^2
 finite and positive (about 7.5e-155 < t < 1.3e154).
 
 `build_operator` is the one path from a metric, density, grid size,
-bandwidth and optional embedding to an operator: grid, normalized density,
-dense assembly.  Dense assembly takes each block of rows from squared
+bandwidth and optional embedding to an operator: grid, density normalized
+on it, dense assembly.  Dense assembly takes each block of rows from squared
 distances (per-axis tables for a torus metric on a tensor grid) to
 entries of L while it sits in cache, in the order of the formula.  Its rows
 split into contiguous ranges run by the thread rule of `_in_order`; the bits
@@ -44,8 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .discretization import (Density, QuadratureRule, build_grid, density_values,
-                             normalize_density)
+from .discretization import Density, QuadratureRule, build_grid, density_values
 from .errors import InvalidParameterError, MalformedOperatorError, NodeMismatchError
 from .geometry import (
     TWO_PI,
@@ -171,8 +170,8 @@ def assemble_continuous(
 ) -> OperatorMatrix:
     """Assemble the dense quadrature approximation of the kernel operator of space.
 
-    The density must be normalized against `rule`, and space must live on
-    the chart of rule.metric.  Bandwidth t must pass _check_bandwidth.
+    The density is normalized against `rule`, and space must live on the
+    chart of rule.metric.  Bandwidth t must pass _check_bandwidth.
     Refuses grids beyond 64^2 nodes; use continuous_value there.
 
     The n rows split into k = _threads(n) contiguous ranges of about n / k
@@ -185,7 +184,7 @@ def assemble_continuous(
             f"dense assembly is capped at {DENSE_NODE_CAP} nodes (got {rule.n}); "
             "matrix-free evaluation handles larger grids"
         )
-    pw = density_values(density, rule.nodes) * rule.weights
+    pw = density_values(density, rule) * rule.weights
     n = rule.n
     w = np.empty((n, n))
     rows = _node_sq_dist(space, rule, w)
@@ -203,8 +202,8 @@ def assemble_continuous(
 
 def build_operator(
     metric: Metric, density: Density, n: int, t: float, embedding: Optional[Embedding] = None
-) -> tuple[OperatorMatrix, Density]:
-    """Operator on the n-grid of metric (its op.rule), with the normalized density.
+) -> OperatorMatrix:
+    """Operator on the n-grid of metric (its op.rule).
 
     The kernel measures distance in embedding (extrinsic), or in metric when
     embedding is None (intrinsic).
@@ -213,8 +212,7 @@ def build_operator(
         raise InvalidParameterError(
             f"dense assembly is capped at {DENSE_NODE_CAP} nodes, grid 64 (got grid {n})")
     rule = build_grid(metric, n)
-    p = normalize_density(density, rule)
-    return assemble_continuous(metric if embedding is None else embedding, p, rule, t), p
+    return assemble_continuous(metric if embedding is None else embedding, density, rule, t)
 
 
 def operator_distance(a: OperatorMatrix, b: OperatorMatrix) -> float:
@@ -269,7 +267,7 @@ def continuous_value(
     values.  Returns m values, each with the bits of a one-point call.
     """
     _check_bandwidth(t)
-    pw = density_values(density, rule.nodes) * rule.weights
+    pw = density_values(density, rule) * rule.weights
     return _kernel_sums(space, rule.nodes, pw, t, f, points) * t ** -2.0
 
 

@@ -43,7 +43,6 @@ from .discretization import (
     UniformDensity,
     build_grid,
     density_values,
-    normalize_density,
     sample_points,
 )
 from .errors import InsufficientMaskError, InvalidParameterError, NumericalError
@@ -192,14 +191,15 @@ def write_json(payload, path, indent=2) -> None:
     An array is written straight from its values: each distinct value (float64
     bit pattern, so 0.0 and -0.0 stay apart) is formatted once, and the texts
     are gathered back into place and joined at the list form's indentation.
+    A payload that cannot be formatted raises before the file is opened.
     """
+    if indent is None:
+        text = json.dumps(payload, sort_keys=True)
+    else:
+        text = _indented(payload, " " * indent, "\n")
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        if indent is None:
-            json.dump(payload, fh, sort_keys=True)
-        else:
-            fh.write(_indented(payload, " " * indent, "\n"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # json's text of a finite float
@@ -262,12 +262,12 @@ def _key(k) -> str:
 def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     n, t = cfg.grid, cfg.bandwidth
-    base, _ = build_operator(flat, UniformDensity(), n, t)
+    base = build_operator(flat, UniformDensity(), n, t)
     factors = sorted({1.25, 1.5, ANISOTROPY})
     gaps = []
     for a in factors:
         aniso = TorusMetric.anisotropic(a)
-        op_a, _ = build_operator(aniso, UniformDensity(), n, t)
+        op_a = build_operator(aniso, UniformDensity(), n, t)
         gaps.append(operator_distance(base, op_a))
     margin = float(min(b - a for a, b in zip(gaps, gaps[1:])))
     discrepancies = {
@@ -281,16 +281,17 @@ def _scenario_s1(cfg: ScenarioConfig) -> ScenarioResult:
 def _scenario_s2(cfg: ScenarioConfig) -> ScenarioResult:
     metric = TorusMetric.anisotropic(ANISOTROPY)
     density = CosineBump(BUMP_ALPHA, "u")
-    op, p = build_operator(metric, density, cfg.grid, cfg.bandwidth)
+    op = build_operator(metric, density, cfg.grid, cfg.bandwidth)
     report = run_recovery(op)
     rule = op.rule
 
     g_true = metric.matrix()
     metric_err = float(np.max(np.abs(report.metric_field.tensors - g_true[None])))
-    p_true = density_values(p, rule.nodes)[report.metric_field.indices]
+    p_nodes = density_values(density, rule)
+    p_true = p_nodes[report.metric_field.indices]
     density_err = float(np.max(np.abs(report.density - p_true) / p_true))
 
-    mass_true = density_values(p, rule.nodes) * rule.weights
+    mass_true = p_nodes * rule.weights
     mass_err = float(np.max(np.abs(report.mass - mass_true) / mass_true))
     d_true = np.sqrt(sq_dist(metric, rule.nodes, rule.nodes))
     dist = report.distance
@@ -323,10 +324,10 @@ def _scenario_s3(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     aniso = TorusMetric.anisotropic(ANISOTROPY)
     n, t = cfg.grid, cfg.bandwidth
-    ext1, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
-    ext2, _ = build_operator(aniso, UniformDensity(), n, t, CliffordTorus())
-    int1, _ = build_operator(flat, UniformDensity(), n, t)
-    int2, _ = build_operator(aniso, UniformDensity(), n, t)
+    ext1 = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    ext2 = build_operator(aniso, UniformDensity(), n, t, CliffordTorus())
+    int1 = build_operator(flat, UniformDensity(), n, t)
+    int2 = build_operator(aniso, UniformDensity(), n, t)
     discrepancies = {
         "extrinsic_distance": operator_distance(ext1, ext2),
         "intrinsic_distance": operator_distance(int1, int2),
@@ -338,8 +339,8 @@ def _scenario_s4(cfg: ScenarioConfig) -> ScenarioResult:
     flat = TorusMetric.flat()
     scaled = TorusMetric.scaled_flat(SCALE)
     n, t = cfg.grid, cfg.bandwidth
-    op1, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
-    op2, _ = build_operator(scaled, UniformDensity(), n, t, CliffordTorus())
+    op1 = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    op2 = build_operator(scaled, UniformDensity(), n, t, CliffordTorus())
     m1 = recover_mass(extract_weighted_kernel(op1))
     m2 = recover_mass(extract_weighted_kernel(op2))
     discrepancies = {
@@ -434,7 +435,7 @@ def convergence_study(
 
     metric = TorusMetric.flat()
     rule = build_grid(metric, REFERENCE_GRID)
-    density = normalize_density(UniformDensity(), rule)
+    density = UniformDensity()
     points = _eval_points()
     ref, key = _s5_reference(rule, density, bandwidth, points)
     del rule  # sampling needs only the density; free the reference grid
@@ -477,12 +478,12 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     n, t = cfg.grid, cfg.bandwidth
     flat = TorusMetric.flat()
 
-    op, _ = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
+    op = build_operator(flat, UniformDensity(), n, t, CliffordTorus())
     fld = run_recovery(op).metric_field
     clifford_err = float(np.max(np.abs(fld.tensors - np.eye(2)[None])))
 
     donut = DonutTorus(2.0, 1.0)
-    op, _ = build_operator(flat, UniformDensity(), n, t, donut)
+    op = build_operator(flat, UniformDensity(), n, t, donut)
     fld = run_recovery(op).metric_field
     tube = np.flatnonzero(op.rule.nodes[fld.indices, 0] == 0.0)
     if tube.size == 0:
@@ -494,7 +495,7 @@ def _scenario_s6(cfg: ScenarioConfig) -> ScenarioResult:
     g_true = np.diag([donut.minor**2, (donut.major + donut.minor) ** 2])
     donut_err = float(np.max(np.abs(fld.tensors[tube] - g_true[None])))
 
-    op, _ = build_operator(SphereMetric(1.0), UniformDensity(), n, t, UnitSphere())
+    op = build_operator(SphereMetric(1.0), UniformDensity(), n, t, UnitSphere())
     fld = run_recovery(op).metric_field
     equator = np.flatnonzero(np.abs(op.rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
     if equator.size == 0:

@@ -15,7 +15,6 @@ from laplab.discretization import (
     UniformDensity,
     build_grid,
     density_values,
-    normalize_density,
 )
 from laplab.geometry import (
     CliffordTorus,
@@ -48,8 +47,7 @@ def test_criterion_1_constant_annihilation():
     for metric, emb in pairs:
         for n in (16, 32):
             rule = build_grid(metric, n)
-            for density in (UniformDensity(), CosineBump(0.5, "u")):
-                p = normalize_density(density, rule)
+            for p in (UniformDensity(), CosineBump(0.5, "u")):
                 for space in (metric, emb):
                     op = assemble_continuous(space, p, rule, 0.5)
                     resid = float(np.max(np.abs(op.entries @ np.ones(op.n))))
@@ -104,13 +102,13 @@ def test_criterion_4_joint_round_trip():
     sphere_errors = []
     for n in (32, 64):
         rule = build_grid(sphere, n)
-        p = normalize_density(CosineBump(0.5, "u"), rule)
+        p = CosineBump(0.5, "u")
         report = run_recovery(assemble_continuous(sphere, p, rule, 0.5))
         idx = report.metric_field.indices
         g_true = np.zeros((idx.size, 2, 2))
         g_true[:, 0, 0] = 1.0
         g_true[:, 1, 1] = np.sin(rule.nodes[idx, 0]) ** 2
-        p_true = density_values(p, rule.nodes)[idx]
+        p_true = density_values(p, rule)[idx]
         sphere_errors.append((
             float(np.max(np.abs(report.metric_field.tensors - g_true))),
             float(np.max(np.abs(report.density - p_true) / p_true)),

@@ -55,12 +55,12 @@ def test_assemble_cli_matches_library_bytes(tmp_path):
                  "--embedding", "donut:2:1", "--density", "cosine:0.4:v",
                  "--grid", "8", "--bandwidth", "0.25", "--out", str(cli_path)]) == 0
 
-    from laplab.discretization import CosineBump, build_grid, normalize_density
+    from laplab.discretization import CosineBump, build_grid
     from laplab.geometry import DonutTorus, TorusMetric
     from laplab.operators import assemble_continuous, save_operator
 
     rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(CosineBump(0.4, "v"), rule)
+    p = CosineBump(0.4, "v")
     op = assemble_continuous(DonutTorus(2.0, 1.0), p, rule, 0.25)
     save_operator(op, lib_path)
     assert cli_path.read_bytes() == lib_path.read_bytes()
@@ -229,6 +229,10 @@ def test_failed_assemble_write_leaves_the_old_operator(tmp_path, capsys, monkeyp
     assert os.listdir(tmp_path) == ["op.llop"]  # no staging directory left
 
 
+# --out values that name a directory: ending in a separator, or in . or ..
+_DIR_OUTS = ("d" + os.sep, ".", "..", os.path.join("sub", ".."))
+
+
 def test_assemble_out_ending_in_a_separator_exits_two_before_building(tmp_path, capsys,
                                                                       monkeypatch):
     from laplab import operators
@@ -237,10 +241,10 @@ def test_assemble_out_ending_in_a_separator_exits_two_before_building(tmp_path, 
         raise AssertionError("build_operator ran")
 
     monkeypatch.setattr(operators, "build_operator", build_operator)
-    rc = main(["assemble", "--grid", "4", "--out", str(tmp_path / "d") + os.sep])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --out ") and err.count("\n") == 1
+    monkeypatch.chdir(tmp_path)
+    for out in _DIR_OUTS:
+        assert main(["assemble", "--grid", "4", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} names a directory, not a file\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -409,12 +413,17 @@ def test_converge_that_cannot_write_a_file_leaves_no_new_file(tmp_path, capsys, 
     assert os.listdir(tmp_path) == [clash] and os.listdir(tmp_path / clash) == []
 
 
-def test_converge_out_ending_in_a_separator_exits_two(tmp_path, capsys):
-    rc = main(["converge", "--n", "100,200,400", "--seeds", "5",
-               "--out", str(tmp_path / "sub") + os.sep])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --out ") and err.count("\n") == 1 and ".laplab-" not in err
+def test_converge_out_ending_in_a_separator_exits_two(tmp_path, capsys, monkeypatch):
+    from laplab import verify
+
+    def study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(verify, "convergence_study", study)
+    monkeypatch.chdir(tmp_path)
+    for out in _DIR_OUTS:
+        assert main(["converge", "--n", "100,200,400", "--seeds", "5", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} names a directory, not a file\n"
     assert os.listdir(tmp_path) == []
 
 
@@ -510,14 +519,28 @@ def test_recover_refuses_a_report_and_a_matrix_with_one_path(tmp_path, capsys, m
     assert sorted(os.listdir(tmp_path)) == (["link", "op.llop"] if ext == "link" else ["op.llop"])
 
 
-def test_recover_out_ending_in_a_separator_exits_two(tmp_path, capsys):
-    op_path = tmp_path / "op.llop"
-    assert main(["assemble", "--grid", "8", "--out", str(op_path)]) == 0
+def test_recover_out_ending_in_a_separator_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["assemble", "--grid", "8", "--out", "op.llop"]) == 0
     capsys.readouterr()
-    assert main(["recover", "--operator", str(op_path),
-                 "--out", str(tmp_path / "d") + os.sep]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --out ") and err.count("\n") == 1
+    for out in _DIR_OUTS:
+        assert main(["recover", "--operator", "op.llop", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --out {out} names a directory, not a file\n"
+    assert os.listdir(tmp_path) == ["op.llop"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["recover", "--operator", "op.llop", "--out", "r.json", "--externalize", ""],
+     "--externalize"),
+    (["verify", "--scenario", "S1", "--grid", "4", "--out", ""], "--out"),
+])
+def test_empty_output_directory_exits_two_naming_the_flag(tmp_path, capsys, monkeypatch,
+                                                          argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(["assemble", "--grid", "4", "--out", "op.llop"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} is empty\n"
     assert os.listdir(tmp_path) == ["op.llop"]
 
 
@@ -1041,7 +1064,7 @@ def block_operators():
 
     aniso, sphere = TorusMetric.anisotropic(1.5), SphereMetric(1.0)
     cases = ((aniso, None, 10), (sphere, UnitSphere(), 10))
-    ops = [build_operator(metric, CosineBump(0.3, "u"), grid, 0.5, embedding)[0]
+    ops = [build_operator(metric, CosineBump(0.3, "u"), grid, 0.5, embedding)
            for metric, embedding, grid in cases]
     assert all(op.n > 64 for op in ops)
     return ops

@@ -11,7 +11,6 @@ from laplab.discretization import (
     UniformDensity,
     build_grid,
     density_values,
-    normalize_density,
     sample_points,
 )
 from laplab.errors import InvalidDensityError, InvalidParameterError
@@ -88,34 +87,33 @@ def test_torus_quadrature_is_spectrally_accurate():
 
 def test_uniform_normalizer_is_area():
     rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(UniformDensity(), rule)
-    assert p.z == pytest.approx(FOUR_PI_SQ, abs=1e-10)
-    vals = density_values(p, rule.nodes)
-    assert np.allclose(vals, 1.0 / FOUR_PI_SQ, atol=1e-15)
+    vals = density_values(UniformDensity(), rule)
+    assert np.allclose(vals, 1.0 / FOUR_PI_SQ, rtol=1e-12, atol=0.0)
     assert abs(float(vals @ rule.weights) - 1.0) < 1e-10
 
 
 def test_cosine_bump_normalizer_is_area():
     # the cosine integrates to zero over a full period
     rule = build_grid(TorusMetric.flat(), 16)
-    p = normalize_density(CosineBump(0.5, "u"), rule)
-    assert p.z == pytest.approx(FOUR_PI_SQ, abs=1e-9)
-    assert abs(float(density_values(p, rule.nodes) @ rule.weights) - 1.0) < 1e-10
+    p = CosineBump(0.5, "u")
+    vals = density_values(p, rule)
+    assert np.allclose(p.raw_values(rule.nodes) / vals, FOUR_PI_SQ, rtol=1e-12)
+    assert abs(float(vals @ rule.weights) - 1.0) < 1e-10
 
 
 def test_cosine_bump_zero_alpha_equals_uniform():
     rule = build_grid(TorusMetric.flat(), 8)
-    a = normalize_density(CosineBump(0.0, "u"), rule)
-    b = normalize_density(UniformDensity(), rule)
+    a = CosineBump(0.0, "u")
+    b = UniformDensity()
     assert np.array_equal(
-        density_values(a, rule.nodes), density_values(b, rule.nodes)
+        density_values(a, rule), density_values(b, rule)
     )
 
 
 def test_cosine_bump_axis_v():
     rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(CosineBump(0.3, "v"), rule)
-    vals = density_values(p, rule.nodes)
+    p = CosineBump(0.3, "v")
+    vals = density_values(p, rule)
     expected = (1 + 0.3 * np.cos(rule.nodes[:, 1])) / FOUR_PI_SQ
     assert np.allclose(vals, expected, atol=1e-12)
 
@@ -135,24 +133,14 @@ def test_density_validation():
 
     rule = build_grid(TorusMetric.flat(), 8)
     with pytest.raises(InvalidDensityError):
-        normalize_density(Dip(), rule)
-
-
-def test_density_values_requires_normalization():
-    with pytest.raises(InvalidDensityError):
-        density_values(UniformDensity(), np.zeros((3, 2)))
+        density_values(Dip(), rule)
 
 
 # --- sampling -----------------------------------------------------------------
 
 
-def _normalized(density, n=16):
-    rule = build_grid(TorusMetric.flat(), n)
-    return normalize_density(density, rule)
-
-
 def test_sampling_is_deterministic():
-    p = _normalized(CosineBump(0.5, "u"))
+    p = CosineBump(0.5, "u")
     a = sample_points(p, TorusMetric.flat(), 1000, 77)
     b = sample_points(p, TorusMetric.flat(), 1000, 77)
     assert np.array_equal(a, b)
@@ -161,7 +149,7 @@ def test_sampling_is_deterministic():
 
 
 def test_single_sample_reproducible():
-    p = _normalized(UniformDensity())
+    p = UniformDensity()
     a = sample_points(p, TorusMetric.flat(), 1, 5)
     b = sample_points(p, TorusMetric.flat(), 1, 5)
     assert a.shape == (1, 2)
@@ -169,7 +157,7 @@ def test_single_sample_reproducible():
 
 
 def test_uniform_quadrant_occupancy():
-    p = _normalized(UniformDensity())
+    p = UniformDensity()
     pts = sample_points(p, TorusMetric.flat(), 100_000, 1234)
     for ulo in (0.0, math.pi):
         for vlo in (0.0, math.pi):
@@ -184,13 +172,13 @@ def test_uniform_quadrant_occupancy():
 
 def test_cosine_bump_sample_mean():
     # E[cos u] = (1/2pi) * integral cos(u)(1 + 0.5 cos u) du = 0.25
-    p = _normalized(CosineBump(0.5, "u"))
+    p = CosineBump(0.5, "u")
     pts = sample_points(p, TorusMetric.flat(), 100_000, 99)
     assert abs(np.mean(np.cos(pts[:, 0])) - 0.25) < 0.01
 
 
 def test_cosine_bump_marginal_distribution():
-    p = _normalized(CosineBump(0.5, "u"))
+    p = CosineBump(0.5, "u")
     pts = sample_points(p, TorusMetric.flat(), 20_000, 4321)
 
     def cdf(u):
@@ -202,9 +190,7 @@ def test_cosine_bump_marginal_distribution():
 
 def test_sphere_sampling_respects_area_element():
     sphere = SphereMetric(1.0)
-    rule = build_grid(sphere, 16)
-    p = normalize_density(UniformDensity(), rule)
-    pts = sample_points(p, sphere, 50_000, 31)
+    pts = sample_points(UniformDensity(), sphere, 50_000, 31)
     # uniform measure on the sphere: P(u < pi/2) = 1/2, P(u < pi/3) = 1/4
     assert abs(np.mean(pts[:, 0] < math.pi / 2) - 0.5) < 0.01
     assert abs(np.mean(pts[:, 0] < math.pi / 3) - 0.25) < 0.01
@@ -252,18 +238,14 @@ def test_sampler_is_bitwise_boolean_gather(monkeypatch, density, metric, n):
             made.append(self)
 
     monkeypatch.setattr(disc, "Xorshift64Star", Recorded)
-    p = normalize_density(density, build_grid(metric, 16))
-    got = sample_points(p, metric, n, 1234 + n)
+    got = sample_points(density, metric, n, 1234 + n)
     ref = Xorshift64Star(1234 + n)
-    want = _boolean_gather_sample(p, metric, n, ref)
+    want = _boolean_gather_sample(density, metric, n, ref)
     assert got.shape == (n, 2) and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
     assert len(made) == 1 and made[0]._state == ref._state
 
 
 def test_sample_validation():
-    p = _normalized(UniformDensity())
     with pytest.raises(InvalidParameterError):
-        sample_points(p, TorusMetric.flat(), 0, 1)
-    with pytest.raises(InvalidDensityError):
-        sample_points(UniformDensity(), TorusMetric.flat(), 10, 1)  # not normalized
+        sample_points(UniformDensity(), TorusMetric.flat(), 0, 1)

@@ -22,7 +22,6 @@ from laplab.discretization import (
     UniformDensity,
     build_grid,
     density_values,
-    normalize_density,
 )
 from laplab.errors import (
     ConditioningError,
@@ -59,7 +58,7 @@ FOUR_PI_SQ = 4 * math.pi**2
 def _op(metric=None, density=None, n=16, t=0.5, embedding=None):
     metric = metric or TorusMetric.flat()
     rule = build_grid(metric, n)
-    p = normalize_density(density or UniformDensity(), rule)
+    p = density or UniformDensity()
     return assemble_continuous(embedding or metric, p, rule, t), rule, p
 
 
@@ -79,7 +78,7 @@ def test_extracted_kernel_matches_forward_construction():
     op, rule, p = _op(TorusMetric.anisotropic(1.5), CosineBump(0.3, "u"))
     wk = extract_weighted_kernel(op)
     d2 = sq_dist(TorusMetric.anisotropic(1.5), rule.nodes, rule.nodes)
-    w_direct = np.exp(-d2 / op.t) * (density_values(p, rule.nodes) * rule.weights)[None, :]
+    w_direct = np.exp(-d2 / op.t) * (density_values(p, rule) * rule.weights)[None, :]
     diff = np.abs(_reference_w(op) - w_direct)[wk.mask]
     assert float(diff.max()) <= 1e-12
 
@@ -185,7 +184,7 @@ def test_uniform_masses_are_equal():
 def test_bump_masses_match_density_times_weights():
     op, rule, p = _op(density=CosineBump(0.5, "u"), n=32)
     m = recover_mass(extract_weighted_kernel(op))
-    truth = density_values(p, rule.nodes) * rule.weights
+    truth = density_values(p, rule) * rule.weights
     assert np.max(np.abs(m - truth) / truth) <= 1e-8
 
 
@@ -207,7 +206,7 @@ def test_refined_masses_beat_tree_masses_under_noise():
     np.fill_diagonal(noisy, 0.0)
     np.fill_diagonal(noisy, -noisy.sum(axis=1))
     wk = extract_weighted_kernel(dataclasses.replace(op, entries=noisy))
-    truth = density_values(p, rule.nodes) * rule.weights
+    truth = density_values(p, rule) * rule.weights
     truth /= truth.sum()
     tree_err = np.max(np.abs(recover_mass(wk) - truth) / truth)
     ls_err = np.max(np.abs(recover_mass(wk, refine=True) - truth) / truth)
@@ -389,8 +388,20 @@ def test_uniform_density_recovery():
 def test_bump_density_recovery():
     op, rule, p = _op(density=CosineBump(0.5, "u"), n=32)
     report = run_recovery(op)
-    truth = density_values(p, rule.nodes)[report.metric_field.indices]
+    truth = density_values(p, rule)[report.metric_field.indices]
     assert np.max(np.abs(report.density - truth) / truth) <= 1e-3
+
+
+def test_density_is_normalized_on_the_grid_it_is_assembled_on():
+    # the node masses p(x_j) w_j sum to 1 on the rule the operator is built
+    # on, whatever its measure, so recovery sees kernel values of at most 1
+    rule = build_grid(TorusMetric.scaled_flat(1.5), 16)
+    p = CosineBump(0.4, "u")
+    op = assemble_continuous(rule.metric, p, rule, 0.5)
+    masses = density_values(p, rule) * rule.weights
+    assert abs(float(masses.sum()) - 1.0) <= 1e-12
+    report = run_recovery(op)
+    assert np.max(np.abs(report.mass - masses) / masses) <= 1e-8
 
 
 def test_recover_density_direct():
@@ -468,7 +479,7 @@ def test_induced_metric_donut_outer_circle():
 def test_induced_metric_sphere_equator():
     sphere = SphereMetric(1.0)
     rule = build_grid(sphere, 32)
-    p = normalize_density(UniformDensity(), rule)
+    p = UniformDensity()
     op = assemble_continuous(UnitSphere(), p, rule, 0.5)
     fld = run_recovery(op).metric_field
     eq = np.flatnonzero(np.abs(rule.nodes[fld.indices, 0] - math.pi / 2) < 1e-12)
@@ -562,7 +573,7 @@ _RECOVERY_CASES = {
 def _case_op(case, grid):
     kernel, metric = _RECOVERY_CASES[case]
     rule = build_grid(metric, grid)
-    p = normalize_density(CosineBump(0.4, "v"), rule)
+    p = CosineBump(0.4, "v")
     return assemble_continuous(kernel, p, rule, 0.5)
 
 

@@ -9,6 +9,10 @@ modules once, at module level, with one exception: the thread pool, and the
 logging it pulls in, load only when a pass splits over k > 1 threads, so
 `operators._in_order` imports it in its body, and nothing else in the
 package is imported inside a function.  Importing the package stays cheap.
+
+The same walk finds dead private helpers: each module-level private
+function, class or constant of the package is referenced somewhere in the
+package outside its own definition.
 """
 
 import ast
@@ -66,6 +70,47 @@ def unused_imports(source: str) -> list:
     return sorted(found)
 
 
+def _private_definitions(stmt) -> list:
+    """Private names (one leading underscore, not dunder) a top-level
+    statement defines: a function, a class or assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _references(stmt) -> set:
+    """Names a statement reads: bare names, attributes and imported names."""
+    refs = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """(module, line, name) of each module-level private definition in
+    sources (module -> source) that no other top-level statement of any of
+    them references; a helper that only calls itself counts as unused."""
+    stmts = [(module, stmt) for module, source in sources.items()
+             for stmt in ast.parse(source).body]
+    refs = [_references(stmt) for _, stmt in stmts]
+    found = []
+    for i, (module, stmt) in enumerate(stmts):
+        for name in _private_definitions(stmt):
+            if not any(name in r for j, r in enumerate(refs) if j != i):
+                found.append((module, stmt.lineno, name))
+    return sorted(found)
+
+
 def import_sites(source: str, module: str = "") -> list:
     """Name of the innermost function around each import of module (or of a
     submodule of it) in source, or around every import when module is empty;
@@ -118,6 +163,22 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
     src = "import os\ndef f():\n    import os, re\n    def g():\n        return re\n\nos.sep\n"
     assert unused_imports(src) == [(3, "os")]
+
+
+def test_checker_flags_an_unreferenced_private_helper():
+    a = ("_A = 1\n_B, c = _A, 2\ndef _f():\n    return _f()\n"
+         "def g():\n    return _B\nclass _C:\n    pass\n__all__ = []\n")
+    b = "from a import _g\nimport a\na._h(_g)\ndef _g():\n    pass\n_h = 0\n"
+    assert unreferenced_privates({"a": a, "b": b}) == [("a", 3, "_f"), ("a", 7, "_C")]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {}
+    for path in _modules():
+        if path.startswith("src/laplab/"):
+            with open(os.path.join(_ROOT, path)) as fh:
+                sources[path] = fh.read()
+    assert unreferenced_privates(sources) == []
 
 
 @pytest.mark.parametrize("path", list(_modules()))

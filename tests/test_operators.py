@@ -31,7 +31,6 @@ from laplab.discretization import (
     UniformDensity,
     build_grid,
     density_values,
-    normalize_density,
     sample_points,
 )
 from laplab.errors import InvalidParameterError, NodeMismatchError
@@ -63,7 +62,7 @@ from laplab.operators import (
 def _flat_op(n=8, t=0.5, density=None, metric=None):
     metric = metric or TorusMetric.flat()
     rule = build_grid(metric, n)
-    p = normalize_density(density or UniformDensity(), rule)
+    p = density or UniformDensity()
     return assemble_continuous(metric, p, rule, t), rule, p
 
 
@@ -85,8 +84,7 @@ def test_rows_annihilate_constants_all_modes():
     for metric, emb in ((flat, CliffordTorus()), (aniso, CliffordTorus()),
                         (sphere, UnitSphere())):
         rule = build_grid(metric, 8)
-        for density in (UniformDensity(), CosineBump(0.5, "u")):
-            p = normalize_density(density, rule)
+        for p in (UniformDensity(), CosineBump(0.5, "u")):
             cases.append(assemble_continuous(metric, p, rule, 0.5))
             cases.append(assemble_continuous(emb, p, rule, 0.5))
     for op in cases:
@@ -118,16 +116,15 @@ def test_weighted_kernel_symmetric_under_uniform_density():
 
 def test_bandwidth_validation_and_node_cap():
     rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(UniformDensity(), rule)
+    p = UniformDensity()
     # 1e-200 and 1e160 are positive and finite, but t^2 underflows or overflows
     for t in (0.0, math.nan, math.inf, 1e-200, 1e160):
         with pytest.raises(InvalidParameterError):
             assemble_continuous(TorusMetric.flat(), p, rule, t)
     big = build_grid(TorusMetric.flat(), 66)  # 4356 nodes > cap
     assert big.n > DENSE_NODE_CAP
-    pb = normalize_density(UniformDensity(), big)
     with pytest.raises(InvalidParameterError):
-        assemble_continuous(TorusMetric.flat(), pb, big, 0.5)
+        assemble_continuous(TorusMetric.flat(), p, big, 0.5)
 
 
 def test_underflow_sets_warning():
@@ -138,7 +135,7 @@ def test_underflow_sets_warning():
 
 def _reference_entries(space, density, rule, t):
     """The assembly pipeline written out of place, one step at a time."""
-    pw = density_values(density, rule.nodes) * rule.weights
+    pw = density_values(density, rule) * rule.weights
     w = np.exp(sq_dist(space, rule.nodes, rule.nodes) / -t) * pw[None, :]
     c = t ** -2.0
     entries = -c * w
@@ -163,7 +160,7 @@ def test_assembly_is_bitwise_reference_pipeline(case):
     metric, emb = _ASSEMBLY_CASES[case]
     space = metric if emb is None else emb
     rule = build_grid(metric, 16)
-    p = normalize_density(CosineBump(0.4, "u"), rule)
+    p = CosineBump(0.4, "u")
     for t in (0.5, 0.05):
         op = assemble_continuous(space, p, rule, t)
         assert np.array_equal(op.entries, _reference_entries(space, p, rule, t))
@@ -189,7 +186,7 @@ def test_non_grid_nodes_take_the_pairwise_path(monkeypatch):
                            (grid.nodes[perm], grid.weights[perm]),
                            (nudged, grid.weights)):
         rule = QuadratureRule(metric, nodes, weights, grid.grid_shape, grid.spacing)
-        p = normalize_density(CosineBump(0.4, "v"), rule)
+        p = CosineBump(0.4, "v")
         op = assemble_continuous(metric, p, rule, 0.5)
         assert np.array_equal(op.entries, _reference_entries(metric, p, rule, 0.5))
     assert len(calls) == 1
@@ -279,8 +276,8 @@ def test_row_blocks_match_whole_table_builds_bitwise(case, grid, ts):
     # grid 46 leaves block tails (n = 2116 and 2070 are not multiples of 16)
     metric, emb = _bit_case(case)
     rule = build_grid(metric, grid)
-    p = normalize_density(CosineBump(0.4, "u"), rule)
-    pw = density_values(p, rule.nodes) * rule.weights
+    p = CosineBump(0.4, "u")
+    pw = density_values(p, rule) * rule.weights
     d2 = _whole_table_sq_dist(metric if emb is None else emb, rule.nodes, rule.nodes)
     for t in ts:
         op = assemble_continuous(metric if emb is None else emb, p, rule, t)
@@ -311,8 +308,8 @@ def test_pairwise_tables_match_whole_table_builds_bitwise(case, grid, ts):
 def test_underflowing_build_names_its_dead_rows():
     metric = SphereMetric(2.0)
     rule = build_grid(metric, 20)
-    p = normalize_density(CosineBump(0.4, "u"), rule)
-    pw = density_values(p, rule.nodes) * rule.weights
+    p = CosineBump(0.4, "u")
+    pw = density_values(p, rule) * rule.weights
     d2 = _whole_table_sq_dist(metric, rule.nodes, rule.nodes)
     for t in (1e-4, 3e-5):  # 300 and 340 of the 380 rows underflow
         op = assemble_continuous(metric, p, rule, t)
@@ -332,7 +329,7 @@ def test_build_peak_memory_is_about_one_table():
     for metric, embedding, bound in cases:
         tracemalloc.start()
         try:
-            op, _ = build_operator(metric, CosineBump(0.4, "u"), 32, 0.5, embedding)
+            op = build_operator(metric, CosineBump(0.4, "u"), 32, 0.5, embedding)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,7 +362,7 @@ def test_sq_dist_is_the_kind_table_and_the_space_round_trips(case, tmp_path):
     else:
         want = torus_sq_geodesic(metric, x[:5], x)
     assert sq_dist(space, x[:5], x).tobytes() == want.tobytes()
-    op, _ = build_operator(metric, UniformDensity(), 8, 0.5, emb)
+    op = build_operator(metric, UniformDensity(), 8, 0.5, emb)
     assert op.space == space
     path = tmp_path / "op.llop"
     save_operator(op, path)
@@ -380,7 +377,7 @@ def test_intrinsic_pair_differs_but_extrinsic_pair_does_not():
     ops_int, ops_ext = [], []
     for m in (flat, aniso):
         rule = build_grid(m, 16)
-        p = normalize_density(UniformDensity(), rule)
+        p = UniformDensity()
         ops_int.append(assemble_continuous(m, p, rule, t))
         ops_ext.append(assemble_continuous(CliffordTorus(), p, rule, t))
     assert operator_distance(*ops_int) > 1e-3
@@ -458,18 +455,14 @@ def test_continuous_value_matches_dense_row():
 
 
 def test_discrete_constant_is_exactly_zero():
-    rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(UniformDensity(), rule)
-    s = sample_points(p, TorusMetric.flat(), 500, 3)
+    s = sample_points(UniformDensity(), TorusMetric.flat(), 500, 3)
     [val] = evaluate_discrete(TorusMetric.flat(), s, 0.5, lambda pts: np.ones(len(pts)),
                               np.array([[0.1, 0.2]]))
     assert val == 0.0
 
 
 def test_discrete_single_coincident_sample():
-    rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(UniformDensity(), rule)
-    s = sample_points(p, TorusMetric.flat(), 1, 3)
+    s = sample_points(UniformDensity(), TorusMetric.flat(), 1, 3)
     x = s[0:1]
     [val] = evaluate_discrete(TorusMetric.flat(), s, 0.5, lambda pts: np.cos(pts[:, 0]), x)
     assert val == 0.0
@@ -480,7 +473,7 @@ def test_discrete_value_near_continuous_value():
     # quadrature value computed on a fine reference grid.
     metric = TorusMetric.flat()
     rule = build_grid(metric, 128)
-    p = normalize_density(UniformDensity(), rule)
+    p = UniformDensity()
     f = lambda pts: np.cos(pts[:, 0])
     x = np.array([[0.0, 0.0]])
     [ref] = continuous_value(metric, p, rule, 0.5, f, x)
@@ -496,9 +489,7 @@ def test_discrete_value_near_continuous_value():
 
 
 def test_discrete_bandwidth_validation():
-    rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(UniformDensity(), rule)
-    s = sample_points(p, TorusMetric.flat(), 10, 3)
+    s = sample_points(UniformDensity(), TorusMetric.flat(), 10, 3)
     calls = []
     for t in (-1.0, 0.0, math.nan, 1e-200, 1e160):
         with pytest.raises(InvalidParameterError):
@@ -524,7 +515,7 @@ def test_discrete_many_points_match_single_point_bits(case):
         "sphere": (sphere, sphere),
         "clifford": (flat, CliffordTorus()),
     }[case]
-    p = normalize_density(CosineBump(0.4, "v"), build_grid(metric, 16))
+    p = CosineBump(0.4, "v")
     pts = sample_points(p, metric, 3000, 17)
     gen = np.random.default_rng(5)
     points = np.column_stack([gen.uniform(0.3, 2.8, 8), gen.uniform(0.0, 2 * math.pi, 8)])
@@ -536,9 +527,7 @@ def test_discrete_many_points_match_single_point_bits(case):
 
 
 def test_discrete_evaluates_f_on_the_cloud_once():
-    rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(UniformDensity(), rule)
-    pts = sample_points(p, TorusMetric.flat(), 200, 3)
+    pts = sample_points(UniformDensity(), TorusMetric.flat(), 200, 3)
     sizes = []
 
     def f(pts):
@@ -556,7 +545,7 @@ def test_discrete_peak_memory_is_five_rows():
     import tracemalloc
 
     metric = TorusMetric.flat()
-    p = normalize_density(UniformDensity(), build_grid(metric, 16))
+    p = UniformDensity()
     pts = sample_points(p, metric, 64_000, 1234)
     points = np.array([[0.3 * k, 0.7] for k in range(8)])
     tracemalloc.start()
@@ -580,7 +569,7 @@ _SPACES = {
 def test_continuous_value_many_points_match_one_row_calls_bitwise(case):
     metric, space = _SPACES[case]
     rule = build_grid(metric, 16)
-    p = normalize_density(CosineBump(0.4, "v"), rule)
+    p = CosineBump(0.4, "v")
     gen = np.random.default_rng(7)
     points = np.column_stack([gen.uniform(0.3, 2.8, 8), gen.uniform(0.0, 2 * math.pi, 8)])
     f = lambda pts: np.sin(pts[:, 0]) * np.cos(2.0 * pts[:, 1])
@@ -596,7 +585,7 @@ def test_evaluators_reduce_points_as_python_modulo(evaluator):
     # points outside [0, 2 pi) give the bits of the same points reduced by %
     metric = TorusMetric.flat()
     rule = build_grid(metric, 16)
-    p = normalize_density(CosineBump(0.4, "u"), rule)
+    p = CosineBump(0.4, "u")
     pts = sample_points(p, metric, 500, 9)
     raw = np.array([[-0.3, 7.1], [1e6, -1e6], [-1e6, 2.0 * math.pi], [-2.0, 13.0]])
     reduced = np.array([[float(x) % (2.0 * math.pi) for x in row] for row in raw])
@@ -630,7 +619,7 @@ def test_operator_round_trip(tmp_path):
 def test_operator_round_trip_extrinsic_sphere(tmp_path):
     sphere = SphereMetric(1.0)
     rule = build_grid(sphere, 8)
-    p = normalize_density(UniformDensity(), rule)
+    p = UniformDensity()
     op = assemble_continuous(UnitSphere(), p, rule, 0.5)
     path = tmp_path / "op.llop"
     save_operator(op, path)
@@ -652,7 +641,7 @@ _GOLDEN_BLOCKS = {
 @pytest.mark.parametrize("case", sorted(_GOLDEN_BLOCKS))
 def test_parameter_blocks_are_golden_bytes(tmp_path, case):
     metric, emb, kernel, measure = _GOLDEN_BLOCKS[case]
-    op, _ = build_operator(metric, UniformDensity(), 4, 0.5, emb)
+    op = build_operator(metric, UniformDensity(), 4, 0.5, emb)
     path = tmp_path / "op.llop"
     save_operator(op, path)
     blob = path.read_bytes()
@@ -697,7 +686,7 @@ def test_load_rejects_grid_shape_node_count_mismatch(tmp_path, grid_shape):
 @pytest.mark.parametrize("case", sorted(_CLI_PAIRS))
 def test_loaded_rule_is_the_assembled_rule_bitwise(tmp_path, case):
     metric, emb = _CLI_PAIRS[case]
-    op, _ = build_operator(metric, CosineBump(0.4, "v"), 8, 0.5, emb)
+    op = build_operator(metric, CosineBump(0.4, "v"), 8, 0.5, emb)
     path = tmp_path / "op.llop"
     save_operator(op, path)
     back, rule = load_operator(path).rule, op.rule
@@ -712,7 +701,7 @@ def _save_on_rule(path, metric, nodes, grid_shape, spacing):
     """Assemble and save an operator on a hand-made rule that build_grid never makes."""
     weights = np.full(len(nodes), spacing[0] * spacing[1])
     rule = QuadratureRule(metric, nodes, weights, grid_shape, spacing)
-    save_operator(assemble_continuous(metric, normalize_density(UniformDensity(), rule),
+    save_operator(assemble_continuous(metric, UniformDensity(),
                                       rule, 0.5), path)
 
 
@@ -745,7 +734,7 @@ def test_load_rejects_unknown_mode_tag(tmp_path, tag):
     from laplab.errors import MalformedOperatorError
 
     rule = build_grid(TorusMetric.flat(), 8)
-    p = normalize_density(UniformDensity(), rule)
+    p = UniformDensity()
     op = assemble_continuous(CliffordTorus(), p, rule, 0.5)
     path = tmp_path / "op.llop"
     save_operator(op, path)
@@ -888,7 +877,7 @@ def test_bits_do_not_depend_on_the_worker_count(monkeypatch, case, grid):
     # takes one range whatever the count (see above).  Each count is built once.
     metric, emb = _CLI_PAIRS[case]
     rule = build_grid(metric, grid)
-    p = normalize_density(CosineBump(0.4, "u"), rule)
+    p = CosineBump(0.4, "u")
     space = metric if emb is None else emb
     counts = sorted({min(cpus, rule.n // 1024) for cpus in (1, 2, 3, 8)})
     for t in (0.5, 0.01):
@@ -935,7 +924,7 @@ def test_overflowing_quotient_on_a_worker_range_warns_nothing(monkeypatch):
         _force_cpus(monkeypatch, cpus)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            op, _ = build_operator(SphereMetric(3.7e153), UniformDensity(), 46, 0.5)
+            op = build_operator(SphereMetric(3.7e153), UniformDensity(), 46, 0.5)
         warned += [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert op.warning == _underflow_warning(op.n, 0.5)
     assert warned == []
@@ -948,7 +937,7 @@ def test_ranges_switching_every_microsecond_lose_no_dead_row(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        op, _ = build_operator(SphereMetric(3.7e153), UniformDensity(), 64, 0.5)
+        op = build_operator(SphereMetric(3.7e153), UniformDensity(), 64, 0.5)
     finally:
         sys.setswitchinterval(interval)
     assert op.n // 1024 == 3 and op.warning == _underflow_warning(op.n, 0.5)
@@ -960,7 +949,7 @@ def test_threaded_build_peak_memory_is_within_its_bound(monkeypatch):
     _force_cpus(monkeypatch, 2)
     tracemalloc.start()
     try:
-        op, _ = build_operator(SphereMetric(1.0), CosineBump(0.4, "u"), 46, 0.5)
+        op = build_operator(SphereMetric(1.0), CosineBump(0.4, "u"), 46, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -997,7 +986,7 @@ def test_recovery_stream_bits_do_not_depend_on_the_worker_count(monkeypatch, tmp
     # 1, 2, 3 and 8 CPUs keep 1 to 4 strips in flight at grid 64 and 1 or 2
     # at grid 46, whose sphere (n = 2070) ends in a partial tile
     metric, emb = _CLI_PAIRS[case]
-    op, _ = build_operator(metric, CosineBump(0.4, "u"), grid, 0.5, emb)
+    op = build_operator(metric, CosineBump(0.4, "u"), grid, 0.5, emb)
     op_path = tmp_path / "op.llop"
     save_operator(op, op_path)
     counts = sorted({min(cpus, op.n // 1024) for cpus in (1, 2, 3, 8)})
@@ -1017,7 +1006,7 @@ def test_recovery_stream_bits_do_not_depend_on_the_worker_count(monkeypatch, tmp
 def test_recovery_at_grid_32_starts_no_thread(monkeypatch, tmp_path, capsys):
     _force_cpus(monkeypatch, 8)
     # n = 1024, the most rows that one thread takes
-    op, _ = build_operator(TorusMetric.flat(), CosineBump(0.4, "u"), 32, 0.5, DonutTorus(2.0, 1.0))
+    op = build_operator(TorusMetric.flat(), CosineBump(0.4, "u"), 32, 0.5, DonutTorus(2.0, 1.0))
     op_path = tmp_path / "op.llop"
     save_operator(op, op_path)
     started, start = [], threading.Thread.start
@@ -1039,7 +1028,7 @@ def test_a_failing_strip_raises_in_row_order_after_every_strip_stopped(monkeypat
     class Boom(Exception):
         pass
 
-    op, _ = build_operator(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), 64, 0.5)
+    op = build_operator(TorusMetric.anisotropic(1.5), CosineBump(0.4, "u"), 64, 0.5)
     report = identify.run_recovery(op)
     one_way, later_failed = identify._one_way, threading.Event()
 
@@ -1065,7 +1054,7 @@ def test_a_failing_strip_raises_in_row_order_after_every_strip_stopped(monkeypat
 def test_failed_strip_leaves_both_out_directories_as_they_were(monkeypatch, tmp_path, capsys):
     from laplab.errors import InconsistencyError
 
-    op, _ = build_operator(TorusMetric.flat(), CosineBump(0.4, "u"), 46, 0.5, DonutTorus(2.0, 1.0))
+    op = build_operator(TorusMetric.flat(), CosineBump(0.4, "u"), 46, 0.5, DonutTorus(2.0, 1.0))
     op_path, ext, out = tmp_path / "op.llop", tmp_path / "ext", tmp_path / "out"
     save_operator(op, op_path)
     names = ["recovery_distance.llmx", "recovery_kernel.llmx"]
@@ -1095,7 +1084,7 @@ def test_a_stream_closed_mid_way_stops_its_threads(monkeypatch, tmp_path):
     # the distance file's writer fails after three blocks: the stream is
     # closed at once, not when the traceback that holds it goes, and the
     # strips computed ahead of it finish with the pool's threads
-    op, _ = build_operator(SphereMetric(1.0), CosineBump(0.4, "u"), 64, 0.5)
+    op = build_operator(SphereMetric(1.0), CosineBump(0.4, "u"), 64, 0.5)
     report = identify.run_recovery(op)
     _force_cpus(monkeypatch, 4)
 

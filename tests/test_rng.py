@@ -178,6 +178,16 @@ def test_zero_seed_does_not_stall():
     assert len(set(vals.tolist())) > 90
 
 
+@pytest.mark.parametrize("seed", [0x61C8864680B583EB, -0x9E3779B97F4A7C15])
+def test_seed_whose_splitmix_value_is_zero_starts_at_golden(seed):
+    # 2^64 - golden is the one masked seed that splitmix64 sends to 0, the
+    # fixed point of the shift register; the state starts at golden instead
+    gen = Xorshift64Star(seed)
+    assert gen._state == 0x9E3779B97F4A7C15 == _oracle_seed(seed)
+    scalar = Xorshift64Star(seed)
+    assert np.array_equal(gen.uniforms(40), [scalar.uniform() for _ in range(40)])
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_range_and_determinism(seed):
     a = Xorshift64Star(seed).uniforms(32)

@@ -3,6 +3,7 @@ and the convergence study's statistics."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from laplab import verify
-from laplab.discretization import UniformDensity, build_grid, normalize_density, sample_points
+from laplab.discretization import UniformDensity, build_grid, sample_points
 from laplab.errors import InvalidParameterError
 from laplab.geometry import TorusMetric, sq_dist
 from laplab.operators import build_operator, continuous_value, operator_distance
@@ -47,8 +48,8 @@ def test_flat_aniso_gap_crosses_the_s1_s3_gate_between_grids_40_and_64():
     # at t = 0.5 up to grid 40 and fail from grid 44 up
     gaps = {}
     for grid in (40, 64):
-        flat, _ = build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
-        aniso, _ = build_operator(TorusMetric.anisotropic(2.0), UniformDensity(), grid, 0.5)
+        flat = build_operator(TorusMetric.flat(), UniformDensity(), grid, 0.5)
+        aniso = build_operator(TorusMetric.anisotropic(2.0), UniformDensity(), grid, 0.5)
         gaps[grid] = operator_distance(flat, aniso)
     assert gaps[40] == pytest.approx(1.18e-3, rel=5e-3) and gaps[40] > 1e-3
     assert gaps[64] == pytest.approx(4.61e-4, rel=5e-3) and gaps[64] < 1e-3
@@ -191,7 +192,7 @@ def test_convergence_per_seed_bits_match_single_point_loop():
     # the study's loop as it stood with a single-point evaluator
     metric = TorusMetric.flat()
     rule = build_grid(metric, 128)
-    density = normalize_density(UniformDensity(), rule)
+    density = UniformDensity()
     points = _eval_points()
     ref = np.array([continuous_value(metric, density, rule, 0.5, _f_cos_u, points[k:k + 1])[0]
                     for k in range(len(points))])
@@ -304,6 +305,20 @@ def test_write_json_bytes_equal_json_dump(tmp_path_factory, payload):
     # the compact form is json.dump's own, for plain json values
     write_json(lists, path, indent=None)
     assert path.read_text() == json.dumps(lists, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload, indent", [({(1, 2): 0}, 2), ({"k": object()}, None)])
+def test_write_json_that_cannot_format_leaves_the_file_alone(tmp_path, payload, indent):
+    # the text is built before the file is opened: a tuple key or a value
+    # json cannot write raises and the file keeps its bytes
+    path = tmp_path / "r.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        write_json(payload, path, indent=indent)
+    assert path.read_text() == "old\n"
+    with pytest.raises(TypeError):
+        write_json(payload, tmp_path / "new" / "r.json", indent=indent)
+    assert sorted(os.listdir(tmp_path)) == ["r.json"]
 
 
 def test_write_json_formats_each_distinct_float_once(tmp_path, monkeypatch):
